@@ -73,14 +73,16 @@ def peak_rss_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def latency_stats(by_kind: dict[str, list[float]]) -> dict:
+def latency_stats(by_kind: dict[str, list[float]], relative: dict[str, list[float]]) -> dict:
     """Latency figures of a closed loop with one client, from seconds to ms.
 
-    op_best_ms, the bounded figure, is each operation kind's fastest latency,
+    op_p50_rel, the bounded figure, is per operation kind the median of each
+    operation's latency divided by the reference loop's time around it,
     averaged over the kinds, so a mixed workload weighs every kind equally.
-    The median, the tail and the throughput are kept as well. The tail is the
-    highest percentile with at least ten samples beyond it, but never below
-    the median: with fewer than 20 samples it is the median.
+    The raw latencies give the fastest latency per kind (averaged over the
+    kinds), the median, the tail and the throughput. The tail is the highest
+    percentile with at least ten samples beyond it, but never below the
+    median: with fewer than 20 samples it is the median.
     """
     fastest = [min(v) for v in by_kind.values()]
     ordered = sorted(x for v in by_kind.values() for x in v)
@@ -90,8 +92,9 @@ def latency_stats(by_kind: dict[str, list[float]]) -> dict:
     else:
         tail, tail_pct = statistics.median(ordered), 50.0
     return {
-        "op_best_ms": statistics.fmean(fastest) * 1e3,
+        "op_p50_rel": statistics.fmean(statistics.median(v) for v in relative.values()),
         "samples": n,
+        "op_best_ms": statistics.fmean(fastest) * 1e3,
         "op_p50_ms": statistics.median(ordered) * 1e3,
         "op_tail_ms": tail * 1e3,
         "tail_percentile": tail_pct,

@@ -22,6 +22,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = Path(__file__).resolve().parent
 SETUP_REPS = 3
+# reference-loop samples taken just before and again just after each operation
+REFERENCE_SAMPLES = 2
 
 
 def parse_args(argv):
@@ -63,19 +65,26 @@ class Loop:
         self.errors: list[str] = []
         self.quality: list[tuple[float, float]] = []
 
-    def one(self, spec):
+    def one(self, spec, probe=None):
         """Run and check one operation.
 
-        Returns (latency_s, output, passed); latency and output are None if
-        the operation raised. An operation that returns but fails its check
-        keeps its latency: it is counted as failed, not dropped.
+        Returns (latency_s, output, passed, probes); latency and output are
+        None if the operation raised. An operation that returns but fails its
+        check keeps its latency: it is counted as failed, not dropped. probe,
+        if given, is called just before and just after the timed call, and
+        probes holds what it returned.
         """
         self.attempted += 1
         latency = out = None
+        probes = []
         try:
+            if probe is not None:
+                probes += probe()
             start = time.perf_counter()
             out = self.wl.run(self.tr, spec)
             latency = time.perf_counter() - start
+            if probe is not None:
+                probes += probe()
             problems = self.wl.check(spec, out)
         except Exception as err:  # a failed operation is counted, not raised
             problems = [f"{type(err).__name__}: {err}"]
@@ -84,7 +93,31 @@ class Loop:
             self.errors.extend(problems[:3])
         elif isinstance(out, dict) and "phase_rmse" in out:
             self.quality.append((out["phase_rmse"], out["vis_rmse"]))
-        return latency, out, not problems
+        return latency, out, not problems, probes
+
+
+def reference_loop_s() -> float:
+    """Time of one fixed pure-Python loop, independent of iuptools.
+
+    The benchmark runs it around every operation, on the operation's CPUs,
+    to measure how fast the shared host lets those CPUs run at that moment.
+    """
+    start = time.perf_counter()
+    total = 0
+    for i in range(100_000):
+        total += i * i
+    return time.perf_counter() - start
+
+
+def reference_on(cpus: list[int]) -> list[float]:
+    """Reference-loop times on the given CPUs, taking turns; the CPU set is
+    restored afterwards."""
+    times = []
+    for i in range(REFERENCE_SAMPLES):
+        os.sched_setaffinity(0, {cpus[i % len(cpus)]})
+        times.append(reference_loop_s())
+    os.sched_setaffinity(0, cpus)
+    return times
 
 
 def self_check(wl, spec, out) -> list[str]:
@@ -128,7 +161,7 @@ def main(argv=None) -> int:
         tr.op_id = "warmup"
         start = time.perf_counter()
         first = wl.cycle(rng)[0]
-        _, out, passed = loop.one(first)
+        _, out, passed, _ = loop.one(first)
         warmup_s = time.perf_counter() - start
         setup_s = import_s + statistics.median(setup_times) + warmup_s
         # the gate must reject broken copies of a good output
@@ -137,6 +170,8 @@ def main(argv=None) -> int:
         rss_after_setup = report.peak_rss_mib()
 
         latencies: dict[str, list[float]] = {}
+        relative: dict[str, list[float]] = {}
+        reference: list[float] = []
         traced, untraced = [], []
         op_id = 0
         cpus = sorted(os.sched_getaffinity(0))
@@ -146,12 +181,19 @@ def main(argv=None) -> int:
                 # single-threaded operations take turns on the CPUs, so a
                 # host that slows one virtual CPU for minutes cannot slow them all
                 one_cpu = wl.threads_of(spec) == 1
-                os.sched_setaffinity(0, {cpus[op_id % len(cpus)]} if one_cpu else cpus)
+                op_cpus = [cpus[op_id % len(cpus)]] if one_cpu else cpus
+                os.sched_setaffinity(0, op_cpus)
                 op_id += 1
                 if not trace:
-                    latency = loop.one(spec)[0]
+                    # the host's speed varies for minutes at a time; the
+                    # reference loop around an operation measures it on the
+                    # same CPUs, and the latency is also kept relative to it
+                    latency, _, _, around = loop.one(spec, lambda: reference_on(op_cpus))
+                    reference += around
                     if latency is not None:
-                        latencies.setdefault(wl.kind(spec), []).append(latency)
+                        kind = wl.kind(spec)
+                        latencies.setdefault(kind, []).append(latency)
+                        relative.setdefault(kind, []).append(latency / statistics.median(around))
                     continue
                 # pairs of untraced and traced runs of the same operation
                 tr.enabled = False
@@ -191,13 +233,13 @@ def main(argv=None) -> int:
             detail.update(copy, traced_ops=len(traced))
             units = metric_units("per_layer")
         else:
-            stats = report.latency_stats(latencies)
+            stats = report.latency_stats(latencies, relative)
             metrics = {
                 "setup_s": setup_s,
-                "op_best_ms": stats.pop("op_best_ms"),
+                "op_p50_rel": stats.pop("op_p50_rel"),
                 "peak_rss_mb": report.peak_rss_mib(),
             }
-            detail.update(stats)
+            detail.update(stats, reference_loop_ms=statistics.median(reference) * 1e3)
             units = metric_units("end_to_end")
         detail["failed_ratio"] = loop.failed / loop.attempted
     finally:
@@ -257,12 +299,14 @@ def print_summary(record, loop, units) -> None:
 
 
 UNBOUNDED = (
+    ("op_best_ms", "ms"),
     ("op_p50_ms", "ms"),
     ("op_tail_ms", "ms"),
     ("tail_percentile", "%"),
     ("ops_per_s", "1/s"),
     ("phase_rmse_mrad", "mrad"),
     ("visibility_rmse", ""),
+    ("reference_loop_ms", "ms"),
 )
 
 
