@@ -20,6 +20,7 @@ __all__ = ["BenchRow", "BenchReport", "run_bench", "parse_bench_csv"]
 
 _WARMUP_RUNS = 3
 _CSV_HEADER = "K,mean_ms,std_ms,runs,threads,width,height"
+_CSV_MACHINE = "# machine: "
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,7 @@ class BenchReport:
                 f"{row.frame_count},{row.mean_ms:.6f},{row.std_ms:.6f},"
                 f"{row.runs},{self.threads},{self.width},{self.height}"
             )
+        lines.append(_CSV_MACHINE + self.machine)
         return "\n".join(lines) + "\n"
 
     def table(self) -> str:
@@ -114,10 +116,17 @@ def run_bench(
 
 
 def parse_bench_csv(text: str) -> BenchReport:
-    """Rebuild a report from its CSV body (machine descriptor is not stored)."""
+    """Rebuild a report from its CSV text, machine descriptor included.
+
+    A CSV without the trailing "# machine:" line reports the machine as
+    "unknown".
+    """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0] != _CSV_HEADER:
         raise ValueError(f"expected header {_CSV_HEADER!r}")
+    machine = "unknown"
+    if lines[-1].startswith(_CSV_MACHINE):
+        machine = lines.pop()[len(_CSV_MACHINE) :]
     rows = []
     threads = width = height = None
     for line in lines[1:]:
@@ -128,4 +137,4 @@ def parse_bench_csv(text: str) -> BenchReport:
         threads, width, height = int(parts[4]), int(parts[5]), int(parts[6])
     if threads is None:
         raise ValueError("CSV has no data rows")
-    return BenchReport(tuple(rows), width, height, threads, _machine_descriptor())
+    return BenchReport(tuple(rows), width, height, threads, machine)

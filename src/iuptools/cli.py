@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -23,54 +25,36 @@ from .stackio import (
     write_stack,
 )
 
-_OPTIC_FLOAT_KEYS = (
-    "pump_wavelength_nm",
-    "detected_wavelength_nm",
-    "undetected_wavelength_nm",
-    "f_u_mm",
-    "f_c_mm",
-    "pump_waist_mm",
-    "system_visibility",
-    "coherence_length_mm",
-    "path_mismatch_mm",
-    "pixel_pitch_um",
-    "mean_counts",
-)
-_OPTIC_INT_KEYS = ("sensor_width", "sensor_height")
-_OPTIC_STR_KEYS = ("loss_coupling",)
-_NOISE_KEYS = ("shot_noise", "read_noise_sigma", "dark_offset", "rng_seed")
 
-
-def _parse_bool(value: str, key: str) -> bool:
+def _parse_bool(value: str) -> bool:
     lowered = value.lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"config key {key}: expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
+
+
+_PARSERS = {float: float, int: int, str: str, bool: _parse_bool}
 
 
 def _build_optics(settings: dict[str, str], seed: int | None) -> tuple[OpticalConfig, NoiseModel]:
-    config_kwargs: dict = {}
-    noise_kwargs: dict = {}
+    kwargs: dict[type, dict] = {OpticalConfig: {}, NoiseModel: {}}
+    field_types: dict[str, tuple[type, type]] = {}
+    for cls in kwargs:
+        hints = get_type_hints(cls)
+        field_types.update({f.name: (cls, hints[f.name]) for f in fields(cls)})
     for key, value in settings.items():
-        if key in _OPTIC_FLOAT_KEYS:
-            config_kwargs[key] = float(value)
-        elif key in _OPTIC_INT_KEYS:
-            config_kwargs[key] = int(value)
-        elif key in _OPTIC_STR_KEYS:
-            config_kwargs[key] = value
-        elif key == "shot_noise":
-            noise_kwargs[key] = _parse_bool(value, key)
-        elif key in ("read_noise_sigma", "dark_offset"):
-            noise_kwargs[key] = float(value)
-        elif key == "rng_seed":
-            noise_kwargs[key] = int(value)
-        else:
+        if key not in field_types:
             raise ValueError(f"unknown config key {key!r}")
+        cls, hint = field_types[key]
+        try:
+            kwargs[cls][key] = _PARSERS[hint](value)
+        except ValueError as err:
+            raise ValueError(f"config key {key}: {err}") from None
     if seed is not None:
-        noise_kwargs["rng_seed"] = seed
-    return OpticalConfig(**config_kwargs), NoiseModel(**noise_kwargs)
+        kwargs[NoiseModel]["rng_seed"] = seed
+    return OpticalConfig(**kwargs[OpticalConfig]), NoiseModel(**kwargs[NoiseModel])
 
 
 def _load_settings(config_path: str | None, overrides: list[str] | None) -> dict[str, str]:
@@ -134,7 +118,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     options = ExtractionOptions(
         frequency_mode=args.frequency_mode,
         fixed_frequency=args.frequency,
-        zero_pad_factor=args.zero_pad,
         min_dc_threshold=args.min_dc,
     )
     result = analyze_stack(stack, options, threads=args.threads)
@@ -221,8 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("assume-one-cycle", "estimate", "fixed"))
     p.add_argument("--frequency", type=float, default=None,
                    help="cycles per scan for --frequency-mode fixed")
-    p.add_argument("--zero-pad", type=int, default=8,
-                   help="zero-padding factor for frequency estimation (default 8)")
     p.add_argument("--min-dc", type=float, default=1e-9,
                    help="mask pixels whose DC falls below this many counts")
     p.add_argument("--threads", type=int, default=1, help="row-parallel workers")

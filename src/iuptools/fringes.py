@@ -1,11 +1,15 @@
 """Per-pixel fringe extraction for phase-stepped frame stacks.
 
-A stack of K frames recorded across one fringe oscillation is reduced to
-visibility, contrast, phase and DC maps by evaluating the DC and fundamental
-Fourier components of every pixel's intensity series. Scans that do not cover
-exactly one cycle are handled by a single-frequency least-squares fit at an
-estimated or user-fixed frequency instead of the integer DFT bin, which keeps
-the fringe energy out of neighbouring bins.
+A stack of K frames recorded across a fringe oscillation is reduced to
+visibility, contrast, phase and DC maps by a least-squares fit of every
+pixel's intensity series to A + Re[c exp(i 2 pi f k / K)] at one fringe
+frequency f (cycles per scan). The fit is a fixed linear map of the series,
+the projector built by _projectors, so every frequency mode runs the same
+kernel: assume-one-cycle is f = 1, where the fit reproduces the DFT-bin
+formulas (A = X0/K, c = 2 X1/K) to rounding error; fixed uses a given f;
+estimate takes f from the minimum of the fit residual of the spatial-mean
+series, which keeps the fringe energy of off-bin scans out of neighbouring
+bins.
 """
 
 from __future__ import annotations
@@ -104,14 +108,13 @@ class ExtractionOptions:
     """Controls how the fundamental fringe component is located.
 
     frequency_mode:
-      assume-one-cycle  use the integer DFT bin m=1 (scan spans one cycle)
+      assume-one-cycle  fit at f = 1 (scan spans one cycle; the DFT bin m=1)
       estimate          locate the fringe frequency from the stack itself
       fixed             extract at fixed_frequency (cycles per scan)
     """
 
     frequency_mode: str = "assume-one-cycle"
     fixed_frequency: float | None = None
-    zero_pad_factor: int = 8
     min_dc_threshold: float = 1e-9
 
     def __post_init__(self) -> None:
@@ -119,9 +122,6 @@ class ExtractionOptions:
             raise OptionsError(
                 f"unknown frequency_mode {self.frequency_mode!r}; expected one of {FREQUENCY_MODES}"
             )
-        if int(self.zero_pad_factor) != self.zero_pad_factor or self.zero_pad_factor < 1:
-            raise OptionsError("zero_pad_factor must be an integer >= 1")
-        self.zero_pad_factor = int(self.zero_pad_factor)
         if self.frequency_mode == "fixed":
             if self.fixed_frequency is None or not (self.fixed_frequency > 0):
                 raise OptionsError("fixed frequency_mode requires fixed_frequency > 0")
@@ -137,9 +137,9 @@ class AnalysisResult:
     pixels carry 0.0 in visibility/contrast/phase so downstream arithmetic
     stays finite, and the flag distinguishes them from genuine zeros.
     fringe_frequency is the cycles-per-scan value actually used and
-    leakage_flag warns when the stack's own fringe peak sits more than 0.05
-    cycles away from it. options echoes the extraction settings for
-    provenance.
+    leakage_flag warns when the frequency estimated from the stack itself
+    sits more than 0.05 cycles away from it. options echoes the extraction
+    settings for provenance.
     """
 
     visibility_map: np.ndarray
@@ -164,57 +164,24 @@ def dft_component(series, m: int) -> complex:
     return complex(np.sum(y * np.exp(angles)))
 
 
-def _fit_design(k: int, f: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine and (negated) sine sampling vectors for frequency f over k frames."""
-    w = 2.0 * np.pi * f / k
-    idx = np.arange(k)
-    return np.cos(w * idx), -np.sin(w * idx)
+def _projectors(k: int, freqs) -> tuple[np.ndarray, np.ndarray]:
+    """Fit basis and least-squares projector over k frames at each frequency.
+
+    Returns B, shape (n, 3, k), whose rows sample 1, cos(2 pi f j / k) and
+    -sin(2 pi f j / k), and P = (B B^T)^-1 B of the same shape, so that
+    P @ y = (A, Re c, Im c) is the fit of y to A + Re[c exp(i 2 pi f j / k)].
+    """
+    w = (2.0 * np.pi / k) * np.atleast_1d(np.asarray(freqs, dtype=np.float64))
+    angles = w[:, None] * np.arange(k)
+    basis = np.stack([np.ones_like(angles), np.cos(angles), -np.sin(angles)], axis=1)
+    gram = basis @ basis.transpose(0, 2, 1)
+    return basis, np.linalg.solve(gram, basis)
 
 
-def _bin_fit(y: np.ndarray, f: float) -> tuple[float, complex]:
-    """Least-squares fit of y to A + Re[c exp(i 2 pi f k / K)]; returns (A, c)."""
-    k = y.size
-    c1, c2 = _fit_design(k, f)
-    gram = np.array(
-        [
-            [float(k), c1.sum(), c2.sum()],
-            [c1.sum(), c1 @ c1, c1 @ c2],
-            [c2.sum(), c1 @ c2, c2 @ c2],
-        ]
-    )
-    rhs = np.array([y.sum(), y @ c1, y @ c2])
-    sol = np.linalg.solve(gram, rhs)
-    return float(sol[0]), complex(sol[1], sol[2])
-
-
-def _bin_fit_residual(y: np.ndarray, f: float) -> float:
-    """Sum of squared residuals of the single-frequency fit at f."""
-    k = y.size
-    c1, c2 = _fit_design(k, f)
-    a, c = _bin_fit(y, f)
-    model = a + c.real * c1 + c.imag * c2
-    r = y - model
-    return float(r @ r)
-
-
-def _residual_grid(y: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """Fit residuals for many candidate frequencies at once."""
-    k = y.size
-    idx = np.arange(k)
-    w = (2.0 * np.pi / k) * freqs[:, None]
-    c1 = np.cos(w * idx)
-    c2 = -np.sin(w * idx)
-    n = freqs.size
-    gram = np.empty((n, 3, 3))
-    gram[:, 0, 0] = k
-    gram[:, 0, 1] = gram[:, 1, 0] = c1.sum(axis=1)
-    gram[:, 0, 2] = gram[:, 2, 0] = c2.sum(axis=1)
-    gram[:, 1, 1] = (c1 * c1).sum(axis=1)
-    gram[:, 1, 2] = gram[:, 2, 1] = (c1 * c2).sum(axis=1)
-    gram[:, 2, 2] = (c2 * c2).sum(axis=1)
-    rhs = np.stack([np.full(n, y.sum()), c1 @ y, c2 @ y], axis=1)
-    sol = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
-    return float(y @ y) - np.einsum("ij,ij->i", sol, rhs)
+def _residuals(y: np.ndarray, freqs) -> np.ndarray:
+    """Sum of squared residuals y^T y - (P y).(B y) of the fit at each frequency."""
+    basis, proj = _projectors(y.size, freqs)
+    return float(y @ y) - np.einsum("ij,ij->i", proj @ y, basis @ y)
 
 
 def single_bin_amplitude(series, f: float) -> complex:
@@ -232,7 +199,8 @@ def single_bin_amplitude(series, f: float) -> complex:
     k = y.size
     if not 0.0 < f < k / 2.0:
         raise NyquistError(f"frequency {f} outside the resolvable interval (0, {k / 2})")
-    return _bin_fit(y, f)[1]
+    _, cr, ci = _projectors(k, f)[1][0] @ y
+    return complex(cr, ci)
 
 
 def visibility(F0: float, F1: float) -> float:
@@ -261,96 +229,66 @@ def phase(F1: complex) -> float:
     return value
 
 
-def _estimate_from_series(y: np.ndarray, zero_pad_factor: int) -> float:
+def _estimate_from_series(y: np.ndarray) -> float:
     k = y.size
     d = y - y.mean()
     if float(np.max(np.abs(d))) <= 1e-12 * max(1.0, abs(float(y.mean()))):
         raise FrequencyEstimationError("no fringe peak above the noise floor (constant stack)")
-    n = k * zero_pad_factor
-    spectrum = np.abs(np.fft.rfft(d, n=n))
-    # candidate bins strictly inside (0, K/2)
-    top = (n - 1) // 2
-    if top < 1:
-        raise FrequencyEstimationError("spectrum too short to search")
-    j = 1 + int(np.argmax(spectrum[1 : top + 1]))
-    peak = spectrum[j]
-    if peak <= 0.0:
-        raise FrequencyEstimationError("no fringe peak above the noise floor")
-    # parabolic interpolation on log magnitude across the peak's neighbours
-    floor = peak * 1e-15
-    la = math.log(max(spectrum[j - 1], floor))
-    lb = math.log(peak)
-    lc = math.log(max(spectrum[j + 1], floor)) if j + 1 < spectrum.size else la
-    den = la - 2.0 * lb + lc
-    offset = 0.0 if den == 0.0 else 0.5 * (la - lc) / den
-    offset = float(np.clip(offset, -0.5, 0.5))
-    f_coarse = (j + offset) * k / n
-
-    # The padded-spectrum peak is biased by the negative-frequency image on
-    # short records (the bias can exceed a tenth of a cycle at K=8), so the
-    # coarse value seeds a polish stage: pick the global minimum of the
-    # single-frequency fit residual, then refine it.
-    bin_width = k / n
-    lo = max(bin_width, min(0.5, f_coarse))
-    hi = k / 2.0 - bin_width
-    if not lo < hi:
-        return f_coarse
+    # global minimum of the single-frequency fit residual on a grid, then refined
+    lo, hi = 0.125, k / 2.0 - 0.125
     grid = np.linspace(lo, hi, max(256, 64 * k) + 1)
-    residuals = _residual_grid(y, grid)
+    residuals = _residuals(y, grid)
     i = int(np.argmin(residuals))
     bracket_lo = grid[max(0, i - 1)]
     bracket_hi = grid[min(grid.size - 1, i + 1)]
     best = float(grid[i])
     best_res = float(residuals[i])
-    if bracket_lo < bracket_hi:
-        opt = minimize_scalar(
-            lambda f: _bin_fit_residual(y, f),
-            bounds=(float(bracket_lo), float(bracket_hi)),
-            method="bounded",
-            options={"xatol": 1e-10},
-        )
-        if float(opt.fun) <= best_res:
-            best = float(opt.x)
-            best_res = float(opt.fun)
+    opt = minimize_scalar(
+        lambda f: float(_residuals(y, f)[0]),
+        bounds=(float(bracket_lo), float(bracket_hi)),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    if float(opt.fun) <= best_res:
+        best = float(opt.x)
+        best_res = float(opt.fun)
     # the residual is locally quadratic, so a parabolic vertex step per scale
     # lands on the minimum to machine precision
     for h in (1e-5, 1e-8):
         f_lo, f_hi = best - h, best + h
         if f_lo <= lo or f_hi >= hi:
             continue
-        r_lo = _bin_fit_residual(y, f_lo)
-        r_hi = _bin_fit_residual(y, f_hi)
-        den2 = r_lo - 2.0 * best_res + r_hi
-        if den2 > 0.0:
-            step = float(np.clip(0.5 * h * (r_lo - r_hi) / den2, -h, h))
+        r_lo, r_hi = _residuals(y, [f_lo, f_hi])
+        den = r_lo - 2.0 * best_res + r_hi
+        if den > 0.0:
+            step = float(np.clip(0.5 * h * (r_lo - r_hi) / den, -h, h))
             cand = best + step
-            cand_res = _bin_fit_residual(y, cand)
+            cand_res = float(_residuals(y, cand)[0])
             if cand_res <= best_res:
                 best, best_res = cand, cand_res
     return best
 
 
-def estimate_fringe_frequency(stack: FrameStack, zero_pad_factor: int = 8) -> float:
+def estimate_fringe_frequency(stack: FrameStack) -> float:
     """Locate the fringe frequency (cycles per scan) of a stack.
 
-    The spatial-mean series is zero padded to K * zero_pad_factor samples and
-    the magnitude-spectrum peak inside (0, K/2) is refined first by parabolic
-    interpolation on the log magnitude, then by minimizing the
-    single-frequency fit residual (see module notes; the spectrum peak alone
-    is biased on short records).
+    The single-frequency fit residual of the spatial-mean series is scanned
+    on an even grid over [1/8, K/2 - 1/8]; the grid minimum is refined by a
+    bounded scalar minimisation and a parabolic vertex step.
     """
-    if zero_pad_factor < 1:
-        raise OptionsError("zero_pad_factor must be >= 1")
     if stack.frame_count < 4:
         raise OptionsError("frequency estimation needs at least 4 frames")
     series = stack.frames.mean(axis=(1, 2))
-    return _estimate_from_series(series, int(zero_pad_factor))
+    return _estimate_from_series(series)
 
 
-def _split_rows(height: int, workers: int) -> list[tuple[int, int]]:
-    workers = max(1, min(workers, height))
-    bounds = np.linspace(0, height, workers + 1).astype(int)
-    return [(int(bounds[i]), int(bounds[i + 1])) for i in range(workers) if bounds[i] < bounds[i + 1]]
+# pixels per row chunk, so that a chunk's (3, pixels) sums and scratch stay in cache
+_CHUNK_PIXELS = 1 << 15
+
+
+def _row_chunks(height: int, width: int) -> list[tuple[int, int]]:
+    rows = max(1, _CHUNK_PIXELS // width)
+    return [(r0, min(r0 + rows, height)) for r0 in range(0, height, rows)]
 
 
 def analyze_stack(
@@ -360,14 +298,14 @@ def analyze_stack(
 ) -> AnalysisResult:
     """Extract visibility, contrast, phase and DC maps from a frame stack.
 
-    Every pixel's K-sample series is reduced to its DC level A and complex
-    fringe amplitude c. In assume-one-cycle mode these come from the raw DFT
-    bins X0 and X1 (visibility 2|X1|/|X0|, contrast 4|X1|/K, phase
-    atan2(Im X1, Re X1)); in estimate/fixed mode from the least-squares fit at
-    the chosen frequency, which agrees with the bin formulas at integer
-    frequencies. Work is partitioned across pixel rows when threads > 1; the
-    accumulation order per pixel is fixed, so results are bit-identical for
-    any worker count.
+    Every pixel's K-sample series y is reduced to its DC level A and complex
+    fringe amplitude c = (P y)[1] + i (P y)[2], with P the least-squares
+    projector at the mode's frequency (f = 1 for assume-one-cycle, where this
+    equals the DFT-bin formulas A = X0/K and c = 2 X1/K to rounding error).
+    Visibility is |c|/A, contrast 2|c| and phase atan2(Im c, Re c). Pixels are
+    processed in fixed row chunks, shared among `threads` workers; each
+    pixel's sums run over the frames in index order, so results are
+    bit-identical for any worker count.
     """
     opts = options if options is not None else ExtractionOptions()
     k = stack.frame_count
@@ -387,24 +325,11 @@ def analyze_stack(
                 f"fixed frequency {f_used} outside the resolvable interval (0, {k / 2})"
             )
     elif opts.frequency_mode == "estimate":
-        f_used = estimate_fringe_frequency(stack, opts.zero_pad_factor)
+        f_used = estimate_fringe_frequency(stack)
     else:
         f_used = 1.0
-
-    use_bin = opts.frequency_mode == "assume-one-cycle"
-    cos_t, sin_t = _fit_design(k, f_used)
-    if use_bin:
-        # X0/X1 bins: A = S0/K, c = (2/K)(S_cos + i S_sin)
-        gram_rows = None
-    else:
-        gram = np.array(
-            [
-                [float(k), cos_t.sum(), sin_t.sum()],
-                [cos_t.sum(), cos_t @ cos_t, cos_t @ sin_t],
-                [sin_t.sum(), cos_t @ sin_t, sin_t @ sin_t],
-            ]
-        )
-        gram_rows = np.linalg.inv(gram)
+    # P as (3, K, 1, 1): column i weighs frame i into the three sums
+    weights = _projectors(k, f_used)[1][0][:, :, None, None]
 
     height, width = stack.height, stack.width
     vis = np.empty((height, width))
@@ -416,24 +341,12 @@ def analyze_stack(
     frames = stack.frames
 
     def extract_rows(r0: int, r1: int) -> None:
-        block = frames[:, r0:r1, :]
-        s0 = block[0].copy()
-        s_cos = block[0] * cos_t[0]
-        s_sin = block[0] * sin_t[0]
-        for i in range(1, k):
-            f = block[i]
-            s0 += f
-            s_cos += f * cos_t[i]
-            s_sin += f * sin_t[i]
-        if use_bin:
-            a = s0 / k
-            cr = 2.0 * s_cos / k
-            ci = 2.0 * s_sin / k
-        else:
-            g = gram_rows
-            a = g[0, 0] * s0 + g[0, 1] * s_cos + g[0, 2] * s_sin
-            cr = g[1, 0] * s0 + g[1, 1] * s_cos + g[1, 2] * s_sin
-            ci = g[2, 0] * s0 + g[2, 1] * s_cos + g[2, 2] * s_sin
+        sums = np.zeros((3, r1 - r0, width))
+        scratch = np.empty_like(sums)
+        for i in range(k):
+            np.multiply(weights[:, i], frames[i, r0:r1], out=scratch)
+            sums += scratch
+        a, cr, ci = sums
         amp = np.hypot(cr, ci)
         valid = (a >= threshold) & (a > 0.0)
         denom = np.where(valid, a, 1.0)
@@ -445,19 +358,19 @@ def analyze_stack(
         dc[r0:r1] = np.maximum(a, 0.0)
         mask[r0:r1] = valid
 
-    blocks = _split_rows(height, int(threads))
-    if len(blocks) == 1:
-        extract_rows(*blocks[0])
+    chunks = _row_chunks(height, width)
+    workers = max(1, min(int(threads), len(chunks)))
+    if workers == 1:
+        for r0, r1 in chunks:
+            extract_rows(r0, r1)
     else:
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            futures = [pool.submit(extract_rows, r0, r1) for r0, r1 in blocks]
-            for fut in futures:
-                fut.result()
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(lambda rows: extract_rows(*rows), chunks))
 
     leakage = False
     if k >= 4 and opts.frequency_mode != "estimate":
         try:
-            observed = estimate_fringe_frequency(stack, opts.zero_pad_factor)
+            observed = estimate_fringe_frequency(stack)
         except FrequencyEstimationError:
             observed = None
         if observed is not None and abs(observed - f_used) > 0.05:

@@ -19,6 +19,8 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import brentq
 
+from .stackio import parse_key_values
+
 __all__ = [
     "DispersionSet",
     "CrystalState",
@@ -74,26 +76,16 @@ class DispersionSet:
         )
 
 
-def _parse_table(text: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"dispersion table line {lineno}: expected 'key = value'")
-        values[key.strip()] = value.strip()
-    return values
-
-
 def load_dispersion_set(path: str | Path) -> DispersionSet:
     """Load a coefficient table from a key/value text file."""
-    text = Path(path).read_text(encoding="utf-8")
-    return _set_from_mapping(_parse_table(text), str(path))
+    return _set_from_text(Path(path).read_text(encoding="utf-8"), str(path))
 
 
-def _set_from_mapping(values: dict[str, str], source: str) -> DispersionSet:
+def _set_from_text(text: str, source: str) -> DispersionSet:
+    try:
+        values = parse_key_values(text)
+    except ValueError as err:
+        raise ValueError(f"dispersion table {source}: {err}") from None
     try:
         return DispersionSet(
             name=values["name"],
@@ -116,7 +108,7 @@ def default_dispersion_set() -> DispersionSet:
     text = (
         resources.files("iuptools.data").joinpath(_DEFAULT_SET_RESOURCE).read_text(encoding="utf-8")
     )
-    return _set_from_mapping(_parse_table(text), _DEFAULT_SET_RESOURCE)
+    return _set_from_text(text, _DEFAULT_SET_RESOURCE)
 
 
 @dataclass

@@ -4,8 +4,8 @@ Frames are stored as binary 16-bit PGM (P5, maxval 65535, big-endian samples)
 with one linear gain for the whole stack recorded in a line-oriented UTF-8
 manifest ("key = value", arrays comma-separated). Maps export as raw
 little-endian float32 with a text sidecar per map. Every file is written to a
-".partial" path first and moved into place, so interrupted writes never leave
-a final-named file behind.
+uniquely named ".partial" path first and moved into place, so interrupted or
+concurrent writes never leave a partial final-named file behind.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import os
 import re
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -57,9 +58,15 @@ class UnsupportedVersionError(StackFormatError):
 
 
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    tmp = path.with_name(path.name + ".partial")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.partial")
+    handle = open(tmp, "xb")
+    try:
+        with handle:
+            handle.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -158,40 +165,64 @@ def write_stack(stack: FrameStack, directory: str | Path, gain: float | None = N
     return manifest
 
 
-def _require(values: dict[str, str], key: str, source: str) -> str:
+def _field(values: dict[str, str], key: str, source: str, convert=str):
+    """Manifest value for key converted by convert; StackFormatError if absent or bad."""
     if key not in values:
         raise StackFormatError(f"{source}: manifest is missing required key {key!r}")
-    return values[key]
+    try:
+        return convert(values[key])
+    except ValueError:
+        raise StackFormatError(f"{source}: key {key!r} has invalid value {values[key]!r}") from None
+
+
+def _items(text: str) -> list[str]:
+    return [v for v in text.split(",") if v != ""]
+
+
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in _items(text)]
+
+
+def _read_manifest(
+    path: str | Path, filename: str, supported: int
+) -> tuple[Path, dict[str, str], str]:
+    """Resolve a directory to its manifest, parse it and check format_version.
+
+    Returns the manifest path, its key/value pairs and the path as the source
+    name that located errors start with.
+    """
+    path = Path(path)
+    if path.is_dir():
+        path = path / filename
+    if not path.is_file():
+        raise StackFormatError(f"{filename} not found: {path}")
+    source = str(path)
+    try:
+        values = parse_key_values(path.read_text(encoding="utf-8"))
+    except ValueError as err:
+        raise StackFormatError(f"{source}: {err}") from None
+    version = _field(values, "format_version", source, int)
+    if version > supported:
+        raise UnsupportedVersionError(
+            f"{source}: format_version {version} is newer than supported ({supported})"
+        )
+    return path, values, source
 
 
 def read_stack(manifest_path: str | Path) -> FrameStack:
     """Load a stack written by write_stack, validating geometry and checksums."""
-    manifest_path = Path(manifest_path)
-    if manifest_path.is_dir():
-        manifest_path = manifest_path / STACK_MANIFEST
-    if not manifest_path.is_file():
-        raise StackFormatError(f"stack manifest not found: {manifest_path}")
-    source = str(manifest_path)
-    try:
-        values = parse_key_values(manifest_path.read_text(encoding="utf-8"))
-    except ValueError as err:
-        raise StackFormatError(f"{source}: {err}") from None
-
-    version = int(_require(values, "format_version", source))
-    if version > STACK_FORMAT_VERSION:
-        raise UnsupportedVersionError(
-            f"{source}: format_version {version} is newer than supported "
-            f"({STACK_FORMAT_VERSION})"
-        )
-    width = int(_require(values, "width", source))
-    height = int(_require(values, "height", source))
-    frame_count = int(_require(values, "frame_count", source))
-    gain = float(_require(values, "gain", source))
+    manifest_path, values, source = _read_manifest(
+        manifest_path, STACK_MANIFEST, STACK_FORMAT_VERSION
+    )
+    width = _field(values, "width", source, int)
+    height = _field(values, "height", source, int)
+    frame_count = _field(values, "frame_count", source, int)
+    gain = _field(values, "gain", source, float)
     if not gain > 0:
         raise StackFormatError(f"{source}: gain must be > 0")
-    phases = [float(v) for v in _require(values, "scan_phases", source).split(",") if v != ""]
-    names = [v for v in _require(values, "frame_files", source).split(",") if v != ""]
-    digests = [v for v in _require(values, "frame_sha256", source).split(",") if v != ""]
+    phases = _field(values, "scan_phases", source, _floats)
+    names = _field(values, "frame_files", source, _items)
+    digests = _field(values, "frame_sha256", source, _items)
     if len(names) != frame_count:
         raise StackFormatError(
             f"{source}: frame_count is {frame_count} but {len(names)} frame file(s) listed"
@@ -204,6 +235,11 @@ def read_stack(manifest_path: str | Path) -> FrameStack:
         raise StackFormatError(
             f"{source}: frame_count is {frame_count} but {len(phases)} scan phase(s) listed"
         )
+    for name in names:
+        if name in (".", "..") or "/" in name or "\\" in name:
+            raise StackFormatError(
+                f"{source}: frame file {name!r} is not a plain file name in the stack directory"
+            )
 
     frames = np.empty((frame_count, height, width))
     for i, (name, digest) in enumerate(zip(names, digests)):
@@ -225,7 +261,7 @@ def read_stack(manifest_path: str | Path) -> FrameStack:
     meta = {"gain": gain}
     for key in ("pump_nm", "detected_nm", "undetected_nm", "exposure_ms", "pixel_pitch_um"):
         if key in values:
-            meta[key] = float(values[key])
+            meta[key] = _field(values, key, source, float)
     return FrameStack(frames, np.array(phases), meta)
 
 
@@ -294,7 +330,6 @@ def export_maps(
         f"leakage_flag = {'true' if result.leakage_flag else 'false'}",
         f"masked_pixels = {int((~result.mask).sum())}",
         f"frequency_mode = {result.options.frequency_mode}",
-        f"zero_pad_factor = {result.options.zero_pad_factor}",
         f"min_dc_threshold = {_fmt(result.options.min_dc_threshold)}",
     ]
     if result.options.fixed_frequency is not None:
@@ -330,25 +365,11 @@ def write_scene(scene: ObjectScene, directory: str | Path) -> Path:
 
 def read_scene(path: str | Path) -> ObjectScene:
     """Load a scene directory (or its manifest path)."""
-    path = Path(path)
-    if path.is_dir():
-        path = path / SCENE_MANIFEST
-    if not path.is_file():
-        raise StackFormatError(f"scene manifest not found: {path}")
-    source = str(path)
-    try:
-        values = parse_key_values(path.read_text(encoding="utf-8"))
-    except ValueError as err:
-        raise StackFormatError(f"{source}: {err}") from None
-    version = int(_require(values, "format_version", source))
-    if version > SCENE_FORMAT_VERSION:
-        raise UnsupportedVersionError(
-            f"{source}: format_version {version} is newer than supported ({SCENE_FORMAT_VERSION})"
-        )
-    width = int(_require(values, "width", source))
-    height = int(_require(values, "height", source))
-    mode = _require(values, "mode", source)
-    pitch = float(_require(values, "scene_pitch_um", source))
+    path, values, source = _read_manifest(path, SCENE_MANIFEST, SCENE_FORMAT_VERSION)
+    width = _field(values, "width", source, int)
+    height = _field(values, "height", source, int)
+    mode = _field(values, "mode", source)
+    pitch = _field(values, "scene_pitch_um", source, float)
     shape = (height, width)
     expected = width * height * 4
 

@@ -41,7 +41,8 @@ class TestCsv:
         rep = quick_report()
         lines = rep.to_csv().strip().splitlines()
         assert lines[0] == "K,mean_ms,std_ms,runs,threads,width,height"
-        assert len(lines) == 3
+        assert len(lines) == 4
+        assert lines[-1] == f"# machine: {rep.machine}"
 
     def test_round_trip_is_byte_stable(self):
         rep = quick_report()
@@ -51,6 +52,13 @@ class TestCsv:
         assert again.width == rep.width
         assert again.height == rep.height
         assert again.threads == rep.threads
+
+    def test_machine_read_back_not_current(self):
+        rep = quick_report()
+        text = rep.to_csv().replace(rep.machine, "lab rig; 64 logical cpus")
+        assert parse_bench_csv(text).machine == "lab rig; 64 logical cpus"
+        body = "".join(line + "\n" for line in text.splitlines()[:-1])
+        assert parse_bench_csv(body).machine == "unknown"
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,36 @@ class TestSimulate:
         assert code == 1
         assert "error" in capsys.readouterr().err.lower()
 
+    def test_every_config_field_settable(self, tmp_path, scene_dir, monkeypatch):
+        import iuptools.cli as cli
+        from iuptools import NoiseModel, OpticalConfig
+
+        want_config = OpticalConfig(
+            pump_wavelength_nm=520.0, detected_wavelength_nm=780.0,
+            undetected_wavelength_nm=1560.0, f_u_mm=40.0, f_c_mm=60.0,
+            pump_waist_mm=0.8, system_visibility=0.9, coherence_length_mm=0.2,
+            path_mismatch_mm=0.01, sensor_width=30, sensor_height=24,
+            pixel_pitch_um=4.8, mean_counts=700.0, loss_coupling="intensity",
+        )
+        want_noise = NoiseModel(shot_noise=True, read_noise_sigma=1.5,
+                                dark_offset=3.0, rng_seed=77)
+        settings = [f"{key}={value}" for key, value in
+                    {**vars(want_config), **vars(want_noise)}.items()]
+        assert len(settings) == len(fields(OpticalConfig)) + len(fields(NoiseModel))
+        seen = {}
+        real_simulate = cli.simulate_stack
+
+        def spy(scene, config, plan, noise):
+            seen.update(config=config, noise=noise)
+            return real_simulate(scene, config, plan, noise)
+
+        monkeypatch.setattr(cli, "simulate_stack", spy)
+        argv = ["simulate", "--scene", str(scene_dir), "--frames", "4"]
+        for item in settings:
+            argv += ["--set", item]
+        assert run(*argv, "--out", str(tmp_path / "s")) == 0
+        assert seen == {"config": want_config, "noise": want_noise}
+
     def test_seeded_runs_are_byte_identical(self, tmp_path, scene_dir):
         args = ("simulate", "--scene", str(scene_dir), "--frames", "4",
                 "--seed", "9", "--set", "sensor_width=60",
@@ -140,11 +172,10 @@ class TestAnalyze:
     def test_estimate_mode_recorded(self, tmp_path, stack_dir):
         out = tmp_path / "est"
         assert run("analyze", "--stack", str(stack_dir),
-                   "--frequency-mode", "estimate", "--zero-pad", "16",
+                   "--frequency-mode", "estimate",
                    "--out", str(out)) == 0
         manifest = parse_key_values((out / "maps.manifest").read_text())
         assert manifest["frequency_mode"] == "estimate"
-        assert manifest["zero_pad_factor"] == "16"
         assert float(manifest["fringe_frequency"]) == pytest.approx(1.0, abs=0.05)
 
     def test_preview_flag(self, tmp_path, stack_dir):
@@ -198,7 +229,8 @@ class TestBench:
                    "--frames", "3,4", "--runs", "2", "--out", str(out)) == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "K,mean_ms,std_ms,runs,threads,width,height"
-        assert len(lines) == 3
+        assert len(lines) == 4
+        assert lines[-1].startswith("# machine: ")
         k, mean_ms, std_ms, runs, threads, width, height = lines[1].split(",")
         assert (int(k), int(runs), int(threads)) == (3, 2, 1)
         assert (int(width), int(height)) == (64, 48)

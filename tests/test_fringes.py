@@ -258,18 +258,47 @@ class TestAnalyzeStack:
         assert res.visibility_map[0, 0] == 0.0
         assert res.phase_map[0, 0] == 0.0
 
-    def test_worker_count_bit_identity(self):
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ExtractionOptions(),
+            ExtractionOptions(frequency_mode="fixed", fixed_frequency=1.25),
+            ExtractionOptions(frequency_mode="estimate"),
+        ],
+        ids=lambda opt: opt.frequency_mode,
+    )
+    def test_worker_count_bit_identity(self, options):
         rng = np.random.default_rng(44)
         frames = rng.uniform(0.0, 1000.0, (8, 37, 23))
         stack = FrameStack(frames, 2.0 * np.pi * np.arange(8) / 8)
-        base = analyze_stack(stack, threads=1)
+        base = analyze_stack(stack, options, threads=1)
         for w in (2, 3, 5, 16):
-            other = analyze_stack(stack, threads=w)
+            other = analyze_stack(stack, options, threads=w)
             assert np.array_equal(other.visibility_map, base.visibility_map)
             assert np.array_equal(other.contrast_map, base.contrast_map)
             assert np.array_equal(other.phase_map, base.phase_map)
             assert np.array_equal(other.dc_map, base.dc_map)
             assert np.array_equal(other.mask, base.mask)
+
+    def test_fixed_mode_matches_lstsq_oracle(self):
+        rng = np.random.default_rng(45)
+        k, f = 7, 1.6
+        frames = rng.uniform(10.0, 1000.0, (k, 5, 6))
+        res = analyze_stack(
+            FrameStack(frames, 2.0 * np.pi * np.arange(k) / k),
+            ExtractionOptions(frequency_mode="fixed", fixed_frequency=f),
+        )
+        w = 2.0 * np.pi * f / k
+        idx = np.arange(k)
+        design = np.column_stack([np.ones(k), np.cos(w * idx), -np.sin(w * idx)])
+        for r in range(5):
+            for col in range(6):
+                (a, cr, ci), *_ = np.linalg.lstsq(design, frames[:, r, col], rcond=None)
+                amp = np.hypot(cr, ci)
+                assert res.dc_map[r, col] == pytest.approx(a, rel=1e-12)
+                assert res.contrast_map[r, col] == pytest.approx(2.0 * amp, rel=1e-10)
+                assert res.visibility_map[r, col] == pytest.approx(amp / a, rel=1e-10)
+                assert res.phase_map[r, col] == pytest.approx(np.arctan2(ci, cr), abs=1e-10)
 
     def test_leakage_direction(self):
         stack = fringe_stack(8, 2.0, 1.0, 0.0, cycles=1.25)
@@ -297,7 +326,6 @@ class TestOptions:
     def test_defaults(self):
         opt = ExtractionOptions()
         assert opt.frequency_mode == "assume-one-cycle"
-        assert opt.zero_pad_factor == 8
         assert opt.min_dc_threshold == pytest.approx(1e-9)
 
     def test_invalid_mode(self):
@@ -310,10 +338,6 @@ class TestOptions:
         with pytest.raises(OptionsError):
             ExtractionOptions(frequency_mode="fixed", fixed_frequency=-1.0)
 
-    def test_pad_factor_floor(self):
-        with pytest.raises(OptionsError):
-            ExtractionOptions(zero_pad_factor=0)
-
 
 class TestFrequencyEstimation:
     def test_on_bin_is_exact(self):
@@ -322,9 +346,7 @@ class TestFrequencyEstimation:
 
     def test_off_bin_quarter_cycle(self):
         stack = fringe_stack(8, 2.0, 1.0, 0.0, cycles=1.25)
-        assert estimate_fringe_frequency(stack, zero_pad_factor=8) == pytest.approx(
-            1.25, abs=0.02
-        )
+        assert estimate_fringe_frequency(stack) == pytest.approx(1.25, abs=0.02)
 
     def test_constant_stack_fails_loudly(self):
         stack = FrameStack(np.full((8, 3, 3), 4.0), 2.0 * np.pi * np.arange(8) / 8)

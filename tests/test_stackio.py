@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from iuptools import (
     write_scene,
     write_stack,
 )
+from iuptools import stackio
 
 
 def sample_stack(k=4, noise=None, w=20, h=16):
@@ -94,6 +96,31 @@ class TestStackRoundTrip:
         leftovers = list((tmp_path / "s").glob("*.partial"))
         assert leftovers == []
 
+    def test_each_write_uses_its_own_temporary_file(self, tmp_path, monkeypatch):
+        sources = []
+        real_replace = os.replace
+
+        def recording_replace(src, dst):
+            sources.append(src)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(stackio.os, "replace", recording_replace)
+        target = tmp_path / "x.bin"
+        stackio._atomic_write_bytes(target, b"one")
+        stackio._atomic_write_bytes(target, b"two")
+        assert len(sources) == 2 and sources[0] != sources[1]
+        assert all(str(src).endswith(".partial") for src in sources)
+        assert target.read_bytes() == b"two"
+
+    def test_failed_write_removes_temporary_file(self, tmp_path, monkeypatch):
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(stackio.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            stackio._atomic_write_bytes(tmp_path / "x.bin", b"payload")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPgmDetails:
     def test_header_and_endianness(self, tmp_path):
@@ -149,6 +176,30 @@ class TestStackValidation:
         with pytest.raises(StackFormatError):
             read_stack(tmp_path / "s")
 
+    @pytest.mark.parametrize(
+        "key, bad",
+        [("width", "five"), ("gain", "lots"), ("scan_phases", "0,zero,1,2")],
+    )
+    def test_unparsable_value_names_file_and_key(self, tmp_path, key, bad):
+        write_stack(sample_stack(), tmp_path / "s")
+        mf = tmp_path / "s" / "stack.manifest"
+        values = parse_key_values(mf.read_text())
+        values[key] = bad
+        mf.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        with pytest.raises(StackFormatError, match=f"stack.manifest: key '{key}'"):
+            read_stack(tmp_path / "s")
+
+    def test_frame_files_must_be_plain_names(self, tmp_path):
+        write_stack(sample_stack(), tmp_path / "elsewhere")
+        write_stack(sample_stack(), tmp_path / "s")
+        mf = tmp_path / "s" / "stack.manifest"
+        text = mf.read_text()
+        outside = str(tmp_path / "elsewhere" / "frame_0000.pgm")
+        for name in (outside, "../elsewhere/frame_0000.pgm", "sub/frame_0000.pgm", ".."):
+            mf.write_text(text.replace("frame_files = frame_0000.pgm", f"frame_files = {name}"))
+            with pytest.raises(StackFormatError, match="plain file name"):
+                read_stack(tmp_path / "s")
+
 
 class TestMapExport:
     def test_map_files_round_trip(self, tmp_path):
@@ -199,3 +250,12 @@ class TestSceneFiles:
         assert np.abs(back.phase_map - scene.phase_map).max() <= 1e-6
         assert back.mode == scene.mode
         assert back.scene_pitch_um == pytest.approx(scene.scene_pitch_um)
+
+    def test_unparsable_pitch_names_file_and_key(self, tmp_path):
+        write_scene(make_test_target("uniform", (4, 5)), tmp_path / "scene")
+        mf = tmp_path / "scene" / "scene.manifest"
+        values = parse_key_values(mf.read_text())
+        values["scene_pitch_um"] = "wide"
+        mf.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        with pytest.raises(StackFormatError, match="scene.manifest: key 'scene_pitch_um'"):
+            read_scene(tmp_path / "scene")
