@@ -75,9 +75,11 @@ class FrameStack:
         self.scan_phases = np.atleast_1d(np.asarray(self.scan_phases, dtype=np.float64))
         if self.scan_phases.shape != (self.frames.shape[0],):
             raise ValueError("scan_phases length must equal the frame count")
-        if not np.isfinite(self.frames).all():
+        # NaN propagates through both reductions and +-inf shows in one of them
+        lo, hi = float(self.frames.min()), float(self.frames.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("frame counts must be finite")
-        if float(self.frames.min()) < 0.0:
+        if lo < 0.0:
             raise ValueError("frame counts must be non-negative")
         if not np.isfinite(self.scan_phases).all():
             raise ValueError("scan phases must be finite")
@@ -339,13 +341,21 @@ def analyze_stack(
     mask = np.empty((height, width), dtype=bool)
     threshold = float(opts.min_dc_threshold)
     frames = stack.frames
+    chunks = _row_chunks(height, width)
+    # the leakage check fits the spatial-mean series; each chunk's per-frame
+    # sums fill one row here while the chunk is in cache
+    check_leakage = k >= 4 and opts.frequency_mode != "estimate"
+    frame_sums = np.empty((len(chunks), k)) if check_leakage else None
 
-    def extract_rows(r0: int, r1: int) -> None:
+    def extract_rows(index: int) -> None:
+        r0, r1 = chunks[index]
         sums = np.zeros((3, r1 - r0, width))
         scratch = np.empty_like(sums)
         for i in range(k):
             np.multiply(weights[:, i], frames[i, r0:r1], out=scratch)
             sums += scratch
+            if check_leakage:
+                frame_sums[index, i] = frames[i, r0:r1].sum()
         a, cr, ci = sums
         amp = np.hypot(cr, ci)
         valid = (a >= threshold) & (a > 0.0)
@@ -358,19 +368,18 @@ def analyze_stack(
         dc[r0:r1] = np.maximum(a, 0.0)
         mask[r0:r1] = valid
 
-    chunks = _row_chunks(height, width)
     workers = max(1, min(int(threads), len(chunks)))
     if workers == 1:
-        for r0, r1 in chunks:
-            extract_rows(r0, r1)
+        for index in range(len(chunks)):
+            extract_rows(index)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda rows: extract_rows(*rows), chunks))
+            list(pool.map(extract_rows, range(len(chunks))))
 
     leakage = False
-    if k >= 4 and opts.frequency_mode != "estimate":
+    if check_leakage:
         try:
-            observed = estimate_fringe_frequency(stack)
+            observed = _estimate_from_series(frame_sums.sum(axis=0) / (height * width))
         except FrequencyEstimationError:
             observed = None
         if observed is not None and abs(observed - f_used) > 0.05:

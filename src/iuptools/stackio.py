@@ -93,10 +93,11 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     return parse_key_values(Path(path).read_text(encoding="utf-8"))
 
 
-def _pgm_bytes(frame_u16: np.ndarray) -> bytes:
-    h, w = frame_u16.shape
+def _pgm_bytes(samples: np.ndarray) -> bytes:
+    """P5 file of samples, which must hold integers in 0..65535."""
+    h, w = samples.shape
     header = f"P5\n{w} {h}\n65535\n".encode("ascii")
-    return header + frame_u16.astype(">u2").tobytes()
+    return header + samples.astype(">u2").tobytes()
 
 
 def _parse_pgm(payload: bytes, source: str) -> np.ndarray:
@@ -131,18 +132,22 @@ def write_stack(stack: FrameStack, directory: str | Path, gain: float | None = N
         gain = 65535.0 / max_count if max_count > 0 else 1.0
     if not gain > 0:
         raise ValueError("gain must be > 0")
-    scaled = np.rint(stack.frames * gain)
-    if float(scaled.max()) > 65535.0:
+    # rint(x * gain) is monotone in x, so the largest count gives the largest sample
+    max_scaled = float(np.rint(max_count * gain))
+    if max_scaled > 65535.0:
         raise OverflowError(
             f"counts scaled by gain {gain:g} exceed the 16-bit range "
-            f"(max scaled sample {scaled.max():.0f})"
+            f"(max scaled sample {max_scaled:.0f})"
         )
 
     names: list[str] = []
     digests: list[str] = []
+    scaled = np.empty((stack.height, stack.width))
     for i in range(stack.frame_count):
         name = f"frame_{i:04d}.pgm"
-        payload = _pgm_bytes(scaled[i].astype(np.uint16))
+        np.multiply(stack.frames[i], gain, out=scaled)
+        np.rint(scaled, out=scaled)
+        payload = _pgm_bytes(scaled)
         _atomic_write_bytes(directory / name, payload)
         names.append(name)
         digests.append(hashlib.sha256(payload).hexdigest())
@@ -256,7 +261,7 @@ def read_stack(manifest_path: str | Path) -> FrameStack:
                 f"{source}: frame {name} is {samples.shape[1]}x{samples.shape[0]}, "
                 f"manifest says {width}x{height}"
             )
-        frames[i] = samples.astype(np.float64) / gain
+        np.divide(samples, gain, out=frames[i])
 
     meta = {"gain": gain}
     for key in ("pump_nm", "detected_nm", "undetected_nm", "exposure_ms", "pixel_pitch_um"):

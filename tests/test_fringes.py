@@ -173,6 +173,29 @@ class TestFrameStack:
         with pytest.raises(ValueError):
             FrameStack(bad, [0.0, 1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (np.nan, "finite"),
+            (np.inf, "finite"),
+            (-np.inf, "finite"),
+            (-1.0, "non-negative"),
+        ],
+        ids=["nan", "+inf", "-inf", "negative"],
+    )
+    def test_one_bad_pixel_is_refused(self, value, message):
+        frames = np.ones((3, 4, 5))
+        frames[2, 3, 1] = value
+        with pytest.raises(ValueError, match=message):
+            FrameStack(frames, [0.0, 1.0, 2.0])
+
+    def test_finite_check_comes_first(self):
+        frames = np.ones((3, 4, 5))
+        frames[0, 0, 0] = -1.0
+        frames[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            FrameStack(frames, [0.0, 1.0, 2.0])
+
     def test_truncated_keeps_leading_frames(self):
         stack = fringe_stack(8, 2.0, 1.0, 0.4)
         head = stack.truncated(5)
@@ -309,6 +332,18 @@ class TestAnalyzeStack:
         assert assumed.leakage_flag
         assert float(assumed.visibility_map[0, 0]) < float(fixed.visibility_map[0, 0])
         assert fixed.visibility_map == pytest.approx(0.5, abs=1e-6)
+
+    @pytest.mark.parametrize("cycles, flagged", [(1.0, False), (1.25, True)])
+    def test_leakage_flag_matches_frequency_estimate(self, cycles, flagged):
+        # 250 rows of 300 pixels span three row chunks, the last one short
+        rng = np.random.default_rng(46)
+        stack = fringe_stack(8, 200.0, 80.0, 0.3, shape=(250, 300), cycles=cycles)
+        frames = stack.frames + rng.uniform(0.0, 5.0, stack.frames.shape)
+        stack = FrameStack(frames, stack.scan_phases)
+        observed = estimate_fringe_frequency(stack)
+        assert (abs(observed - 1.0) > 0.05) == flagged
+        for threads in (1, 2, 3):
+            assert analyze_stack(stack, threads=threads).leakage_flag == flagged
 
     def test_estimate_mode_recovers_off_bin_fringe(self):
         stack = fringe_stack(8, 2.0, 1.0, 0.0, cycles=1.25)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from iuptools import (
     ConfigurationError,
@@ -258,6 +259,76 @@ class TestSimulateStack:
             vis[coupling] = res.visibility_map[16, 20]
         assert vis["amplitude"] == pytest.approx(0.6, abs=1e-6)
         assert vis["intensity"] == pytest.approx(0.36, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "coupling, noise",
+        [
+            ("amplitude", NoiseModel(shot_noise=True, rng_seed=12)),
+            ("amplitude", NoiseModel(shot_noise=True, read_noise_sigma=3.0, rng_seed=12)),
+            ("intensity", NoiseModel(shot_noise=True, rng_seed=13)),
+            ("intensity", NoiseModel(shot_noise=True, read_noise_sigma=3.0, rng_seed=13)),
+            ("amplitude", NoiseModel(read_noise_sigma=3.0, dark_offset=4.0, rng_seed=14)),
+        ],
+        ids=["shot", "shot+read", "intensity-shot", "intensity-shot+read", "read+dark"],
+    )
+    def test_stack_frames_equal_render_frame(self, coupling, noise):
+        # 300 pixels per row do not divide the row chunk and 217 rows are not
+        # a whole number of chunks, so chunk edges fall inside the frame
+        cfg = small_config(sensor_width=300, sensor_height=217, loss_coupling=coupling)
+        scene = make_test_target("smooth-wing", (300, 390))
+        plan = ScanPlan.equal_steps(3, cfg.undetected_wavelength_nm)
+        stack = simulate_stack(scene, cfg, plan, noise)
+        for i, scan_phase in enumerate(stack.scan_phases):
+            frame = render_frame(scene, cfg, scan_phase, noise, frame_index=i)
+            assert np.array_equal(stack.frames[i], frame)
+
+
+def reference_complex_map(scene, cfg):
+    """The resampling written out point by point: meshgrid plus map_coordinates."""
+    m = magnification(cfg.f_c_mm, cfg.f_u_mm, cfg.detected_wavelength_nm,
+                      cfg.undetected_wavelength_nm)
+    h, w = cfg.sensor_height, cfg.sensor_width
+    rows_um = (np.arange(h) - (h - 1) / 2.0) * cfg.pixel_pitch_um
+    cols_um = (np.arange(w) - (w - 1) / 2.0) * cfg.pixel_pitch_um
+    sh, sw = scene.amplitude_map.shape
+    row_idx = rows_um / (m * scene.scene_pitch_um) + (sh - 1) / 2.0
+    col_idx = cols_um / (m * scene.scene_pitch_um) + (sw - 1) / 2.0
+    rr, cc = np.meshgrid(row_idx, col_idx, indexing="ij")
+    src = scene.complex_map()
+    real = ndimage.map_coordinates(src.real, [rr, cc], order=1, mode="grid-constant", cval=1.0)
+    imag = ndimage.map_coordinates(src.imag, [rr, cc], order=1, mode="grid-constant", cval=0.0)
+    sigma_px = psf_width(cfg.f_u_mm, cfg.undetected_wavelength_nm, cfg.pump_waist_mm) / 2.0
+    sigma_px /= cfg.pixel_pitch_um
+    real = ndimage.gaussian_filter(real, sigma_px, mode="nearest")
+    imag = ndimage.gaussian_filter(imag, sigma_px, mode="nearest")
+    return real + 1j * imag
+
+
+class TestEffectiveComplexMap:
+    @pytest.mark.parametrize(
+        "cfg_kw, scene_shape",
+        [
+            ({}, (140, 170)),  # magnification 0.78, scene covers the sensor
+            ({"f_c_mm": 50 * 1558 / 808}, (80, 96)),  # unit magnification
+            ({}, (40, 50)),  # scene smaller than the sensor: clear-aperture fill
+        ],
+        ids=["default-magnification", "unit-magnification", "small-scene"],
+    )
+    def test_matches_pointwise_resampling(self, cfg_kw, scene_shape):
+        cfg = small_config(sensor_width=96, sensor_height=80, **cfg_kw)
+        rng = np.random.default_rng(21)
+        scene = ObjectScene(
+            rng.uniform(0.0, 1.0, scene_shape),
+            rng.uniform(-np.pi, np.pi, scene_shape),
+            scene_pitch_um=cfg.pixel_pitch_um,
+        )
+        got = effective_complex_map(scene, cfg)
+        want = reference_complex_map(scene, cfg)
+        assert got.shape == (cfg.sensor_height, cfg.sensor_width)
+        assert np.abs(got - want).max() <= 1e-12
+        if scene_shape == (40, 50):
+            # the border sees clear aperture, t = 1
+            assert got[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestResolution:

@@ -84,6 +84,28 @@ class TestStackRoundTrip:
         with pytest.raises(OverflowError):
             write_stack(stack, tmp_path / "s", gain=1e9)
 
+    def test_overflow_bound_is_the_rounded_largest_sample(self, tmp_path):
+        frames = np.full((3, 4, 5), 1.0)
+        frames[1, 2, 3] = 2.0
+        stack = FrameStack(frames, [0.0, 1.0, 2.0])
+        # 2 * 32767.7 = 65535.4 rounds to 65535 and fits
+        write_stack(stack, tmp_path / "fits", gain=32767.7)
+        back = read_stack(tmp_path / "fits")
+        assert back.frames.max() * 32767.7 == pytest.approx(65535.0)
+        # 2 * 32767.75 = 65535.5 rounds to 65536
+        with pytest.raises(OverflowError, match="max scaled sample 65536"):
+            write_stack(stack, tmp_path / "over", gain=32767.75)
+        assert not (tmp_path / "over" / "frame_0000.pgm").exists()
+
+    def test_samples_are_rounded_scaled_counts(self, tmp_path):
+        stack = sample_stack(noise=NoiseModel(shot_noise=True, read_noise_sigma=2.0, rng_seed=9))
+        write_stack(stack, tmp_path / "s", gain=7.3)
+        header_len = len(b"P5\n20 16\n65535\n")
+        for i in range(stack.frame_count):
+            payload = (tmp_path / "s" / f"frame_{i:04d}.pgm").read_bytes()
+            raw = np.frombuffer(payload[header_len:], dtype=">u2").reshape(16, 20)
+            assert np.array_equal(raw, np.rint(stack.frames[i] * 7.3))
+
     def test_reads_from_manifest_path_or_directory(self, tmp_path):
         stack = sample_stack()
         write_stack(stack, tmp_path / "s")
