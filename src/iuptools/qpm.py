@@ -12,7 +12,7 @@ alternative tables in the same format can be substituted per crystal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -86,18 +86,22 @@ def _set_from_text(text: str, source: str) -> DispersionSet:
         values = parse_key_values(text)
     except ValueError as err:
         raise ValueError(f"dispersion table {source}: {err}") from None
+
+    def number(key: str) -> float:
+        try:
+            return float(values[key])
+        except ValueError:
+            raise ValueError(
+                f"dispersion table {source}: key {key!r} has invalid value {values[key]!r}"
+            ) from None
+
     try:
         return DispersionSet(
             name=values["name"],
             reference=values.get("reference", ""),
-            a=tuple(float(values[f"a{i}"]) for i in range(1, 7)),
-            b=tuple(float(values[f"b{i}"]) for i in range(1, 5)),
-            t_offset_c=float(values["t_offset_c"]),
-            t_factor=float(values["t_factor"]),
-            lambda_min_um=float(values["lambda_min_um"]),
-            lambda_max_um=float(values["lambda_max_um"]),
-            temp_min_c=float(values["temp_min_c"]),
-            temp_max_c=float(values["temp_max_c"]),
+            a=tuple(number(f"a{i}") for i in range(1, 7)),
+            b=tuple(number(f"b{i}") for i in range(1, 5)),
+            **{f.name: number(f.name) for f in fields(DispersionSet) if f.type == "float"},
         )
     except KeyError as missing:
         raise ValueError(f"dispersion table {source} is missing key {missing}") from None
@@ -122,12 +126,7 @@ class CrystalState:
     def __post_init__(self) -> None:
         if not self.poling_period_um > 0:
             raise ValueError("poling_period_um must be > 0")
-        ds = self.dispersion_set
-        if not ds.temp_min_c <= self.temperature_c <= ds.temp_max_c:
-            raise ValueError(
-                f"temperature {self.temperature_c} C outside the validity range "
-                f"[{ds.temp_min_c}, {ds.temp_max_c}] C of dispersion set {ds.name}"
-            )
+        _check_window(self.dispersion_set, self.temperature_c)
 
 
 @dataclass(frozen=True)
@@ -163,6 +162,25 @@ def idler_from_signal(pump_nm: float, signal_nm: float) -> float:
     return 1.0 / (1.0 / pump_nm - 1.0 / signal_nm)
 
 
+def _check_window(ds: DispersionSet, temperature_c: float, *wavelengths_nm) -> None:
+    """Raise ValueError for a wavelength (nm) or the temperature outside ds's window."""
+    # a temperature fault is reported after the first wavelength's fault and
+    # before any later one's, as when each was checked with the temperature
+    temp_ok = ds.temp_min_c <= temperature_c <= ds.temp_max_c
+    for lam_nm in wavelengths_nm[: None if temp_ok else 1]:
+        lam_um = np.asarray(lam_nm, dtype=np.float64) / 1000.0
+        if np.any(lam_um < ds.lambda_min_um) or np.any(lam_um > ds.lambda_max_um):
+            raise ValueError(
+                f"wavelength outside the validity window "
+                f"[{ds.lambda_min_um}, {ds.lambda_max_um}] um of dispersion set {ds.name}"
+            )
+    if not temp_ok:
+        raise ValueError(
+            f"temperature {temperature_c} C outside the validity range "
+            f"[{ds.temp_min_c}, {ds.temp_max_c}] C of dispersion set {ds.name}"
+        )
+
+
 def refractive_index(wavelength_nm, temperature_c: float, dispersion_set: DispersionSet | None = None):
     """Extraordinary index at the given wavelength(s) and temperature.
 
@@ -170,17 +188,8 @@ def refractive_index(wavelength_nm, temperature_c: float, dispersion_set: Disper
     set's declared validity window.
     """
     ds = dispersion_set if dispersion_set is not None else default_dispersion_set()
+    _check_window(ds, temperature_c, wavelength_nm)
     lam_um = np.asarray(wavelength_nm, dtype=np.float64) / 1000.0
-    if np.any(lam_um < ds.lambda_min_um) or np.any(lam_um > ds.lambda_max_um):
-        raise ValueError(
-            f"wavelength outside the validity window "
-            f"[{ds.lambda_min_um}, {ds.lambda_max_um}] um of dispersion set {ds.name}"
-        )
-    if not ds.temp_min_c <= temperature_c <= ds.temp_max_c:
-        raise ValueError(
-            f"temperature {temperature_c} C outside the validity range "
-            f"[{ds.temp_min_c}, {ds.temp_max_c}] C of dispersion set {ds.name}"
-        )
     n = np.sqrt(ds.index_squared(lam_um, temperature_c))
     return float(n) if np.isscalar(wavelength_nm) else n
 
@@ -210,13 +219,9 @@ def qpm_mismatch(pump_nm: float, signal_nm, crystal: CrystalState):
     The idler follows from energy conservation; signal_nm may be an array.
     Raises for wavelengths outside the dispersion set's validity window.
     """
-    ds = crystal.dispersion_set
     signal = np.asarray(signal_nm, dtype=np.float64)
     idler = 1.0 / (1.0 / pump_nm - 1.0 / signal)
-    # validity checks (refractive_index raises outside the window)
-    refractive_index(pump_nm, crystal.temperature_c, ds)
-    refractive_index(signal, crystal.temperature_c, ds)
-    refractive_index(idler, crystal.temperature_c, ds)
+    _check_window(crystal.dispersion_set, crystal.temperature_c, pump_nm, signal, idler)
     dk = _mismatch_unchecked(pump_nm, signal, crystal)
     return float(dk) if np.isscalar(signal_nm) else dk
 
@@ -239,6 +244,20 @@ def _signal_scan_bounds(pump_nm: float, ds: DispersionSet) -> tuple[float, float
     return lo, hi
 
 
+def _first_root(grid: np.ndarray, values: np.ndarray) -> tuple[float, float] | None:
+    """First root of sampled values, looking only at neighbour pairs that are both finite.
+
+    Returns (x, x) for an exact zero at the left point x, (a, b) for a sign
+    change between neighbours a and b, or None.
+    """
+    left, right = values[:-1], values[1:]
+    hits = np.isfinite(left) & np.isfinite(right) & ((left == 0.0) | (left * right < 0.0))
+    if not hits.any():
+        return None
+    i = int(np.argmax(hits))
+    return float(grid[i]), float(grid[i if left[i] == 0.0 else i + 1])
+
+
 def solve_signal_idler(pump_nm: float, crystal: CrystalState) -> WavelengthPair:
     """Find the non-degenerate phase-matched pair for a pump wavelength.
 
@@ -248,37 +267,21 @@ def solve_signal_idler(pump_nm: float, crystal: CrystalState) -> WavelengthPair:
     vanishes at signal = 2 pump by signal/idler symmetry), so when no sign
     change exists the degenerate point itself is checked before giving up.
     """
-    ds = crystal.dispersion_set
-    lo, hi = _signal_scan_bounds(pump_nm, ds)
-    grid = np.arange(lo, hi, _SCAN_STEP_NM)
-    grid = np.append(grid, hi)
+    lo, hi = _signal_scan_bounds(pump_nm, crystal.dispersion_set)
+    grid = np.append(np.arange(lo, hi, _SCAN_STEP_NM), hi)
     values = _mismatch_unchecked(pump_nm, grid, crystal)
-    finite = np.isfinite(values)
-
-    bracket = None
-    for i in range(grid.size - 1):
-        if not (finite[i] and finite[i + 1]):
-            continue
-        if values[i] == 0.0:
-            return _pair_at(pump_nm, float(grid[i]), crystal)
-        if values[i] * values[i + 1] < 0.0:
-            bracket = (float(grid[i]), float(grid[i + 1]))
-            break
+    bracket = _first_root(grid, values)
 
     if bracket is None and hi == 2.0 * pump_nm:
         # tangency fallback: refine near the degenerate edge
         fine = np.linspace(max(lo, hi - 2.0), hi, 401)
         fine_vals = _mismatch_unchecked(pump_nm, fine, crystal)
-        ok = np.isfinite(fine_vals)
-        for i in range(fine.size - 1):
-            if ok[i] and ok[i + 1] and fine_vals[i] * fine_vals[i + 1] < 0.0:
-                bracket = (float(fine[i]), float(fine[i + 1]))
-                break
-        if bracket is None and ok[-1] and abs(float(fine_vals[-1])) <= _DEGENERATE_TOL:
+        bracket = _first_root(fine, fine_vals)
+        if bracket is None and abs(float(fine_vals[-1])) <= _DEGENERATE_TOL:
             return WavelengthPair(hi, hi, abs(float(fine_vals[-1])))
 
     if bracket is None:
-        shown = values[finite]
+        shown = values[np.isfinite(values)]
         detail = (
             f"mismatch spans [{shown.min():.6g}, {shown.max():.6g}] 1/um "
             f"over signal {lo:.1f}..{hi:.1f} nm"
@@ -290,18 +293,14 @@ def solve_signal_idler(pump_nm: float, crystal: CrystalState) -> WavelengthPair:
             f"{crystal.poling_period_um} um, {crystal.temperature_c} C ({detail})"
         )
 
-    root = brentq(
-        lambda s: float(_mismatch_unchecked(pump_nm, np.float64(s), crystal)),
-        *bracket,
-        xtol=_ROOT_TOL_NM,
-    )
-    return _pair_at(pump_nm, float(root), crystal)
+    def mismatch(signal_nm: float) -> float:
+        return float(_mismatch_unchecked(pump_nm, np.float64(signal_nm), crystal))
 
-
-def _pair_at(pump_nm: float, signal_nm: float, crystal: CrystalState) -> WavelengthPair:
+    signal_nm, b = bracket
+    if signal_nm < b:
+        signal_nm = brentq(mismatch, signal_nm, b, xtol=_ROOT_TOL_NM)
     idler_nm = idler_from_signal(pump_nm, signal_nm)
-    residual = abs(float(_mismatch_unchecked(pump_nm, np.float64(signal_nm), crystal)))
-    return WavelengthPair(signal_nm, idler_nm, residual)
+    return WavelengthPair(signal_nm, idler_nm, abs(mismatch(signal_nm)))
 
 
 def tuning_curve(

@@ -180,6 +180,13 @@ def _field(values: dict[str, str], key: str, source: str, convert=str):
         raise StackFormatError(f"{source}: key {key!r} has invalid value {values[key]!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise ValueError(f"{value} is not positive")
+    return value
+
+
 def _items(text: str) -> list[str]:
     return [v for v in text.split(",") if v != ""]
 
@@ -219,9 +226,9 @@ def read_stack(manifest_path: str | Path) -> FrameStack:
     manifest_path, values, source = _read_manifest(
         manifest_path, STACK_MANIFEST, STACK_FORMAT_VERSION
     )
-    width = _field(values, "width", source, int)
-    height = _field(values, "height", source, int)
-    frame_count = _field(values, "frame_count", source, int)
+    width = _field(values, "width", source, _positive_int)
+    height = _field(values, "height", source, _positive_int)
+    frame_count = _field(values, "frame_count", source, _positive_int)
     gain = _field(values, "gain", source, float)
     if not gain > 0:
         raise StackFormatError(f"{source}: gain must be > 0")
@@ -371,8 +378,8 @@ def write_scene(scene: ObjectScene, directory: str | Path) -> Path:
 def read_scene(path: str | Path) -> ObjectScene:
     """Load a scene directory (or its manifest path)."""
     path, values, source = _read_manifest(path, SCENE_MANIFEST, SCENE_FORMAT_VERSION)
-    width = _field(values, "width", source, int)
-    height = _field(values, "height", source, int)
+    width = _field(values, "width", source, _positive_int)
+    height = _field(values, "height", source, _positive_int)
     mode = _field(values, "mode", source)
     pitch = _field(values, "scene_pitch_um", source, float)
     shape = (height, width)

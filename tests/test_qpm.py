@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from iuptools import (
     CrystalState,
     PhaseMatchError,
+    WavelengthPair,
     default_dispersion_set,
     idler_from_signal,
     load_dispersion_set,
@@ -17,9 +19,56 @@ from iuptools import (
     tuning_curve,
     tuning_table_csv,
 )
-from iuptools.qpm import _mismatch_unchecked
+from iuptools.qpm import _first_root, _mismatch_unchecked, _signal_scan_bounds
 
 PUMP_NM = 532.0
+
+
+def reference_solve(pump_nm, crystal):
+    """The solver as two explicit scans over grid points, kept as an oracle."""
+    lo, hi = _signal_scan_bounds(pump_nm, crystal.dispersion_set)
+    grid = np.append(np.arange(lo, hi, 0.5), hi)
+    values = _mismatch_unchecked(pump_nm, grid, crystal)
+    finite = np.isfinite(values)
+
+    def pair_at(signal_nm):
+        residual = abs(float(_mismatch_unchecked(pump_nm, np.float64(signal_nm), crystal)))
+        return WavelengthPair(signal_nm, idler_from_signal(pump_nm, signal_nm), residual)
+
+    bracket = None
+    for i in range(grid.size - 1):
+        if not (finite[i] and finite[i + 1]):
+            continue
+        if values[i] == 0.0:
+            return pair_at(float(grid[i]))
+        if values[i] * values[i + 1] < 0.0:
+            bracket = (float(grid[i]), float(grid[i + 1]))
+            break
+    if bracket is None and hi == 2.0 * pump_nm:
+        fine = np.linspace(max(lo, hi - 2.0), hi, 401)
+        fine_vals = _mismatch_unchecked(pump_nm, fine, crystal)
+        ok = np.isfinite(fine_vals)
+        for i in range(fine.size - 1):
+            if ok[i] and ok[i + 1] and fine_vals[i] * fine_vals[i + 1] < 0.0:
+                bracket = (float(fine[i]), float(fine[i + 1]))
+                break
+        if bracket is None and ok[-1] and abs(float(fine_vals[-1])) <= 1e-6:
+            return WavelengthPair(hi, hi, abs(float(fine_vals[-1])))
+    if bracket is None:
+        return None
+
+    def mismatch(signal_nm):
+        return float(_mismatch_unchecked(pump_nm, np.float64(signal_nm), crystal))
+
+    return pair_at(float(brentq(mismatch, *bracket, xtol=1e-7)))
+
+
+def degenerate_period(temp_c):
+    """Poling period that phase-matches signal = idler = 2 * pump."""
+    ds = default_dispersion_set()
+    n_p = refractive_index(PUMP_NM, temp_c, ds)
+    n_h = refractive_index(2 * PUMP_NM, temp_c, ds)
+    return (PUMP_NM / 1000.0) / (n_p - n_h)
 
 
 class TestDispersion:
@@ -67,6 +116,19 @@ class TestDispersion:
         bad = tmp_path / "bad.txt"
         bad.write_text("name = x\na1 = 1.0\n")
         with pytest.raises(ValueError, match="missing key"):
+            load_dispersion_set(bad)
+
+    def test_non_numeric_coefficient_is_reported(self, tmp_path):
+        from importlib import resources
+
+        text = resources.files("iuptools.data").joinpath("ppln_mgo5pct_e.txt").read_text()
+        lines = [
+            "a1 = abc" if line.split("=")[0].strip() == "a1" else line
+            for line in text.splitlines()
+        ]
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="bad.txt: key 'a1' has invalid value 'abc'"):
             load_dispersion_set(bad)
 
     def test_malformed_line_is_reported(self, tmp_path):
@@ -183,6 +245,49 @@ class TestSolver:
         assert pair.signal_nm == pytest.approx(1064.0, abs=0.5)
         assert pair.idler_nm == pytest.approx(1064.0, abs=0.5)
         assert pair.degenerate
+
+
+class TestFirstRoot:
+    @pytest.mark.parametrize(
+        "values, want",
+        [
+            ([1.0, np.nan, -1.0, 1.0], (2.0, 3.0)),  # no bracket across the NaN
+            ([1.0, 0.0, -1.0], (1.0, 1.0)),  # exact zero at the left point
+            ([2.0, 0.0, np.nan, 1.0], None),  # ... but not beside a NaN
+            ([1.0, -1.0, 1.0], (0.0, 1.0)),  # first of two sign changes
+            ([1.0, 2.0, 3.0], None),
+            ([1.0, 2.0, 0.0], None),  # a zero at the last point is no root
+        ],
+    )
+    def test_synthetic_samples(self, values, want):
+        grid = np.arange(len(values), dtype=np.float64)
+        assert _first_root(grid, np.array(values)) == want
+
+    def test_solver_matches_reference_scan(self):
+        rng = np.random.default_rng(23)
+        # 532 nm: matched and unmatched cells and the degenerate period on both
+        # sides of the tangency fallback; 775 nm near 20.6 um: two sign changes
+        cells = [
+            (PUMP_NM, float(rng.uniform(4.5, 9.0)), float(rng.uniform(20.0, 200.0)))
+            for _ in range(60)
+        ]
+        cells += [(PUMP_NM, degenerate_period(t), t) for t in (20.0, 60.0, 100.0, 200.0)]
+        cells += [
+            (775.0, float(rng.uniform(20.3, 21.0)), float(rng.uniform(170.0, 200.0)))
+            for _ in range(20)
+        ]
+        unmatched = 0
+        for pump_nm, period, temp in cells:
+            crystal = CrystalState(period, temp)
+            want = reference_solve(pump_nm, crystal)
+            if want is None:
+                unmatched += 1
+                with pytest.raises(PhaseMatchError):
+                    solve_signal_idler(pump_nm, crystal)
+            else:
+                assert solve_signal_idler(pump_nm, crystal) == want
+        assert unmatched > 0
+        assert solve_signal_idler(PUMP_NM, CrystalState(degenerate_period(100.0), 100.0)).degenerate
 
 
 class TestTuningCurve:

@@ -200,7 +200,14 @@ class TestStackValidation:
 
     @pytest.mark.parametrize(
         "key, bad",
-        [("width", "five"), ("gain", "lots"), ("scan_phases", "0,zero,1,2")],
+        [
+            ("width", "five"),
+            ("gain", "lots"),
+            ("scan_phases", "0,zero,1,2"),
+            ("width", "-5"),
+            ("height", "0"),
+            ("frame_count", "0"),
+        ],
     )
     def test_unparsable_value_names_file_and_key(self, tmp_path, key, bad):
         write_stack(sample_stack(), tmp_path / "s")
@@ -273,11 +280,14 @@ class TestSceneFiles:
         assert back.mode == scene.mode
         assert back.scene_pitch_um == pytest.approx(scene.scene_pitch_um)
 
-    def test_unparsable_pitch_names_file_and_key(self, tmp_path):
+    @pytest.mark.parametrize(
+        "key, bad", [("scene_pitch_um", "wide"), ("width", "0"), ("height", "-2")]
+    )
+    def test_unparsable_pitch_names_file_and_key(self, tmp_path, key, bad):
         write_scene(make_test_target("uniform", (4, 5)), tmp_path / "scene")
         mf = tmp_path / "scene" / "scene.manifest"
         values = parse_key_values(mf.read_text())
-        values["scene_pitch_um"] = "wide"
+        values[key] = bad
         mf.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
-        with pytest.raises(StackFormatError, match="scene.manifest: key 'scene_pitch_um'"):
+        with pytest.raises(StackFormatError, match=f"scene.manifest: key '{key}'"):
             read_scene(tmp_path / "scene")
