@@ -330,16 +330,18 @@ def analyze_stack(
         f_used = estimate_fringe_frequency(stack)
     else:
         f_used = 1.0
-    # P as (3, K, 1, 1): column i weighs frame i into the three sums
-    weights = _projectors(k, f_used)[1][0][:, :, None, None]
+    # P as (3, K): row j weighs the K frames into sum j
+    proj = _projectors(k, f_used)[1][0]
 
     height, width = stack.height, stack.width
-    vis = np.empty((height, width))
-    con = np.empty((height, width))
-    ph = np.empty((height, width))
+    # masked pixels keep these zeros, since the finish writes only where valid
+    vis = np.zeros((height, width))
+    con = np.zeros((height, width))
+    ph = np.zeros((height, width))
     dc = np.empty((height, width))
     mask = np.empty((height, width), dtype=bool)
-    threshold = float(opts.min_dc_threshold)
+    # the threshold is never negative, so a >= floor means a >= threshold and a > 0
+    floor = max(float(opts.min_dc_threshold), math.ulp(0.0))
     frames = stack.frames
     chunks = _row_chunks(height, width)
     # the leakage check fits the spatial-mean series; each chunk's per-frame
@@ -349,24 +351,24 @@ def analyze_stack(
 
     def extract_rows(index: int) -> None:
         r0, r1 = chunks[index]
-        sums = np.zeros((3, r1 - r0, width))
-        scratch = np.empty_like(sums)
-        for i in range(k):
-            np.multiply(weights[:, i], frames[i, r0:r1], out=scratch)
-            sums += scratch
-            if check_leakage:
-                frame_sums[index, i] = frames[i, r0:r1].sum()
-        a, cr, ci = sums
-        amp = np.hypot(cr, ci)
-        valid = (a >= threshold) & (a > 0.0)
-        denom = np.where(valid, a, 1.0)
-        vis[r0:r1] = np.where(valid, amp / denom, 0.0)
-        con[r0:r1] = np.where(valid, 2.0 * amp, 0.0)
-        angles = np.arctan2(ci, cr)
-        angles = np.where(angles <= -np.pi, angles + 2.0 * np.pi, angles)
-        ph[r0:r1] = np.where(valid, angles, 0.0)
-        dc[r0:r1] = np.maximum(a, 0.0)
-        mask[r0:r1] = valid
+        y = frames[:, r0:r1]
+        # einsum's loop adds each pixel's K products in frame order, where a
+        # BLAS product would neither fix that order nor stay off the workers' CPUs
+        a, cr, ci = np.einsum("jk,krw->jrw", proj, y)
+        if check_leakage:
+            for i in range(k):
+                frame_sums[index, i] = y[i].sum()
+        valid = np.greater_equal(a, floor, out=mask[r0:r1])
+        angles = np.arctan2(ci, cr, out=ph[r0:r1], where=valid)
+        # atan2 can round to -pi; phases lie in (-pi, pi]
+        np.add(angles, 2.0 * np.pi, out=angles, where=angles <= -np.pi)
+        # the complex magnitude rescales where cr**2 + ci**2 would overflow
+        c = np.empty(a.shape, dtype=complex)
+        c.real, c.imag = cr, ci
+        amp = np.abs(c, out=cr)
+        np.divide(amp, a, out=vis[r0:r1], where=valid)
+        np.multiply(amp, 2.0, out=con[r0:r1], where=valid)
+        np.maximum(a, 0.0, out=dc[r0:r1])
 
     workers = max(1, min(int(threads), len(chunks)))
     if workers == 1:

@@ -12,6 +12,7 @@ alternative tables in the same format can be substituted per crystal.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -107,8 +108,12 @@ def _set_from_text(text: str, source: str) -> DispersionSet:
         raise ValueError(f"dispersion table {source} is missing key {missing}") from None
 
 
+@functools.cache
 def default_dispersion_set() -> DispersionSet:
-    """The bundled 5% MgO-doped congruent LiNbO3 extraordinary-index table."""
+    """The bundled 5% MgO-doped congruent LiNbO3 extraordinary-index table.
+
+    The table is read once; every call returns the same frozen instance.
+    """
     text = (
         resources.files("iuptools.data").joinpath(_DEFAULT_SET_RESOURCE).read_text(encoding="utf-8")
     )

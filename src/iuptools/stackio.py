@@ -57,7 +57,7 @@ class UnsupportedVersionError(StackFormatError):
     """File declares a format version newer than this toolkit reads."""
 
 
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
+def _atomic_write_bytes(path: Path, payload: bytes | memoryview) -> None:
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.partial")
     handle = open(tmp, "xb")
     try:
@@ -281,7 +281,7 @@ def _write_raw_map(
     directory: Path, name: str, data: np.ndarray, extra_sidecar: list[str] | None = None
 ) -> Path:
     raw_path = directory / f"{name}.f32"
-    _atomic_write_bytes(raw_path, np.ascontiguousarray(data, dtype="<f4").tobytes())
+    _atomic_write_bytes(raw_path, memoryview(np.ascontiguousarray(data, dtype="<f4")))
     sidecar = [
         f"width = {data.shape[1]}",
         f"height = {data.shape[0]}",
@@ -312,22 +312,27 @@ def export_maps(
         "contrast": result.contrast_map,
         "phase": result.phase_map,
         "dc": result.dc_map,
-        "mask": result.mask.astype(np.float64),
+        "mask": result.mask,
     }
     written: dict[str, Path] = {}
     for name, data in maps.items():
         extra: list[str] = []
         if preview and name != "mask":
+            # each preview is scaled, rounded and clipped in one float64 buffer
             if name == "visibility":
-                scaled = np.clip(data, 0.0, 1.0) * 65535.0
+                scaled = np.clip(data, 0.0, 1.0)
+                scaled *= 65535.0
             elif name == "phase":
-                scaled = (data + np.pi) / (2.0 * np.pi) * 65535.0
+                scaled = data + np.pi
+                scaled /= 2.0 * np.pi
+                scaled *= 65535.0
             else:
                 peak = float(data.max())
                 preview_scale = 65535.0 / peak if peak > 0 else 1.0
                 scaled = data * preview_scale
                 extra.append(f"preview_scale = {_fmt(preview_scale)}")
-            preview_u16 = np.clip(np.rint(scaled), 0, 65535).astype(np.uint16)
+            np.rint(scaled, out=scaled)
+            preview_u16 = np.clip(scaled, 0, 65535, out=scaled).astype(np.uint16)
             preview_path = directory / f"{name}.pgm"
             _atomic_write_bytes(preview_path, _pgm_bytes(preview_u16))
             written[f"{name}_preview"] = preview_path

@@ -20,6 +20,7 @@ from iuptools import (
     single_bin_amplitude,
     visibility,
 )
+from iuptools.fringes import _projectors
 
 
 def fringe_series(k_frames, amp_dc, amp_mod, phi0, cycles=1.0):
@@ -32,6 +33,26 @@ def fringe_stack(k_frames, amp_dc, amp_mod, phi0, shape=(4, 5), cycles=1.0):
     frames = series[:, None, None] * np.ones((k_frames,) + shape)
     phases = 2.0 * np.pi * np.arange(k_frames) / k_frames
     return FrameStack(frames, phases)
+
+
+def reference_maps(stack, f, threshold=1e-9):
+    """Maps from frame-by-frame sums of the fit, np.hypot and np.arctan2."""
+    proj = _projectors(stack.frame_count, f)[1][0]
+    sums = np.zeros((3, stack.height, stack.width))
+    for i in range(stack.frame_count):
+        sums += proj[:, i, None, None] * stack.frames[i]
+    a, cr, ci = sums
+    amp = np.hypot(cr, ci)
+    valid = (a >= threshold) & (a > 0.0)
+    angles = np.arctan2(ci, cr)
+    angles[angles <= -np.pi] += 2.0 * np.pi
+    return {
+        "visibility_map": np.where(valid, amp / np.where(valid, a, 1.0), 0.0),
+        "contrast_map": np.where(valid, 2.0 * amp, 0.0),
+        "phase_map": np.where(valid, angles, 0.0),
+        "dc_map": np.maximum(a, 0.0),
+        "mask": valid,
+    }
 
 
 class TestDftComponent:
@@ -282,17 +303,21 @@ class TestAnalyzeStack:
         assert res.phase_map[0, 0] == 0.0
 
     @pytest.mark.parametrize(
-        "options",
+        "options, shape",
         [
-            ExtractionOptions(),
-            ExtractionOptions(frequency_mode="fixed", fixed_frequency=1.25),
-            ExtractionOptions(frequency_mode="estimate"),
+            pytest.param(opt, shape, id=opt.frequency_mode + suffix)
+            # 37x23 fits one 32 Ki-pixel chunk; 250x300 spans three, the last one short
+            for shape, suffix in (((37, 23), ""), ((250, 300), "-250x300"))
+            for opt in (
+                ExtractionOptions(),
+                ExtractionOptions(frequency_mode="fixed", fixed_frequency=1.25),
+                ExtractionOptions(frequency_mode="estimate"),
+            )
         ],
-        ids=lambda opt: opt.frequency_mode,
     )
-    def test_worker_count_bit_identity(self, options):
+    def test_worker_count_bit_identity(self, options, shape):
         rng = np.random.default_rng(44)
-        frames = rng.uniform(0.0, 1000.0, (8, 37, 23))
+        frames = rng.uniform(0.0, 1000.0, (8, *shape))
         stack = FrameStack(frames, 2.0 * np.pi * np.arange(8) / 8)
         base = analyze_stack(stack, options, threads=1)
         for w in (2, 3, 5, 16):
@@ -302,6 +327,37 @@ class TestAnalyzeStack:
             assert np.array_equal(other.phase_map, base.phase_map)
             assert np.array_equal(other.dc_map, base.dc_map)
             assert np.array_equal(other.mask, base.mask)
+
+    @pytest.mark.parametrize("k", [3, 4, 8, 15])
+    @pytest.mark.parametrize("f", [1.0, 1.25], ids=["assume-one-cycle", "fixed"])
+    def test_kernel_matches_hypot_oracle(self, k, f):
+        rng = np.random.default_rng(46 + k)
+        frames = rng.uniform(0.0, 1000.0, (k, 250, 300))
+        frames[:, :20] = 0.0  # dark rows, masked
+        stack = FrameStack(frames, 2.0 * np.pi * np.arange(k) / k)
+        if f == 1.0:
+            options = ExtractionOptions()
+        else:
+            options = ExtractionOptions(frequency_mode="fixed", fixed_frequency=f)
+        res = analyze_stack(stack, options)
+        want = reference_maps(stack, f)
+        assert np.array_equal(res.mask, want.pop("mask"))
+        assert not res.mask[:20].any() and res.mask[20:].any()
+        for name, expected in want.items():
+            np.testing.assert_allclose(getattr(res, name), expected, rtol=1e-13, atol=0.0)
+
+    def test_huge_counts_keep_a_finite_magnitude(self):
+        # cr**2 + ci**2 overflows once counts reach about 1e154
+        rng = np.random.default_rng(47)
+        frames = rng.uniform(0.5e200, 1.5e200, (3, 4, 5))
+        stack = FrameStack(frames, 2.0 * np.pi * np.arange(3) / 3)
+        res = analyze_stack(stack)
+        want = reference_maps(stack, 1.0)
+        assert res.mask.all()
+        assert np.isfinite(res.visibility_map).all()
+        assert np.isfinite(res.contrast_map).all()
+        for name in ("visibility_map", "contrast_map"):
+            np.testing.assert_allclose(getattr(res, name), want[name], rtol=1e-13, atol=0.0)
 
     def test_fixed_mode_matches_lstsq_oracle(self):
         rng = np.random.default_rng(45)

@@ -78,6 +78,11 @@ class TestDispersion:
         assert len(ds.a) == 6
         assert len(ds.b) == 4
 
+    def test_bundled_table_is_read_once(self):
+        ds = default_dispersion_set()
+        assert default_dispersion_set() is ds
+        assert CrystalState(7.4, 125.0).dispersion_set is ds
+
     def test_index_at_1064(self):
         # e-ray of 5% MgO-doped congruent LiNbO3 near room temperature
         n = refractive_index(1064.0, 25.0)
