@@ -12,8 +12,15 @@ import numpy as np
 
 from . import __version__
 from .bench import run_bench
-from .fringes import ExtractionOptions, analyze_stack
-from .optics import NoiseModel, OpticalConfig, ScanPlan, make_test_target, simulate_stack
+from .fringes import FREQUENCY_MODES, ExtractionOptions, analyze_stack
+from .optics import (
+    TARGET_KINDS,
+    NoiseModel,
+    OpticalConfig,
+    ScanPlan,
+    make_test_target,
+    simulate_stack,
+)
 from .qpm import tuning_curve, tuning_table_csv
 from .stackio import (
     _atomic_write_text,
@@ -176,8 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("target", help="generate a parametric test scene")
-    p.add_argument("--kind", required=True,
-                   choices=("ring-electrode", "smooth-wing", "phase-step", "uniform"))
+    p.add_argument("--kind", required=True, choices=TARGET_KINDS)
     p.add_argument("--size", default="256", help="pixels, N or HxW (default 256)")
     p.add_argument("--step", type=float, default=None,
                    help="phase step in radians (phase-step targets)")
@@ -200,11 +206,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stack", required=True, help="stack directory or manifest path")
     p.add_argument("--frames-used", type=int, default=None,
                    help="truncate the stack to its first N frames")
-    p.add_argument("--frequency-mode", default="assume-one-cycle",
-                   choices=("assume-one-cycle", "estimate", "fixed"))
+    p.add_argument("--frequency-mode", default=ExtractionOptions.frequency_mode,
+                   choices=FREQUENCY_MODES)
     p.add_argument("--frequency", type=float, default=None,
                    help="cycles per scan for --frequency-mode fixed")
-    p.add_argument("--min-dc", type=float, default=1e-9,
+    p.add_argument("--min-dc", type=float, default=ExtractionOptions.min_dc_threshold,
                    help="mask pixels whose DC falls below this many counts")
     p.add_argument("--threads", type=int, default=1, help="row-parallel workers")
     p.add_argument("--preview", action="store_true", help="also write 16-bit PGM previews")

@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 __all__ = [
     "FrameStack",
@@ -127,7 +126,8 @@ class ExtractionOptions:
         if self.frequency_mode == "fixed":
             if self.fixed_frequency is None or not (self.fixed_frequency > 0):
                 raise OptionsError("fixed frequency_mode requires fixed_frequency > 0")
-        if self.min_dc_threshold < 0:
+        # written so that NaN fails too
+        if not self.min_dc_threshold >= 0:
             raise OptionsError("min_dc_threshold must be >= 0")
 
 
@@ -181,9 +181,10 @@ def _projectors(k: int, freqs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _residuals(y: np.ndarray, freqs) -> np.ndarray:
-    """Sum of squared residuals y^T y - (P y).(B y) of the fit at each frequency."""
+    """Sum of squared residuals sum (y - B^T P y)^2 of the fit at each frequency."""
     basis, proj = _projectors(y.size, freqs)
-    return float(y @ y) - np.einsum("ij,ij->i", proj @ y, basis @ y)
+    fit = np.einsum("ij,ijk->ik", proj @ y, basis)
+    return np.square(y - fit).sum(axis=1)
 
 
 def single_bin_amplitude(series, f: float) -> complex:
@@ -233,38 +234,27 @@ def phase(F1: complex) -> float:
 
 def _estimate_from_series(y: np.ndarray) -> float:
     k = y.size
-    d = y - y.mean()
-    if float(np.max(np.abs(d))) <= 1e-12 * max(1.0, abs(float(y.mean()))):
+    # a power-of-two scale is exact, so no square overflows and the estimate
+    # does not depend on the count scale; the peak of |y| lands in [1/2, 1).
+    # The fit has a constant term, so removing the mean changes no residual.
+    y = np.ldexp(y, -math.frexp(float(np.max(np.abs(y))))[1])
+    y = y - y.mean()
+    if float(np.max(np.abs(y))) <= 1e-12:
         raise FrequencyEstimationError("no fringe peak above the noise floor (constant stack)")
-    # global minimum of the single-frequency fit residual on a grid, then refined
+    # global minimum of the single-frequency fit residual on a grid, then
+    # parabolic vertex steps at shrinking scales; the residual is locally
+    # quadratic, so the last step lands on the minimum to machine precision
     lo, hi = 0.125, k / 2.0 - 0.125
     grid = np.linspace(lo, hi, max(256, 64 * k) + 1)
     residuals = _residuals(y, grid)
-    i = int(np.argmin(residuals))
-    bracket_lo = grid[max(0, i - 1)]
-    bracket_hi = grid[min(grid.size - 1, i + 1)]
-    best = float(grid[i])
-    best_res = float(residuals[i])
-    opt = minimize_scalar(
-        lambda f: float(_residuals(y, f)[0]),
-        bounds=(float(bracket_lo), float(bracket_hi)),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    if float(opt.fun) <= best_res:
-        best = float(opt.x)
-        best_res = float(opt.fun)
-    # the residual is locally quadratic, so a parabolic vertex step per scale
-    # lands on the minimum to machine precision
-    for h in (1e-5, 1e-8):
-        f_lo, f_hi = best - h, best + h
-        if f_lo <= lo or f_hi >= hi:
-            continue
-        r_lo, r_hi = _residuals(y, [f_lo, f_hi])
+    i = min(max(int(np.argmin(residuals)), 1), grid.size - 2)
+    best, best_res = float(grid[i]), float(residuals[i])
+    for h in (float(grid[1] - grid[0]), 1e-3, 1e-5, 1e-8):
+        r_lo, r_hi = _residuals(y, [best - h, best + h])
         den = r_lo - 2.0 * best_res + r_hi
         if den > 0.0:
             step = float(np.clip(0.5 * h * (r_lo - r_hi) / den, -h, h))
-            cand = best + step
+            cand = min(max(best + step, lo), hi)
             cand_res = float(_residuals(y, cand)[0])
             if cand_res <= best_res:
                 best, best_res = cand, cand_res
@@ -275,8 +265,10 @@ def estimate_fringe_frequency(stack: FrameStack) -> float:
     """Locate the fringe frequency (cycles per scan) of a stack.
 
     The single-frequency fit residual of the spatial-mean series is scanned
-    on an even grid over [1/8, K/2 - 1/8]; the grid minimum is refined by a
-    bounded scalar minimisation and a parabolic vertex step.
+    on an even grid over [1/8, K/2 - 1/8]. From the grid minimum, parabolic
+    vertex steps through the residuals at +-h, for h of one grid step, 1e-3,
+    1e-5 and 1e-8 cycles, each move the estimate by at most h, stay inside
+    that interval and are kept only where the residual does not rise.
     """
     if stack.frame_count < 4:
         raise OptionsError("frequency estimation needs at least 4 frames")

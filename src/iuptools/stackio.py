@@ -41,6 +41,8 @@ MAPS_FORMAT_VERSION = 1
 STACK_MANIFEST = "stack.manifest"
 SCENE_MANIFEST = "scene.manifest"
 MAPS_MANIFEST = "maps.manifest"
+# optional FrameStack.meta entries carried by the stack manifest
+_STACK_META_KEYS = ("pump_nm", "detected_nm", "undetected_nm", "exposure_ms", "pixel_pitch_um")
 
 _PGM_HEADER = re.compile(rb"^P5\s+(\d+)\s+(\d+)\s+(\d+)\s")
 
@@ -162,7 +164,7 @@ def write_stack(stack: FrameStack, directory: str | Path, gain: float | None = N
         "frame_files = " + ",".join(names),
         "frame_sha256 = " + ",".join(digests),
     ]
-    for key in ("pump_nm", "detected_nm", "undetected_nm", "exposure_ms", "pixel_pitch_um"):
+    for key in _STACK_META_KEYS:
         if key in stack.meta:
             lines.append(f"{key} = {_fmt(stack.meta[key])}")
     manifest = directory / STACK_MANIFEST
@@ -271,10 +273,13 @@ def read_stack(manifest_path: str | Path) -> FrameStack:
         np.divide(samples, gain, out=frames[i])
 
     meta = {"gain": gain}
-    for key in ("pump_nm", "detected_nm", "undetected_nm", "exposure_ms", "pixel_pitch_um"):
+    for key in _STACK_META_KEYS:
         if key in values:
             meta[key] = _field(values, key, source, float)
-    return FrameStack(frames, np.array(phases), meta)
+    try:
+        return FrameStack(frames, np.array(phases), meta)
+    except ValueError as err:
+        raise StackFormatError(f"{source}: {err}") from None
 
 
 def _write_raw_map(
@@ -401,4 +406,8 @@ def read_scene(path: str | Path) -> ObjectScene:
             )
         return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
 
-    return ObjectScene(load("amplitude.f32"), load("phase.f32"), mode=mode, scene_pitch_um=pitch)
+    amplitude, phase = load("amplitude.f32"), load("phase.f32")
+    try:
+        return ObjectScene(amplitude, phase, mode=mode, scene_pitch_um=pitch)
+    except ValueError as err:
+        raise StackFormatError(f"{source}: {err}") from None

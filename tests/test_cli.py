@@ -190,6 +190,13 @@ class TestAnalyze:
         assert code == 1
         assert "error" in capsys.readouterr().err.lower()
 
+    def test_nan_min_dc_fails(self, tmp_path, stack_dir, capsys):
+        code = run("analyze", "--stack", str(stack_dir), "--min-dc", "nan",
+                   "--out", str(tmp_path / "m"))
+        assert code == 1
+        assert "min_dc_threshold" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
 
 class TestTune:
     def test_single_point_print(self, capsys):

@@ -429,6 +429,11 @@ class TestOptions:
         with pytest.raises(OptionsError):
             ExtractionOptions(frequency_mode="fixed", fixed_frequency=-1.0)
 
+    @pytest.mark.parametrize("threshold", [-1.0, float("nan")])
+    def test_dc_threshold_must_be_non_negative(self, threshold):
+        with pytest.raises(OptionsError):
+            ExtractionOptions(min_dc_threshold=threshold)
+
 
 class TestFrequencyEstimation:
     def test_on_bin_is_exact(self):
@@ -447,11 +452,22 @@ class TestFrequencyEstimation:
     def test_random_frequencies_recovered(self):
         rng = np.random.default_rng(2024)
         for _ in range(25):
-            k = int(rng.integers(8, 24))
-            f_true = float(rng.uniform(0.8, k / 2 - 0.8))
+            k = int(rng.integers(4, 24))
+            f_true = float(rng.uniform(0.3, k / 2 - 0.3))
             stack = fringe_stack(k, 2.0, 1.0, float(rng.uniform(0, 2 * np.pi)),
                                  shape=(2, 2), cycles=f_true)
-            assert estimate_fringe_frequency(stack) == pytest.approx(f_true, abs=1e-6)
+            assert estimate_fringe_frequency(stack) == pytest.approx(f_true, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600], ids=["2**600", "2**-600"])
+    def test_estimate_unchanged_by_power_of_two_scale(self, scale):
+        stack = fringe_stack(8, 2.0, 1.0, 0.4, cycles=1.25)
+        scaled = FrameStack(stack.frames * scale, stack.scan_phases)
+        assert estimate_fringe_frequency(scaled) == estimate_fringe_frequency(stack)
+
+    def test_huge_counts_on_bin(self):
+        stack = fringe_stack(8, 2e200, 1e200, 0.9)
+        assert estimate_fringe_frequency(stack) == pytest.approx(1.0, abs=1e-12)
+        assert analyze_stack(stack).leakage_flag is False
 
     def test_three_frames_rejected(self):
         stack = fringe_stack(3, 2.0, 1.0, 0.0)

@@ -207,6 +207,7 @@ class TestStackValidation:
             ("width", "-5"),
             ("height", "0"),
             ("frame_count", "0"),
+            ("scan_phases", "nan,1,2,3"),
         ],
     )
     def test_unparsable_value_names_file_and_key(self, tmp_path, key, bad):
@@ -215,7 +216,9 @@ class TestStackValidation:
         values = parse_key_values(mf.read_text())
         values[key] = bad
         mf.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
-        with pytest.raises(StackFormatError, match=f"stack.manifest: key '{key}'"):
+        # a value that parses but that FrameStack refuses
+        message = {"nan,1,2,3": "scan phases must be finite"}.get(bad, f"key '{key}'")
+        with pytest.raises(StackFormatError, match=f"stack.manifest: {message}"):
             read_stack(tmp_path / "s")
 
     def test_frame_files_must_be_plain_names(self, tmp_path):
@@ -281,7 +284,14 @@ class TestSceneFiles:
         assert back.scene_pitch_um == pytest.approx(scene.scene_pitch_um)
 
     @pytest.mark.parametrize(
-        "key, bad", [("scene_pitch_um", "wide"), ("width", "0"), ("height", "-2")]
+        "key, bad",
+        [
+            ("scene_pitch_um", "wide"),
+            ("width", "0"),
+            ("height", "-2"),
+            ("mode", "banana"),
+            ("scene_pitch_um", "-1"),
+        ],
     )
     def test_unparsable_pitch_names_file_and_key(self, tmp_path, key, bad):
         write_scene(make_test_target("uniform", (4, 5)), tmp_path / "scene")
@@ -289,5 +299,10 @@ class TestSceneFiles:
         values = parse_key_values(mf.read_text())
         values[key] = bad
         mf.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
-        with pytest.raises(StackFormatError, match=f"scene.manifest: key '{key}'"):
+        # values that parse but that ObjectScene refuses
+        message = {
+            "banana": "mode must be one of",
+            "-1": "scene_pitch_um must be > 0",
+        }.get(bad, f"key '{key}'")
+        with pytest.raises(StackFormatError, match=f"scene.manifest: {message}"):
             read_scene(tmp_path / "scene")
