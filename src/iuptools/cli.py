@@ -24,6 +24,7 @@ from .optics import (
 from .qpm import tuning_curve, tuning_table_csv
 from .stackio import (
     _atomic_write_text,
+    _field,
     export_maps,
     read_config_file,
     read_scene,
@@ -45,35 +46,37 @@ def _parse_bool(value: str) -> bool:
 _PARSERS = {float: float, int: int, str: str, bool: _parse_bool}
 
 
-def _build_optics(settings: dict[str, str], seed: int | None) -> tuple[OpticalConfig, NoiseModel]:
+def _build_optics(
+    settings: dict[str, str], sources: dict[str, str], seed: int | None
+) -> tuple[OpticalConfig, NoiseModel]:
     kwargs: dict[type, dict] = {OpticalConfig: {}, NoiseModel: {}}
     field_types: dict[str, tuple[type, type]] = {}
     for cls in kwargs:
         hints = get_type_hints(cls)
         field_types.update({f.name: (cls, hints[f.name]) for f in fields(cls)})
-    for key, value in settings.items():
+    for key in settings:
         if key not in field_types:
-            raise ValueError(f"unknown config key {key!r}")
+            raise ValueError(f"{sources[key]}: unknown config key {key!r}")
         cls, hint = field_types[key]
-        try:
-            kwargs[cls][key] = _PARSERS[hint](value)
-        except ValueError as err:
-            raise ValueError(f"config key {key}: {err}") from None
+        kwargs[cls][key] = _field(settings, key, sources[key], _PARSERS[hint])
     if seed is not None:
         kwargs[NoiseModel]["rng_seed"] = seed
     return OpticalConfig(**kwargs[OpticalConfig]), NoiseModel(**kwargs[NoiseModel])
 
 
-def _load_settings(config_path: str | None, overrides: list[str] | None) -> dict[str, str]:
-    settings: dict[str, str] = {}
-    if config_path:
-        settings.update(read_config_file(config_path))
+def _load_settings(
+    config_path: str | None, overrides: list[str] | None
+) -> tuple[dict[str, str], dict[str, str]]:
+    """Config values by key, and the file or --set each one came from; --set wins."""
+    settings = read_config_file(config_path) if config_path else {}
+    sources = dict.fromkeys(settings, config_path)
     for item in overrides or []:
         key, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"--set expects key=value, got {item!r}")
         settings[key.strip()] = value.strip()
-    return settings
+        sources[key.strip()] = "--set"
+    return settings, sources
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -109,8 +112,7 @@ def _cmd_target(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scene = read_scene(args.scene)
-    settings = _load_settings(args.config, args.set)
-    config, noise = _build_optics(settings, args.seed)
+    config, noise = _build_optics(*_load_settings(args.config, args.set), args.seed)
     plan = ScanPlan.equal_steps(args.frames, config.undetected_wavelength_nm, args.exposure)
     stack = simulate_stack(scene, config, plan, noise)
     manifest = write_stack(stack, args.out)
@@ -138,13 +140,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    if args.periods is None and args.period is None:
-        raise ValueError("provide --period or --periods")
-    if args.temps is None and args.temp is None:
-        raise ValueError("provide --temp or --temps")
-    periods = _parse_value_list(args.periods) if args.periods else [args.period]
-    temps = _parse_value_list(args.temps) if args.temps else [args.temp]
-    points = tuning_curve(args.pump, periods, temps)
+    if args.periods is None or args.temps is None:
+        raise ValueError("provide --periods (or --period) and --temps (or --temp)")
+    points = tuning_curve(args.pump, _parse_value_list(args.periods), _parse_value_list(args.temps))
     if args.out:
         _atomic_write_text(Path(args.out), tuning_table_csv(points))
         print(args.out)
@@ -219,12 +217,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="solve phase-matched signal/idler pairs")
     p.add_argument("--pump", type=float, default=532.0, help="pump wavelength, nm")
-    p.add_argument("--period", type=float, default=None, help="poling period, um")
-    p.add_argument("--periods", default=None,
-                   help="poling period grid: comma list or start:stop:step (um)")
-    p.add_argument("--temp", type=float, default=None, help="crystal temperature, C")
-    p.add_argument("--temps", default=None,
-                   help="temperature grid: comma list or start:stop:step (C)")
+    p.add_argument("--periods", "--period", dest="periods", default=None,
+                   help="poling period(s): value, comma list or start:stop:step (um)")
+    p.add_argument("--temps", "--temp", dest="temps", default=None,
+                   help="crystal temperature(s): value, comma list or start:stop:step (C)")
     p.add_argument("--out", default=None, help="write the grid as CSV here")
     p.set_defaults(func=_cmd_tune)
 

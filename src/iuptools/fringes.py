@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 FREQUENCY_MODES = ("assume-one-cycle", "estimate", "fixed")
+_EDGE = 0.125  # cycles between the frequency search interval and 0 or K/2
 
 
 class NyquistError(ValueError):
@@ -126,6 +127,8 @@ class ExtractionOptions:
         if self.frequency_mode == "fixed":
             if self.fixed_frequency is None or not (self.fixed_frequency > 0):
                 raise OptionsError("fixed frequency_mode requires fixed_frequency > 0")
+        elif self.fixed_frequency is not None:
+            raise OptionsError(f"fixed_frequency is for fixed mode, not {self.frequency_mode}")
         # written so that NaN fails too
         if not self.min_dc_threshold >= 0:
             raise OptionsError("min_dc_threshold must be >= 0")
@@ -244,7 +247,7 @@ def _estimate_from_series(y: np.ndarray) -> float:
     # global minimum of the single-frequency fit residual on a grid, then
     # parabolic vertex steps at shrinking scales; the residual is locally
     # quadratic, so the last step lands on the minimum to machine precision
-    lo, hi = 0.125, k / 2.0 - 0.125
+    lo, hi = _EDGE, k / 2.0 - _EDGE
     grid = np.linspace(lo, hi, max(256, 64 * k) + 1)
     residuals = _residuals(y, grid)
     i = min(max(int(np.argmin(residuals)), 1), grid.size - 2)
@@ -268,12 +271,19 @@ def estimate_fringe_frequency(stack: FrameStack) -> float:
     on an even grid over [1/8, K/2 - 1/8]. From the grid minimum, parabolic
     vertex steps through the residuals at +-h, for h of one grid step, 1e-3,
     1e-5 and 1e-8 cycles, each move the estimate by at most h, stay inside
-    that interval and are kept only where the residual does not rise.
+    that interval and are kept only where the residual does not rise. An
+    estimate on an edge of the interval, where the residual still falls, is
+    refused with FrequencyEstimationError.
     """
     if stack.frame_count < 4:
         raise OptionsError("frequency estimation needs at least 4 frames")
-    series = stack.frames.mean(axis=(1, 2))
-    return _estimate_from_series(series)
+    estimate = _estimate_from_series(stack.frames.mean(axis=(1, 2)))
+    if estimate in (_EDGE, stack.frame_count / 2.0 - _EDGE):
+        raise FrequencyEstimationError(
+            f"the fit residual falls toward the edge of the search interval at {estimate:g} "
+            "cycles; no fringe peak inside it"
+        )
+    return estimate
 
 
 # pixels per row chunk, so that a chunk's (3, pixels) sums and scratch stay in cache

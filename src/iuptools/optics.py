@@ -404,7 +404,7 @@ def _normalized_grid(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
 def make_test_target(kind: str, size, **params) -> ObjectScene:
     """Deterministic parametric scenes for closed-loop testing.
 
-    kind is one of ring-electrode (binary concentric rings), smooth-wing
+    kind is one of ring-electrode (binary disc and three rings), smooth-wing
     (continuously varying amplitude), phase-step (uniform amplitude, phase
     discontinuity of params['step_rad'], default pi/4) or uniform.
     size is a pixel count (square) or an (height, width) pair.
@@ -424,11 +424,10 @@ def make_test_target(kind: str, size, **params) -> ObjectScene:
         amplitude = np.ones(shape)
         phase = np.zeros(shape)
     elif kind == "ring-electrode":
-        rings = int(params.pop("rings", 3))
         r = np.hypot(yy, xx)
         amplitude = np.ones(shape)
         amplitude[r < 0.08] = 0.0
-        for i in range(rings):
+        for i in range(3):
             lo = 0.18 + 0.20 * i
             amplitude[(r >= lo) & (r < lo + 0.08)] = 0.0
         phase = np.zeros(shape)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import brentq
 
-from .stackio import parse_key_values
+from .stackio import _field, _key_values
 
 __all__ = [
     "DispersionSet",
@@ -83,29 +83,16 @@ def load_dispersion_set(path: str | Path) -> DispersionSet:
 
 
 def _set_from_text(text: str, source: str) -> DispersionSet:
-    try:
-        values = parse_key_values(text)
-    except ValueError as err:
-        raise ValueError(f"dispersion table {source}: {err}") from None
-
-    def number(key: str) -> float:
-        try:
-            return float(values[key])
-        except ValueError:
-            raise ValueError(
-                f"dispersion table {source}: key {key!r} has invalid value {values[key]!r}"
-            ) from None
-
-    try:
-        return DispersionSet(
-            name=values["name"],
-            reference=values.get("reference", ""),
-            a=tuple(number(f"a{i}") for i in range(1, 7)),
-            b=tuple(number(f"b{i}") for i in range(1, 5)),
-            **{f.name: number(f.name) for f in fields(DispersionSet) if f.type == "float"},
-        )
-    except KeyError as missing:
-        raise ValueError(f"dispersion table {source} is missing key {missing}") from None
+    source = f"dispersion table {source}"
+    values = _key_values(text, source)
+    floats = [f.name for f in fields(DispersionSet) if f.type == "float"]
+    return DispersionSet(
+        name=_field(values, "name", source),
+        reference=values.get("reference", ""),
+        a=tuple(_field(values, f"a{i}", source, float) for i in range(1, 7)),
+        b=tuple(_field(values, f"b{i}", source, float) for i in range(1, 5)),
+        **{key: _field(values, key, source, float) for key in floats},
+    )
 
 
 @functools.cache

@@ -48,7 +48,11 @@ _PGM_HEADER = re.compile(rb"^P5\s+(\d+)\s+(\d+)\s+(\d+)\s")
 
 
 class StackFormatError(ValueError):
-    """Malformed or inconsistent on-disk stack/scene/map data."""
+    """Malformed or inconsistent key/value file or the data it lists.
+
+    Raised for stack and scene manifests, their frame and scene payloads,
+    dispersion tables and simulate configs, with the file and key named.
+    """
 
 
 class StackIntegrityError(StackFormatError):
@@ -91,8 +95,16 @@ def parse_key_values(text: str) -> dict[str, str]:
     return values
 
 
+def _key_values(text: str, source: str) -> dict[str, str]:
+    """parse_key_values with source at the head of its errors."""
+    try:
+        return parse_key_values(text)
+    except StackFormatError as err:
+        raise StackFormatError(f"{source}: {err}") from None
+
+
 def read_config_file(path: str | Path) -> dict[str, str]:
-    return parse_key_values(Path(path).read_text(encoding="utf-8"))
+    return _key_values(Path(path).read_text(encoding="utf-8"), str(path))
 
 
 def _pgm_bytes(samples: np.ndarray) -> bytes:
@@ -173,9 +185,9 @@ def write_stack(stack: FrameStack, directory: str | Path, gain: float | None = N
 
 
 def _field(values: dict[str, str], key: str, source: str, convert=str):
-    """Manifest value for key converted by convert; StackFormatError if absent or bad."""
+    """values[key] through convert; StackFormatError naming source and key if absent or bad."""
     if key not in values:
-        raise StackFormatError(f"{source}: manifest is missing required key {key!r}")
+        raise StackFormatError(f"{source}: missing key {key!r}")
     try:
         return convert(values[key])
     except ValueError:
@@ -197,6 +209,13 @@ def _floats(text: str) -> list[float]:
     return [float(v) for v in _items(text)]
 
 
+def _payload(path: Path, source: str, what: str) -> bytes:
+    """Bytes of a file a manifest lists; StackFormatError naming both if absent."""
+    if not path.is_file():
+        raise StackFormatError(f"{source}: missing {what} file {path.name}")
+    return path.read_bytes()
+
+
 def _read_manifest(
     path: str | Path, filename: str, supported: int
 ) -> tuple[Path, dict[str, str], str]:
@@ -211,10 +230,7 @@ def _read_manifest(
     if not path.is_file():
         raise StackFormatError(f"{filename} not found: {path}")
     source = str(path)
-    try:
-        values = parse_key_values(path.read_text(encoding="utf-8"))
-    except ValueError as err:
-        raise StackFormatError(f"{source}: {err}") from None
+    values = _key_values(path.read_text(encoding="utf-8"), source)
     version = _field(values, "format_version", source, int)
     if version > supported:
         raise UnsupportedVersionError(
@@ -237,18 +253,12 @@ def read_stack(manifest_path: str | Path) -> FrameStack:
     phases = _field(values, "scan_phases", source, _floats)
     names = _field(values, "frame_files", source, _items)
     digests = _field(values, "frame_sha256", source, _items)
-    if len(names) != frame_count:
-        raise StackFormatError(
-            f"{source}: frame_count is {frame_count} but {len(names)} frame file(s) listed"
-        )
-    if len(digests) != frame_count:
-        raise StackFormatError(
-            f"{source}: frame_count is {frame_count} but {len(digests)} checksum(s) listed"
-        )
-    if len(phases) != frame_count:
-        raise StackFormatError(
-            f"{source}: frame_count is {frame_count} but {len(phases)} scan phase(s) listed"
-        )
+    for listed, what in ((names, "frame file(s)"), (digests, "checksum(s)"),
+                         (phases, "scan phase(s)")):
+        if len(listed) != frame_count:
+            raise StackFormatError(
+                f"{source}: frame_count is {frame_count} but {len(listed)} {what} listed"
+            )
     for name in names:
         if name in (".", "..") or "/" in name or "\\" in name:
             raise StackFormatError(
@@ -257,10 +267,7 @@ def read_stack(manifest_path: str | Path) -> FrameStack:
 
     frames = np.empty((frame_count, height, width))
     for i, (name, digest) in enumerate(zip(names, digests)):
-        frame_path = manifest_path.parent / name
-        if not frame_path.is_file():
-            raise StackFormatError(f"{source}: missing frame file {name}")
-        payload = frame_path.read_bytes()
+        payload = _payload(manifest_path.parent / name, source, "frame")
         actual = hashlib.sha256(payload).hexdigest()
         if actual != digest:
             raise StackIntegrityError(f"{source}: checksum mismatch for frame {name}")
@@ -282,11 +289,16 @@ def read_stack(manifest_path: str | Path) -> FrameStack:
         raise StackFormatError(f"{source}: {err}") from None
 
 
+def _write_f32(path: Path, data: np.ndarray) -> None:
+    """Write data as raw little-endian float32, with no copy beyond the cast."""
+    _atomic_write_bytes(path, memoryview(np.ascontiguousarray(data, dtype="<f4")))
+
+
 def _write_raw_map(
     directory: Path, name: str, data: np.ndarray, extra_sidecar: list[str] | None = None
 ) -> Path:
     raw_path = directory / f"{name}.f32"
-    _atomic_write_bytes(raw_path, memoryview(np.ascontiguousarray(data, dtype="<f4")))
+    _write_f32(raw_path, data)
     sidecar = [
         f"width = {data.shape[1]}",
         f"height = {data.shape[0]}",
@@ -367,12 +379,8 @@ def write_scene(scene: ObjectScene, directory: str | Path) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     h, w = scene.amplitude_map.shape
-    _atomic_write_bytes(
-        directory / "amplitude.f32", np.ascontiguousarray(scene.amplitude_map, "<f4").tobytes()
-    )
-    _atomic_write_bytes(
-        directory / "phase.f32", np.ascontiguousarray(scene.phase_map, "<f4").tobytes()
-    )
+    _write_f32(directory / "amplitude.f32", scene.amplitude_map)
+    _write_f32(directory / "phase.f32", scene.phase_map)
     lines = [
         f"format_version = {SCENE_FORMAT_VERSION}",
         f"width = {w}",
@@ -396,10 +404,7 @@ def read_scene(path: str | Path) -> ObjectScene:
     expected = width * height * 4
 
     def load(name: str) -> np.ndarray:
-        fpath = path.parent / name
-        if not fpath.is_file():
-            raise StackFormatError(f"{source}: missing scene file {name}")
-        payload = fpath.read_bytes()
+        payload = _payload(path.parent / name, source, "scene")
         if len(payload) != expected:
             raise StackFormatError(
                 f"{source}: {name} holds {len(payload)} bytes, expected {expected}"

@@ -90,6 +90,35 @@ class TestSimulate:
         assert code == 1
         assert "error" in capsys.readouterr().err.lower()
 
+    def test_set_without_equals_fails(self, tmp_path, scene_dir, capsys):
+        code = run("simulate", "--scene", str(scene_dir), "--set", "shot_noise",
+                   "--out", str(tmp_path / "x"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--set" in err and "shot_noise" in err
+
+    def test_junk_config_line_names_file_and_line(self, tmp_path, scene_dir, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("sensor_width = 60\nthis is junk\n")
+        code = run("simulate", "--scene", str(scene_dir), "--config", str(cfg),
+                   "--out", str(tmp_path / "x"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "bad.cfg" in err and "line 2" in err
+
+    @pytest.mark.parametrize("where", ["config", "set"])
+    def test_bad_value_names_source_and_key(self, tmp_path, scene_dir, capsys, where):
+        cfg = tmp_path / "bad2.cfg"
+        cfg.write_text("sensor_width = 60\nshot_noise = maybe\n")
+        source = ["--config", str(cfg)] if where == "config" else ["--set", "shot_noise=maybe"]
+        code = run("simulate", "--scene", str(scene_dir), *source,
+                   "--out", str(tmp_path / "x"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert ("bad2.cfg" if where == "config" else "--set") in err
+        assert "'shot_noise'" in err and "'maybe'" in err
+        assert not (tmp_path / "x").exists()
+
     def test_every_config_field_settable(self, tmp_path, scene_dir, monkeypatch):
         import iuptools.cli as cli
         from iuptools import NoiseModel, OpticalConfig
@@ -168,6 +197,13 @@ class TestAnalyze:
         manifest = parse_key_values((out / "maps.manifest").read_text())
         assert manifest["frequency_mode"] == "fixed"
         assert float(manifest["fixed_frequency"]) == 1.0
+
+    def test_frequency_outside_fixed_mode_fails(self, tmp_path, stack_dir, capsys):
+        code = run("analyze", "--stack", str(stack_dir), "--frequency", "1.25",
+                   "--out", str(tmp_path / "m"))
+        assert code == 1
+        assert "fixed_frequency" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
     def test_estimate_mode_recorded(self, tmp_path, stack_dir):
         out = tmp_path / "est"

@@ -317,7 +317,10 @@ class TestAnalyzeStack:
     )
     def test_worker_count_bit_identity(self, options, shape):
         rng = np.random.default_rng(44)
-        frames = rng.uniform(0.0, 1000.0, (8, *shape))
+        # a weak 1.25-cycle fringe gives estimate mode a peak inside its search
+        # interval; on noise alone its 37x23 estimate is the edge, which is refused
+        fringe = 100.0 * (1.0 + np.cos(2.5 * np.pi * np.arange(8) / 8))
+        frames = rng.uniform(0.0, 1000.0, (8, *shape)) + fringe[:, None, None]
         stack = FrameStack(frames, 2.0 * np.pi * np.arange(8) / 8)
         base = analyze_stack(stack, options, threads=1)
         for w in (2, 3, 5, 16):
@@ -412,6 +415,16 @@ class TestAnalyzeStack:
         with pytest.raises(OptionsError):
             analyze_stack(stack, ExtractionOptions(frequency_mode="estimate"))
 
+    @pytest.mark.parametrize("f", [4.0, 4.5])
+    def test_fixed_frequency_at_or_past_nyquist_rejected(self, f):
+        stack = fringe_stack(8, 2.0, 1.0, 0.0)
+        with pytest.raises(NyquistError):
+            analyze_stack(stack, ExtractionOptions(frequency_mode="fixed", fixed_frequency=f))
+
+    def test_constant_stack_is_not_flagged(self):
+        stack = FrameStack(np.full((8, 3, 3), 4.0), 2.0 * np.pi * np.arange(8) / 8)
+        assert analyze_stack(stack).leakage_flag is False
+
 
 class TestOptions:
     def test_defaults(self):
@@ -428,6 +441,12 @@ class TestOptions:
             ExtractionOptions(frequency_mode="fixed")
         with pytest.raises(OptionsError):
             ExtractionOptions(frequency_mode="fixed", fixed_frequency=-1.0)
+
+    @pytest.mark.parametrize("mode", ["assume-one-cycle", "estimate"])
+    def test_fixed_frequency_only_in_fixed_mode(self, mode):
+        # the maps manifest records fixed_frequency, so it must be the one used
+        with pytest.raises(OptionsError, match="fixed_frequency"):
+            ExtractionOptions(frequency_mode=mode, fixed_frequency=1.25)
 
     @pytest.mark.parametrize("threshold", [-1.0, float("nan")])
     def test_dc_threshold_must_be_non_negative(self, threshold):
@@ -473,3 +492,16 @@ class TestFrequencyEstimation:
         stack = fringe_stack(3, 2.0, 1.0, 0.0)
         with pytest.raises(OptionsError):
             estimate_fringe_frequency(stack)
+
+    @pytest.mark.parametrize("k, cycles, seed", [(10, 0.51, 0), (8, 3.9, 3)])
+    def test_interval_edge_is_refused(self, k, cycles, seed):
+        # noise drags the residual minimum onto the edge of [1/8, K/2 - 1/8]
+        rng = np.random.default_rng(seed)
+        series = fringe_series(k, 100.0, 30.0, 0.7, cycles) + rng.normal(0.0, 10.0, k)
+        stack = FrameStack(series[:, None, None], np.zeros(k))
+        with pytest.raises(FrequencyEstimationError, match="edge"):
+            estimate_fringe_frequency(stack)
+        with pytest.raises(FrequencyEstimationError):
+            analyze_stack(stack, ExtractionOptions(frequency_mode="estimate"))
+        # the leakage check still sees the edge as far from one cycle
+        assert analyze_stack(stack).leakage_flag is True

@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 from iuptools import (
     CrystalState,
     PhaseMatchError,
+    StackFormatError,
     WavelengthPair,
     default_dispersion_set,
     idler_from_signal,
@@ -121,6 +122,12 @@ class TestDispersion:
         bad = tmp_path / "bad.txt"
         bad.write_text("name = x\na1 = 1.0\n")
         with pytest.raises(ValueError, match="missing key"):
+            load_dispersion_set(bad)
+
+    def test_missing_key_names_file_and_key(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("name = x\na1 = 1.0\n")
+        with pytest.raises(StackFormatError, match=r"bad\.txt.*'a2'"):
             load_dispersion_set(bad)
 
     def test_non_numeric_coefficient_is_reported(self, tmp_path):

@@ -232,6 +232,55 @@ class TestStackValidation:
             with pytest.raises(StackFormatError, match="plain file name"):
                 read_stack(tmp_path / "s")
 
+    @pytest.mark.parametrize(
+        "edit, pattern",
+        [
+            (lambda v: v.pop("gain"), r"'gain'"),
+            (lambda v: v.update(gain="0"), r"gain"),
+            (lambda v: v.update(frame_sha256=v["frame_sha256"].rsplit(",", 1)[0]), r"frame_count"),
+            (lambda v: v.update(scan_phases=v["scan_phases"].rsplit(",", 1)[0]), r"frame_count"),
+            (lambda v: v.update(width=v["height"], height=v["width"]), r"frame_0000\.pgm"),
+        ],
+        ids=["missing-gain", "zero-gain", "few-checksums", "few-phases", "frame-size"],
+    )
+    def test_inconsistent_manifest_names_file(self, tmp_path, edit, pattern):
+        write_stack(sample_stack(), tmp_path / "s")
+        mf = tmp_path / "s" / "stack.manifest"
+        values = parse_key_values(mf.read_text())
+        edit(values)
+        mf.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        with pytest.raises(StackFormatError, match=rf"stack\.manifest: .*{pattern}"):
+            read_stack(tmp_path / "s")
+
+    def test_unparsable_line_names_file_and_line(self, tmp_path):
+        write_stack(sample_stack(), tmp_path / "s")
+        mf = tmp_path / "s" / "stack.manifest"
+        lines = mf.read_text().splitlines()
+        mf.write_text("\n".join(lines[:2] + ["this is junk"] + lines[2:]) + "\n")
+        with pytest.raises(StackFormatError, match=r"stack\.manifest: line 3"):
+            read_stack(tmp_path / "s")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"P6\n20 16\n65535\n" + bytes(640),
+            b"P5\n20 16\n255\n" + bytes(640),
+            b"P5\n20 16\n65535\n" + bytes(639),
+        ],
+        ids=["header", "maxval", "sample-count"],
+    )
+    def test_bad_pgm_names_frame(self, tmp_path, payload):
+        write_stack(sample_stack(), tmp_path / "s")
+        (tmp_path / "s" / "frame_0000.pgm").write_bytes(payload)
+        mf = tmp_path / "s" / "stack.manifest"
+        values = parse_key_values(mf.read_text())
+        digests = values["frame_sha256"].split(",")
+        digests[0] = hashlib.sha256(payload).hexdigest()
+        values["frame_sha256"] = ",".join(digests)
+        mf.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        with pytest.raises(StackFormatError, match=r"frame_0000\.pgm"):
+            read_stack(tmp_path / "s")
+
 
 class TestMapExport:
     def test_map_files_round_trip(self, tmp_path):
@@ -305,4 +354,16 @@ class TestSceneFiles:
             "-1": "scene_pitch_um must be > 0",
         }.get(bad, f"key '{key}'")
         with pytest.raises(StackFormatError, match=f"scene.manifest: {message}"):
+            read_scene(tmp_path / "scene")
+
+    @pytest.mark.parametrize("name", ["amplitude.f32", "phase.f32"])
+    @pytest.mark.parametrize("damage", ["missing", "short"])
+    def test_bad_payload_names_manifest_and_file(self, tmp_path, name, damage):
+        write_scene(make_test_target("uniform", (4, 5)), tmp_path / "scene")
+        payload = tmp_path / "scene" / name
+        if damage == "missing":
+            payload.unlink()
+        else:
+            payload.write_bytes(payload.read_bytes()[:-4])
+        with pytest.raises(StackFormatError, match=rf"scene\.manifest: .*{name}"):
             read_scene(tmp_path / "scene")
