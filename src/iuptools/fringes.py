@@ -15,6 +15,7 @@ bins.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -56,10 +57,18 @@ class FrequencyEstimationError(RuntimeError):
 class FrameStack:
     """K camera frames plus the fringe drive phase at which each was taken.
 
-    frames is a (K, height, width) array of non-negative counts. scan_phases
-    holds the K drive phases in radians; they are acquisition metadata and do
-    not change how the stack is analyzed (extraction assumes the frame index
-    grid covers the scan uniformly).
+    frames is a (K, height, width) float64 array of non-negative counts.
+    scan_phases holds the K drive phases in radians; they are acquisition
+    metadata and do not change how the stack is analyzed (extraction assumes
+    the frame index grid covers the scan uniformly).
+
+    A stack keeps its counts in one of two storages. Built from frames, it
+    holds them as given, checked to be finite and non-negative. Read by
+    stackio.read_stack, it holds the 16-bit samples of its files and
+    meta["gain"], and its counts are samples / gain: analyze_stack and
+    estimate_fringe_frequency scale the samples a band at a time, and the
+    first read of frames divides them all and drops the samples, so the
+    stack never holds both.
     """
 
     frames: np.ndarray
@@ -68,41 +77,100 @@ class FrameStack:
 
     def __post_init__(self) -> None:
         self.frames = np.asarray(self.frames, dtype=np.float64)
-        if self.frames.ndim != 3 or self.frames.shape[0] < 1:
-            raise ValueError("frames must be a (K, height, width) array with K >= 1")
-        if self.frames.shape[1] < 1 or self.frames.shape[2] < 1:
-            raise ValueError("frames must have at least one pixel")
-        self.scan_phases = np.atleast_1d(np.asarray(self.scan_phases, dtype=np.float64))
-        if self.scan_phases.shape != (self.frames.shape[0],):
-            raise ValueError("scan_phases length must equal the frame count")
+        self._check_shapes(self.frames.shape)
         # NaN propagates through both reductions and +-inf shows in one of them
         lo, hi = float(self.frames.min()), float(self.frames.max())
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("frame counts must be finite")
         if lo < 0.0:
             raise ValueError("frame counts must be non-negative")
+
+    def _check_shapes(self, shape: tuple[int, ...]) -> None:
+        """Check a (K, height, width) stack shape and K finite scan phases."""
+        if len(shape) != 3 or shape[0] < 1:
+            raise ValueError("frames must be a (K, height, width) array with K >= 1")
+        if shape[1] < 1 or shape[2] < 1:
+            raise ValueError("frames must have at least one pixel")
+        self.scan_phases = np.atleast_1d(np.asarray(self.scan_phases, dtype=np.float64))
+        if self.scan_phases.shape != (shape[0],):
+            raise ValueError("scan_phases length must equal the frame count")
         if not np.isfinite(self.scan_phases).all():
             raise ValueError("scan phases must be finite")
 
+    @classmethod
+    def _from_samples(
+        cls, samples: np.ndarray, gain: float, scan_phases, meta: dict
+    ) -> "FrameStack":
+        """A stack of the counts samples / gain, kept as the uint16 samples.
+
+        Every sample lies in 0..65535, so only shapes are checked; the caller
+        ensures that gain > 0 and that 65535 / gain is finite.
+        """
+        stack = cls.__new__(cls)
+        stack._samples, stack._gain = samples, gain
+        stack.scan_phases, stack.meta = scan_phases, meta
+        stack._check_shapes(samples.shape)
+        return stack
+
+    def __getattr__(self, name: str):
+        # reached only where normal lookup fails, which for frames means an
+        # integer-backed stack before its first read of frames
+        samples = self.__dict__.get("_samples") if name == "frames" else None
+        if samples is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.frames = np.divide(samples, self._gain, out=np.empty(samples.shape))
+        return self.frames
+
+    def __setattr__(self, name: str, value) -> None:
+        # frames, given or assigned, replace any samples the stack held
+        object.__setattr__(self, name, value)
+        if name == "frames":
+            object.__setattr__(self, "_samples", None)
+
+    def __repr__(self) -> str:
+        # the generated repr would read frames and so expand a uint16 stack
+        storage = "float64" if self._samples is None else "uint16"
+        return (
+            f"FrameStack(shape={self._shape}, storage={storage}, "
+            f"scan_phases={self.scan_phases!r}, meta={self.meta!r})"
+        )
+
+    def _scaled(self, index, out: np.ndarray) -> np.ndarray:
+        """frames[index] as float64; an integer-backed stack divides its
+        samples into out, which must have the shape of the selection."""
+        samples = self._samples
+        if samples is None:
+            return self.frames[index]
+        return np.divide(samples[index], self._gain, out=out)
+
+    @property
+    def _shape(self) -> tuple[int, int, int]:
+        samples = self._samples
+        return (self.frames if samples is None else samples).shape
+
     @property
     def frame_count(self) -> int:
-        return self.frames.shape[0]
+        return self._shape[0]
 
     @property
     def height(self) -> int:
-        return self.frames.shape[1]
+        return self._shape[1]
 
     @property
     def width(self) -> int:
-        return self.frames.shape[2]
+        return self._shape[2]
 
     def truncated(self, n: int) -> "FrameStack":
-        """Return a stack holding only the first n frames."""
+        """Return a stack holding only the first n frames, in the same storage."""
         if not 1 <= n <= self.frame_count:
             raise ValueError(
                 f"cannot keep {n} frame(s) of a {self.frame_count}-frame stack"
             )
-        return FrameStack(self.frames[:n].copy(), self.scan_phases[:n].copy(), dict(self.meta))
+        phases, meta = self.scan_phases[:n].copy(), dict(self.meta)
+        samples = self._samples
+        if samples is None:
+            return FrameStack(self.frames[:n].copy(), phases, meta)
+        return FrameStack._from_samples(samples[:n].copy(), self._gain, phases, meta)
 
 
 @dataclass
@@ -264,6 +332,19 @@ def _estimate_from_series(y: np.ndarray) -> float:
     return best
 
 
+def _mean_series(stack: FrameStack) -> np.ndarray:
+    """The spatial mean of each frame, frames.mean(axis=(1, 2)).
+
+    An integer-backed stack is scaled one frame at a time into one buffer.
+    Each frame's mean reduces the same values in the same order as the
+    whole-stack mean, so the series is bit-equal to it, except for a float
+    stack whose frame axis has the smallest stride (Fortran order), where
+    numpy sums the whole stack in another order.
+    """
+    frame = np.empty((stack.height, stack.width))
+    return np.array([stack._scaled(i, frame).mean() for i in range(stack.frame_count)])
+
+
 def estimate_fringe_frequency(stack: FrameStack) -> float:
     """Locate the fringe frequency (cycles per scan) of a stack.
 
@@ -277,7 +358,7 @@ def estimate_fringe_frequency(stack: FrameStack) -> float:
     """
     if stack.frame_count < 4:
         raise OptionsError("frequency estimation needs at least 4 frames")
-    estimate = _estimate_from_series(stack.frames.mean(axis=(1, 2)))
+    estimate = _estimate_from_series(_mean_series(stack))
     if estimate in (_EDGE, stack.frame_count / 2.0 - _EDGE):
         raise FrequencyEstimationError(
             f"the fit residual falls toward the edge of the search interval at {estimate:g} "
@@ -309,7 +390,8 @@ def analyze_stack(
     Visibility is |c|/A, contrast 2|c| and phase atan2(Im c, Re c). Pixels are
     processed in fixed row chunks, shared among `threads` workers; each
     pixel's sums run over the frames in index order, so results are
-    bit-identical for any worker count.
+    bit-identical for any worker count. An integer-backed stack is divided
+    by its gain one chunk at a time, into a chunk-sized buffer per worker.
     """
     opts = options if options is not None else ExtractionOptions()
     k = stack.frame_count
@@ -344,8 +426,9 @@ def analyze_stack(
     mask = np.empty((height, width), dtype=bool)
     # the threshold is never negative, so a >= floor means a >= threshold and a > 0
     floor = max(float(opts.min_dc_threshold), math.ulp(0.0))
-    frames = stack.frames
     chunks = _row_chunks(height, width)
+    band_rows = chunks[0][1] - chunks[0][0]
+    scratch = threading.local()
     # the leakage check fits the spatial-mean series; each chunk's per-frame
     # sums fill one row here while the chunk is in cache
     check_leakage = k >= 4 and opts.frequency_mode != "estimate"
@@ -353,7 +436,10 @@ def analyze_stack(
 
     def extract_rows(index: int) -> None:
         r0, r1 = chunks[index]
-        y = frames[:, r0:r1]
+        band = getattr(scratch, "band", None)
+        if band is None:
+            band = scratch.band = np.empty((k, band_rows, width))
+        y = stack._scaled(np.s_[:, r0:r1], band[:, : r1 - r0])
         # einsum's loop adds each pixel's K products in frame order, where a
         # BLAS product would neither fix that order nor stay off the workers' CPUs
         a, cr, ci = np.einsum("jk,krw->jrw", proj, y)

@@ -11,6 +11,7 @@ concurrent writes never leave a partial final-named file behind.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import re
 import uuid
@@ -80,7 +81,10 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 def parse_key_values(text: str) -> dict[str, str]:
-    """Parse "key = value" lines; '#' starts a comment, blank lines ignored."""
+    """Parse "key = value" lines; '#' starts a comment, blank lines ignored.
+
+    A key may appear once; a repeat raises StackFormatError naming its line.
+    """
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -91,7 +95,10 @@ def parse_key_values(text: str) -> dict[str, str]:
             raise StackFormatError(
                 f"line {lineno}: expected 'key = value', got {line!r}"
             )
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise StackFormatError(f"line {lineno}: key {key!r} repeats an earlier line")
+        values[key] = value.strip()
     return values
 
 
@@ -132,6 +139,11 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _usable_gain(gain: float) -> bool:
+    """True where every sample 0..65535 scales to a finite count sample / gain."""
+    return gain > 0 and math.isfinite(gain) and math.isfinite(65535.0 / float(gain))
+
+
 def write_stack(stack: FrameStack, directory: str | Path, gain: float | None = None) -> Path:
     """Write K PGM frames plus a manifest; returns the manifest path.
 
@@ -141,11 +153,13 @@ def write_stack(stack: FrameStack, directory: str | Path, gain: float | None = N
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    max_count = float(stack.frames.max())
+    # one frame of counts at a time, so an integer-backed stack is not expanded
+    frame = np.empty((stack.height, stack.width))
+    max_count = max(float(stack._scaled(i, frame).max()) for i in range(stack.frame_count))
     if gain is None:
         gain = 65535.0 / max_count if max_count > 0 else 1.0
-    if not gain > 0:
-        raise ValueError("gain must be > 0")
+    if not _usable_gain(gain):
+        raise ValueError(f"gain must be finite and > 0, with 65535 / gain finite; got {gain!r}")
     # rint(x * gain) is monotone in x, so the largest count gives the largest sample
     max_scaled = float(np.rint(max_count * gain))
     if max_scaled > 65535.0:
@@ -159,7 +173,7 @@ def write_stack(stack: FrameStack, directory: str | Path, gain: float | None = N
     scaled = np.empty((stack.height, stack.width))
     for i in range(stack.frame_count):
         name = f"frame_{i:04d}.pgm"
-        np.multiply(stack.frames[i], gain, out=scaled)
+        np.multiply(stack._scaled(i, frame), gain, out=scaled)
         np.rint(scaled, out=scaled)
         payload = _pgm_bytes(scaled)
         _atomic_write_bytes(directory / name, payload)
@@ -240,7 +254,11 @@ def _read_manifest(
 
 
 def read_stack(manifest_path: str | Path) -> FrameStack:
-    """Load a stack written by write_stack, validating geometry and checksums."""
+    """Load a stack written by write_stack, validating geometry and checksums.
+
+    The stack keeps the frames' 16-bit samples and meta["gain"]; its frames
+    (samples / gain, float64) are computed on first use (see FrameStack).
+    """
     manifest_path, values, source = _read_manifest(
         manifest_path, STACK_MANIFEST, STACK_FORMAT_VERSION
     )
@@ -248,8 +266,11 @@ def read_stack(manifest_path: str | Path) -> FrameStack:
     height = _field(values, "height", source, _positive_int)
     frame_count = _field(values, "frame_count", source, _positive_int)
     gain = _field(values, "gain", source, float)
-    if not gain > 0:
-        raise StackFormatError(f"{source}: gain must be > 0")
+    if not _usable_gain(gain):
+        raise StackFormatError(
+            f"{source}: gain must be finite and > 0, with 65535 / gain finite; "
+            f"got {values['gain']!r}"
+        )
     phases = _field(values, "scan_phases", source, _floats)
     names = _field(values, "frame_files", source, _items)
     digests = _field(values, "frame_sha256", source, _items)
@@ -265,26 +286,26 @@ def read_stack(manifest_path: str | Path) -> FrameStack:
                 f"{source}: frame file {name!r} is not a plain file name in the stack directory"
             )
 
-    frames = np.empty((frame_count, height, width))
+    samples = np.empty((frame_count, height, width), dtype=np.uint16)
     for i, (name, digest) in enumerate(zip(names, digests)):
         payload = _payload(manifest_path.parent / name, source, "frame")
         actual = hashlib.sha256(payload).hexdigest()
         if actual != digest:
             raise StackIntegrityError(f"{source}: checksum mismatch for frame {name}")
-        samples = _parse_pgm(payload, name)
-        if samples.shape != (height, width):
+        frame = _parse_pgm(payload, name)
+        if frame.shape != (height, width):
             raise StackFormatError(
-                f"{source}: frame {name} is {samples.shape[1]}x{samples.shape[0]}, "
+                f"{source}: frame {name} is {frame.shape[1]}x{frame.shape[0]}, "
                 f"manifest says {width}x{height}"
             )
-        np.divide(samples, gain, out=frames[i])
+        samples[i] = frame
 
     meta = {"gain": gain}
     for key in _STACK_META_KEYS:
         if key in values:
             meta[key] = _field(values, key, source, float)
     try:
-        return FrameStack(frames, np.array(phases), meta)
+        return FrameStack._from_samples(samples, gain, np.array(phases), meta)
     except ValueError as err:
         raise StackFormatError(f"{source}: {err}") from None
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -20,7 +24,7 @@ from iuptools import (
     single_bin_amplitude,
     visibility,
 )
-from iuptools.fringes import _projectors
+from iuptools.fringes import _mean_series, _projectors
 
 
 def fringe_series(k_frames, amp_dc, amp_mod, phi0, cycles=1.0):
@@ -424,6 +428,147 @@ class TestAnalyzeStack:
     def test_constant_stack_is_not_flagged(self):
         stack = FrameStack(np.full((8, 3, 3), 4.0), 2.0 * np.pi * np.arange(8) / 8)
         assert analyze_stack(stack).leakage_flag is False
+
+
+def sample_stacks(k, shape, seed=48, gain=7.3):
+    """An integer-backed stack of noisy 1.25-cycle fringe samples, and the
+    float stack FrameStack(samples / gain, ...) of the same counts."""
+    rng = np.random.default_rng(seed)
+    fringe = 20000.0 * (1.0 + 0.5 * np.cos(2.5 * np.pi * np.arange(k) / k))
+    counts = rng.poisson(fringe[:, None, None] * rng.uniform(0.2, 1.0, shape))
+    samples = np.minimum(counts, 65535).astype(np.uint16)
+    samples[:, 0, 0] = 0  # a dark pixel, and one at the top of the range
+    samples[:, -1, -1] = 65535
+    phases = 2.0 * np.pi * np.arange(k) / k
+    stored = FrameStack._from_samples(samples, gain, phases.copy(), {"gain": gain})
+    return stored, FrameStack(samples / gain, phases, {"gain": gain})
+
+
+MAP_FIELDS = ("visibility_map", "contrast_map", "phase_map", "dc_map", "mask")
+
+
+def assert_same_result(got, want):
+    for name in MAP_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.fringe_frequency == want.fringe_frequency
+    assert got.leakage_flag == want.leakage_flag
+
+
+class TestIntegerStorage:
+    """Stacks that keep their 16-bit samples give the same bits as float stacks."""
+
+    @pytest.mark.parametrize(
+        "k, options",
+        [
+            pytest.param(k, opt, id=f"{opt.frequency_mode}-{k}")
+            for opt in (
+                ExtractionOptions(),
+                ExtractionOptions(frequency_mode="fixed", fixed_frequency=1.25),
+                ExtractionOptions(frequency_mode="estimate"),
+            )
+            # estimate mode needs at least 4 frames
+            for k in (3, 4, 8, 15)[opt.frequency_mode == "estimate" :]
+        ],
+    )
+    def test_maps_are_byte_identical(self, k, options):
+        # 70 rows of 1000 pixels span three 32-row chunks, the last one short
+        stored, floats = sample_stacks(k, (70, 1000))
+        want = analyze_stack(floats, options, threads=1)
+        for threads in (1, 2, 3):
+            assert_same_result(analyze_stack(stored, options, threads=threads), want)
+        assert stored._samples is not None, "analysis must not expand the samples"
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (7, 13), (333, 517), (1, 9999), (2049, 3)], ids=str
+    )
+    def test_mean_series_is_bit_equal(self, shape):
+        stored, floats = sample_stacks(5, shape)
+        series = _mean_series(stored)
+        assert np.array_equal(series, floats.frames.mean(axis=(1, 2)))
+        assert np.array_equal(series, _mean_series(floats))
+        # a strided float stack reduces each frame in the whole-stack order too
+        padded = np.zeros((5, 2 * shape[0], 3 * shape[1]))
+        padded[:, ::2, ::3] = floats.frames
+        strided = FrameStack(padded[:, ::2, ::3], floats.scan_phases)
+        assert np.array_equal(_mean_series(strided), strided.frames.mean(axis=(1, 2)))
+
+    def test_repr_keeps_the_samples(self):
+        stored, floats = sample_stacks(4, (6, 7))
+        assert "(4, 6, 7)" in repr(stored) and "uint16" in repr(stored)
+        assert stored._samples is not None and "frames" not in vars(stored)
+        assert "float64" in repr(floats)
+
+    def test_frequency_estimate_is_identical(self):
+        stored, floats = sample_stacks(8, (70, 1000))
+        assert estimate_fringe_frequency(stored) == estimate_fringe_frequency(floats)
+        assert stored._samples is not None
+
+    def test_first_read_of_frames_replaces_the_samples(self):
+        stored, floats = sample_stacks(4, (6, 7))
+        samples = stored._samples
+        assert "frames" not in vars(stored)
+        frames = stored.frames
+        assert frames.dtype == np.float64
+        assert np.array_equal(frames, samples / stored.meta["gain"])
+        assert np.array_equal(frames, floats.frames)
+        assert stored._samples is None
+        assert stored.frames is frames
+        assert (stored.frame_count, stored.height, stored.width) == (4, 6, 7)
+
+    @pytest.mark.parametrize("first_read", [False, True], ids=["before", "after"])
+    def test_replace_gives_a_float_stack(self, first_read):
+        stored, floats = sample_stacks(4, (6, 7))
+        if first_read:
+            stored.frames
+        x = floats.frames + 1.0
+        other = dataclasses.replace(stored, frames=x)
+        assert other._samples is None
+        assert other.frames.dtype == np.float64
+        assert np.array_equal(other.frames, x)
+        assert np.array_equal(other.scan_phases, stored.scan_phases)
+        assert (stored._samples is None) == first_read
+        assert np.array_equal(stored.frames, floats.frames)
+
+    def test_assigned_frames_replace_the_samples(self):
+        stored, floats = sample_stacks(8, (6, 7))
+        stored.frames = floats.frames * 2.0
+        assert stored._samples is None
+        doubled = analyze_stack(FrameStack(floats.frames * 2.0, floats.scan_phases))
+        assert_same_result(analyze_stack(stored), doubled)
+
+    def test_truncated_keeps_the_samples(self):
+        stored, floats = sample_stacks(8, (6, 7))
+        head = stored.truncated(5)
+        assert head._samples is not None and head._samples.dtype == np.uint16
+        assert head.meta["gain"] == stored.meta["gain"]
+        assert np.array_equal(head.frames, floats.frames[:5])
+        assert np.array_equal(head.scan_phases, floats.scan_phases[:5])
+
+    def test_shapes_are_still_checked(self):
+        samples = np.zeros((3, 4, 5), dtype=np.uint16)
+        with pytest.raises(ValueError, match="scan_phases length"):
+            FrameStack._from_samples(samples, 1.0, np.zeros(2), {"gain": 1.0})
+        with pytest.raises(ValueError, match="scan phases must be finite"):
+            FrameStack._from_samples(samples, 1.0, np.array([0.0, np.nan, 1.0]), {"gain": 1.0})
+        with pytest.raises(ValueError, match="at least one pixel"):
+            FrameStack._from_samples(samples[:, :0], 1.0, np.zeros(3), {"gain": 1.0})
+
+    def test_scratch_bands_survive_many_switching_workers(self):
+        # more workers than cores, switching threads every microsecond: a
+        # scratch band shared between two workers would corrupt some chunk
+        stored, floats = sample_stacks(8, (300, 700), seed=49)
+        options = ExtractionOptions(frequency_mode="fixed", fixed_frequency=1.25)
+        want = analyze_stack(floats, options, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 5.0
+            runs = 0
+            while runs < 3 or (runs < 20 and time.monotonic() < deadline):
+                assert_same_result(analyze_stack(stored, options, threads=7), want)
+                runs += 1
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestOptions:

@@ -54,6 +54,29 @@ class TestKeyValueFormat:
         p.write_text("mean_counts = 500\nshot_noise = true\n")
         assert read_config_file(p) == {"mean_counts": "500", "shot_noise": "true"}
 
+    def test_repeated_key_names_line_and_key(self):
+        with pytest.raises(StackFormatError, match=r"^line 3: key 'gain' repeats"):
+            parse_key_values("gain = 1\n# again\ngain = 2\n")
+
+    def test_repeated_key_in_a_file_names_the_file(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("mean_counts = 500\nmean_counts = 600\n")
+        with pytest.raises(StackFormatError, match=r"run\.cfg: line 2: key 'mean_counts'"):
+            read_config_file(p)
+
+    def test_toolkit_files_repeat_no_key(self, tmp_path):
+        write_stack(sample_stack(), tmp_path / "s")
+        write_scene(make_test_target("uniform", (4, 5)), tmp_path / "scene")
+        res = analyze_stack(
+            sample_stack(k=8), ExtractionOptions(frequency_mode="fixed", fixed_frequency=1.0)
+        )
+        export_maps(res, tmp_path / "m", preview=True)
+        files = [tmp_path / "s" / "stack.manifest", tmp_path / "scene" / "scene.manifest"]
+        files += sorted((tmp_path / "m").glob("*.txt")) + [tmp_path / "m" / "maps.manifest"]
+        for path in files:
+            lines = [line for line in path.read_text().splitlines() if line]
+            assert len(parse_key_values(path.read_text())) == len(lines), path.name
+
 
 class TestStackRoundTrip:
     def test_counts_survive_within_quantization(self, tmp_path):
@@ -142,6 +165,62 @@ class TestStackRoundTrip:
         with pytest.raises(OSError, match="disk full"):
             stackio._atomic_write_bytes(tmp_path / "x.bin", b"payload")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("gain", [None, 7.3])
+    def test_either_storage_writes_the_same_bytes(self, tmp_path, gain):
+        write_stack(sample_stack(noise=NoiseModel(shot_noise=True, rng_seed=8)), tmp_path / "s")
+        stored = read_stack(tmp_path / "s")
+        floats = FrameStack(read_stack(tmp_path / "s").frames, stored.scan_phases, stored.meta)
+        write_stack(stored, tmp_path / "a", gain=gain)
+        assert stored._samples is not None, "writing must not expand the samples"
+        write_stack(floats, tmp_path / "b", gain=gain)
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "gain",
+        [np.inf, np.nan, -np.inf, 1e-320, np.float64(1e-320)],
+        ids=["inf", "nan", "-inf", "tiny", "tiny-float64"],
+    )
+    def test_non_finite_gain_refused_by_write(self, tmp_path, gain):
+        # 0 * inf would write NaN samples; a tiny numpy gain must be refused,
+        # not overflow with a warning in 65535 / gain
+        stack = FrameStack(np.zeros((3, 4, 5)), [0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="gain must be finite"):
+            write_stack(stack, tmp_path / "s", gain=gain)
+        assert not (tmp_path / "s" / "stack.manifest").exists()
+
+
+class TestStoredSamples:
+    def test_read_stack_keeps_two_bytes_per_sample(self, tmp_path):
+        stack = sample_stack(k=5, noise=NoiseModel(shot_noise=True, rng_seed=4))
+        write_stack(stack, tmp_path / "s")
+        back = read_stack(tmp_path / "s")
+        assert "frames" not in vars(back)
+        assert back._samples.dtype == np.uint16
+        assert back._samples.nbytes == 2 * 5 * 16 * 20
+        assert (back.frame_count, back.height, back.width) == (5, 16, 20)
+
+    def test_frames_are_the_samples_over_the_gain(self, tmp_path):
+        stack = sample_stack(noise=NoiseModel(shot_noise=True, rng_seed=6))
+        write_stack(stack, tmp_path / "s", gain=9.1)
+        header_len = len(b"P5\n20 16\n65535\n")
+        raw = np.stack([
+            np.frombuffer((tmp_path / "s" / f"frame_{i:04d}.pgm").read_bytes()[header_len:], ">u2")
+            for i in range(stack.frame_count)
+        ]).reshape(stack.frames.shape)
+        back = read_stack(tmp_path / "s")
+        assert np.array_equal(back.frames, raw / 9.1)
+        assert back._samples is None
+
+    def test_frames_used_keeps_the_samples(self, tmp_path):
+        write_stack(sample_stack(k=8), tmp_path / "s")
+        back = read_stack(tmp_path / "s")
+        head = back.truncated(4)
+        assert head._samples is not None and head.frame_count == 4
+        assert np.array_equal(head.frames, read_stack(tmp_path / "s").frames[:4])
 
 
 class TestPgmDetails:
@@ -237,11 +316,18 @@ class TestStackValidation:
         [
             (lambda v: v.pop("gain"), r"'gain'"),
             (lambda v: v.update(gain="0"), r"gain"),
+            # inf would read as an all-zero stack; 65535 / 1e-320 overflows
+            (lambda v: v.update(gain="inf"), r"gain .*got 'inf'"),
+            (lambda v: v.update(gain="nan"), r"gain .*got 'nan'"),
+            (lambda v: v.update(gain="1e-320"), r"gain .*got '1e-320'"),
             (lambda v: v.update(frame_sha256=v["frame_sha256"].rsplit(",", 1)[0]), r"frame_count"),
             (lambda v: v.update(scan_phases=v["scan_phases"].rsplit(",", 1)[0]), r"frame_count"),
             (lambda v: v.update(width=v["height"], height=v["width"]), r"frame_0000\.pgm"),
         ],
-        ids=["missing-gain", "zero-gain", "few-checksums", "few-phases", "frame-size"],
+        ids=[
+            "missing-gain", "zero-gain", "inf-gain", "nan-gain", "tiny-gain",
+            "few-checksums", "few-phases", "frame-size",
+        ],
     )
     def test_inconsistent_manifest_names_file(self, tmp_path, edit, pattern):
         write_stack(sample_stack(), tmp_path / "s")
@@ -250,6 +336,15 @@ class TestStackValidation:
         edit(values)
         mf.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
         with pytest.raises(StackFormatError, match=rf"stack\.manifest: .*{pattern}"):
+            read_stack(tmp_path / "s")
+
+    def test_repeated_key_names_file_and_line(self, tmp_path):
+        write_stack(sample_stack(), tmp_path / "s")
+        mf = tmp_path / "s" / "stack.manifest"
+        text = mf.read_text()
+        mf.write_text(text + "gain = 2\n")
+        line = len(text.splitlines()) + 1
+        with pytest.raises(StackFormatError, match=rf"stack\.manifest: line {line}: key 'gain'"):
             read_stack(tmp_path / "s")
 
     def test_unparsable_line_names_file_and_line(self, tmp_path):
