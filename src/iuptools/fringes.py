@@ -53,7 +53,7 @@ class FrequencyEstimationError(RuntimeError):
     """No fringe peak could be located in the stack."""
 
 
-@dataclass
+@dataclass(eq=False)
 class FrameStack:
     """K camera frames plus the fringe drive phase at which each was taken.
 
@@ -62,13 +62,11 @@ class FrameStack:
     metadata and do not change how the stack is analyzed (extraction assumes
     the frame index grid covers the scan uniformly).
 
-    A stack keeps its counts in one of two storages. Built from frames, it
-    holds them as given, checked to be finite and non-negative. Read by
-    stackio.read_stack, it holds the 16-bit samples of its files and
-    meta["gain"], and its counts are samples / gain: analyze_stack and
-    estimate_fringe_frequency scale the samples a band at a time, and the
-    first read of frames divides them all and drops the samples, so the
-    stack never holds both.
+    The counts are held as one (samples, gain) pair, counts = samples / gain.
+    Frames, given (and checked) or assigned, become float64 samples at gain
+    1. stackio.read_stack keeps its files' 16-bit samples and the manifest
+    gain until the first read of frames divides them into float64 samples at
+    gain 1. A stack compares equal only to itself.
     """
 
     frames: np.ndarray
@@ -76,10 +74,10 @@ class FrameStack:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.frames = np.asarray(self.frames, dtype=np.float64)
-        self._check_shapes(self.frames.shape)
+        samples = self._counts[0]
+        self._check_shapes(samples.shape)
         # NaN propagates through both reductions and +-inf shows in one of them
-        lo, hi = float(self.frames.min()), float(self.frames.max())
+        lo, hi = float(samples.min()), float(samples.max())
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("frame counts must be finite")
         if lo < 0.0:
@@ -101,64 +99,57 @@ class FrameStack:
     def _from_samples(
         cls, samples: np.ndarray, gain: float, scan_phases, meta: dict
     ) -> "FrameStack":
-        """A stack of the counts samples / gain, kept as the uint16 samples.
-
-        Every sample lies in 0..65535, so only shapes are checked; the caller
-        ensures that gain > 0 and that 65535 / gain is finite.
-        """
+        """A stack of the counts samples / gain, which the caller ensures are
+        finite and non-negative; only shapes are checked."""
         stack = cls.__new__(cls)
-        stack._samples, stack._gain = samples, gain
+        stack._counts = samples, gain
         stack.scan_phases, stack.meta = scan_phases, meta
         stack._check_shapes(samples.shape)
         return stack
 
     def __getattr__(self, name: str):
-        # reached only where normal lookup fails, which for frames means an
-        # integer-backed stack before its first read of frames
-        samples = self.__dict__.get("_samples") if name == "frames" else None
-        if samples is None:
+        # normal lookup never finds frames: the counts live in _counts
+        if name != "frames":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.frames = np.divide(samples, self._gain, out=np.empty(samples.shape))
-        return self.frames
+        samples, gain = self._counts
+        if not _unscaled(samples, gain):
+            self.frames = samples = np.divide(samples, gain, out=np.empty(samples.shape))
+        return samples
 
     def __setattr__(self, name: str, value) -> None:
-        # frames, given or assigned, replace any samples the stack held
-        object.__setattr__(self, name, value)
+        # frames become float64 samples at gain 1. The pair is replaced whole,
+        # so a thread scaling the samples meanwhile uses the old pair or the new.
         if name == "frames":
-            object.__setattr__(self, "_samples", None)
+            name, value = "_counts", (np.asarray(value, dtype=np.float64), 1.0)
+        object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
         # the generated repr would read frames and so expand a uint16 stack
-        storage = "float64" if self._samples is None else "uint16"
+        samples, gain = self._counts
         return (
-            f"FrameStack(shape={self._shape}, storage={storage}, "
+            f"FrameStack(shape={samples.shape}, samples={samples.dtype}, gain={gain!r}, "
             f"scan_phases={self.scan_phases!r}, meta={self.meta!r})"
         )
 
     def _scaled(self, index, out: np.ndarray) -> np.ndarray:
-        """frames[index] as float64; an integer-backed stack divides its
-        samples into out, which must have the shape of the selection."""
-        samples = self._samples
-        if samples is None:
-            return self.frames[index]
-        return np.divide(samples[index], self._gain, out=out)
-
-    @property
-    def _shape(self) -> tuple[int, int, int]:
-        samples = self._samples
-        return (self.frames if samples is None else samples).shape
+        """frames[index] as float64: a view of samples that are the counts,
+        else the samples over the gain in out, of the selection's shape."""
+        samples, gain = self._counts
+        if _unscaled(samples, gain):
+            return samples[index]
+        return np.divide(samples[index], gain, out=out)
 
     @property
     def frame_count(self) -> int:
-        return self._shape[0]
+        return self._counts[0].shape[0]
 
     @property
     def height(self) -> int:
-        return self._shape[1]
+        return self._counts[0].shape[1]
 
     @property
     def width(self) -> int:
-        return self._shape[2]
+        return self._counts[0].shape[2]
 
     def truncated(self, n: int) -> "FrameStack":
         """Return a stack holding only the first n frames, in the same storage."""
@@ -166,11 +157,14 @@ class FrameStack:
             raise ValueError(
                 f"cannot keep {n} frame(s) of a {self.frame_count}-frame stack"
             )
+        samples, gain = self._counts
         phases, meta = self.scan_phases[:n].copy(), dict(self.meta)
-        samples = self._samples
-        if samples is None:
-            return FrameStack(self.frames[:n].copy(), phases, meta)
-        return FrameStack._from_samples(samples[:n].copy(), self._gain, phases, meta)
+        return FrameStack._from_samples(samples[:n].copy(), gain, phases, meta)
+
+
+def _unscaled(samples: np.ndarray, gain: float) -> bool:
+    """True where the samples are the counts themselves: float64 at gain 1."""
+    return samples.dtype == np.float64 and gain == 1.0
 
 
 @dataclass
@@ -335,11 +329,11 @@ def _estimate_from_series(y: np.ndarray) -> float:
 def _mean_series(stack: FrameStack) -> np.ndarray:
     """The spatial mean of each frame, frames.mean(axis=(1, 2)).
 
-    An integer-backed stack is scaled one frame at a time into one buffer.
-    Each frame's mean reduces the same values in the same order as the
-    whole-stack mean, so the series is bit-equal to it, except for a float
-    stack whose frame axis has the smallest stride (Fortran order), where
-    numpy sums the whole stack in another order.
+    Samples are scaled one frame at a time into one buffer. Each frame's
+    mean reduces the same values in the same order as the whole-stack mean,
+    so the series is bit-equal to it, except for a float stack whose frame
+    axis has the smallest stride (Fortran order), where numpy sums the whole
+    stack in another order.
     """
     frame = np.empty((stack.height, stack.width))
     return np.array([stack._scaled(i, frame).mean() for i in range(stack.frame_count)])
@@ -357,7 +351,7 @@ def estimate_fringe_frequency(stack: FrameStack) -> float:
     refused with FrequencyEstimationError.
     """
     if stack.frame_count < 4:
-        raise OptionsError("frequency estimation needs at least 4 frames")
+        raise OptionsError("estimate mode needs at least 4 frames; use assume-one-cycle or fixed")
     estimate = _estimate_from_series(_mean_series(stack))
     if estimate in (_EDGE, stack.frame_count / 2.0 - _EDGE):
         raise FrequencyEstimationError(
@@ -390,18 +384,14 @@ def analyze_stack(
     Visibility is |c|/A, contrast 2|c| and phase atan2(Im c, Re c). Pixels are
     processed in fixed row chunks, shared among `threads` workers; each
     pixel's sums run over the frames in index order, so results are
-    bit-identical for any worker count. An integer-backed stack is divided
-    by its gain one chunk at a time, into a chunk-sized buffer per worker.
+    bit-identical for any worker count. A stack's samples are scaled by its
+    gain one chunk at a time, into a chunk-sized buffer per worker.
     """
     opts = options if options is not None else ExtractionOptions()
     k = stack.frame_count
     if k < 3:
         raise NyquistError(
             f"stack has {k} frame(s); extraction needs at least 3 frames per fringe cycle"
-        )
-    if opts.frequency_mode == "estimate" and k < 4:
-        raise OptionsError(
-            "frequency_mode=estimate needs at least 4 frames; use assume-one-cycle or fixed"
         )
 
     if opts.frequency_mode == "fixed":

@@ -272,11 +272,8 @@ def effective_complex_map(scene: ObjectScene, config: OpticalConfig) -> np.ndarr
         order=1, mode="grid-constant", cval=0.0,
     )
     t = np.empty(shape, dtype=np.complex128)
-    if sigma_px > 0:
-        ndimage.gaussian_filter(real, sigma_px, mode="nearest", output=t.real)
-        ndimage.gaussian_filter(imag, sigma_px, mode="nearest", output=t.imag)
-    else:
-        t.real, t.imag = real, imag
+    ndimage.gaussian_filter(real, sigma_px, mode="nearest", output=t.real)
+    ndimage.gaussian_filter(imag, sigma_px, mode="nearest", output=t.imag)
     return t
 
 

@@ -153,7 +153,7 @@ def write_stack(stack: FrameStack, directory: str | Path, gain: float | None = N
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    # one frame of counts at a time, so an integer-backed stack is not expanded
+    # one frame of counts at a time, so a stack of 16-bit samples is not expanded
     frame = np.empty((stack.height, stack.width))
     max_count = max(float(stack._scaled(i, frame).max()) for i in range(stack.frame_count))
     if gain is None:
@@ -286,7 +286,6 @@ def read_stack(manifest_path: str | Path) -> FrameStack:
                 f"{source}: frame file {name!r} is not a plain file name in the stack directory"
             )
 
-    samples = np.empty((frame_count, height, width), dtype=np.uint16)
     for i, (name, digest) in enumerate(zip(names, digests)):
         payload = _payload(manifest_path.parent / name, source, "frame")
         actual = hashlib.sha256(payload).hexdigest()
@@ -298,6 +297,8 @@ def read_stack(manifest_path: str | Path) -> FrameStack:
                 f"{source}: frame {name} is {frame.shape[1]}x{frame.shape[0]}, "
                 f"manifest says {width}x{height}"
             )
+        if i == 0:  # allocated only once a frame has the manifest's geometry
+            samples = np.empty((frame_count, height, width), dtype=np.uint16)
         samples[i] = frame
 
     meta = {"gain": gain}

@@ -226,6 +226,17 @@ class TestAnalyze:
         assert code == 1
         assert "error" in capsys.readouterr().err.lower()
 
+    def test_huge_manifest_geometry_fails_in_one_line(self, tmp_path, stack_dir, capsys):
+        mf = stack_dir / "stack.manifest"
+        values = parse_key_values(mf.read_text())
+        values.update(width="5000000", height="4000000")
+        mf.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        code = run("analyze", "--stack", str(stack_dir), "--out", str(tmp_path / "m"))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "manifest says 5000000x4000000" in err[0]
+
     def test_nan_min_dc_fails(self, tmp_path, stack_dir, capsys):
         code = run("analyze", "--stack", str(stack_dir), "--min-dc", "nan",
                    "--out", str(tmp_path / "m"))

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from iuptools import (
     single_bin_amplitude,
     visibility,
 )
+from iuptools import fringes
 from iuptools.fringes import _mean_series, _projectors
 
 
@@ -416,7 +419,7 @@ class TestAnalyzeStack:
 
     def test_estimate_mode_needs_four_frames(self):
         stack = fringe_stack(3, 2.0, 1.0, 0.0)
-        with pytest.raises(OptionsError):
+        with pytest.raises(OptionsError, match="use assume-one-cycle or fixed"):
             analyze_stack(stack, ExtractionOptions(frequency_mode="estimate"))
 
     @pytest.mark.parametrize("f", [4.0, 4.5])
@@ -476,7 +479,7 @@ class TestIntegerStorage:
         want = analyze_stack(floats, options, threads=1)
         for threads in (1, 2, 3):
             assert_same_result(analyze_stack(stored, options, threads=threads), want)
-        assert stored._samples is not None, "analysis must not expand the samples"
+        assert stored._counts[0].dtype == np.uint16, "analysis must not expand the samples"
 
     @pytest.mark.parametrize(
         "shape", [(1, 1), (7, 13), (333, 517), (1, 9999), (2049, 3)], ids=str
@@ -495,23 +498,23 @@ class TestIntegerStorage:
     def test_repr_keeps_the_samples(self):
         stored, floats = sample_stacks(4, (6, 7))
         assert "(4, 6, 7)" in repr(stored) and "uint16" in repr(stored)
-        assert stored._samples is not None and "frames" not in vars(stored)
+        assert stored._counts[0].dtype == np.uint16
         assert "float64" in repr(floats)
 
     def test_frequency_estimate_is_identical(self):
         stored, floats = sample_stacks(8, (70, 1000))
         assert estimate_fringe_frequency(stored) == estimate_fringe_frequency(floats)
-        assert stored._samples is not None
+        assert stored._counts[0].dtype == np.uint16
 
     def test_first_read_of_frames_replaces_the_samples(self):
         stored, floats = sample_stacks(4, (6, 7))
-        samples = stored._samples
-        assert "frames" not in vars(stored)
+        samples, gain = stored._counts
+        assert samples.dtype == np.uint16 and gain == stored.meta["gain"]
         frames = stored.frames
         assert frames.dtype == np.float64
         assert np.array_equal(frames, samples / stored.meta["gain"])
         assert np.array_equal(frames, floats.frames)
-        assert stored._samples is None
+        assert stored._counts[0] is frames and stored._counts[1] == 1.0
         assert stored.frames is frames
         assert (stored.frame_count, stored.height, stored.width) == (4, 6, 7)
 
@@ -522,24 +525,24 @@ class TestIntegerStorage:
             stored.frames
         x = floats.frames + 1.0
         other = dataclasses.replace(stored, frames=x)
-        assert other._samples is None
+        assert other._counts[0].dtype == np.float64 and other._counts[1] == 1.0
         assert other.frames.dtype == np.float64
         assert np.array_equal(other.frames, x)
         assert np.array_equal(other.scan_phases, stored.scan_phases)
-        assert (stored._samples is None) == first_read
+        assert (stored._counts[0].dtype == np.float64) == first_read
         assert np.array_equal(stored.frames, floats.frames)
 
     def test_assigned_frames_replace_the_samples(self):
         stored, floats = sample_stacks(8, (6, 7))
         stored.frames = floats.frames * 2.0
-        assert stored._samples is None
+        assert stored._counts[0].dtype == np.float64 and stored._counts[1] == 1.0
         doubled = analyze_stack(FrameStack(floats.frames * 2.0, floats.scan_phases))
         assert_same_result(analyze_stack(stored), doubled)
 
     def test_truncated_keeps_the_samples(self):
         stored, floats = sample_stacks(8, (6, 7))
         head = stored.truncated(5)
-        assert head._samples is not None and head._samples.dtype == np.uint16
+        assert head._counts[0].dtype == np.uint16 and head._counts[1] == stored._counts[1]
         assert head.meta["gain"] == stored.meta["gain"]
         assert np.array_equal(head.frames, floats.frames[:5])
         assert np.array_equal(head.scan_phases, floats.scan_phases[:5])
@@ -552,6 +555,45 @@ class TestIntegerStorage:
             FrameStack._from_samples(samples, 1.0, np.array([0.0, np.nan, 1.0]), {"gain": 1.0})
         with pytest.raises(ValueError, match="at least one pixel"):
             FrameStack._from_samples(samples[:, :0], 1.0, np.zeros(3), {"gain": 1.0})
+
+    def test_scaling_while_frames_are_first_read(self):
+        # the first read of frames replaces samples and gain; a thread that
+        # scales the samples meanwhile must see the old pair or the new one,
+        # since new samples over the old gain (or the reverse) are wrong counts
+        stored, floats = sample_stacks(4, (3, 5))
+        samples, gain = stored._counts
+        current, wrong = [stored], []
+        stop = threading.Event()
+
+        def scale():
+            out = np.empty((3, 5))
+            while not stop.is_set():
+                got = current[0]._scaled(1, out)
+                if not np.array_equal(got, floats.frames[1]):
+                    wrong.append(got.copy())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        scaler = threading.Thread(target=scale)
+        scaler.start()
+        try:
+            deadline = time.monotonic() + 1.0
+            while time.monotonic() < deadline and not wrong:
+                current[0] = FrameStack._from_samples(samples, gain, floats.scan_phases, {})
+                current[0].frames
+        finally:
+            stop.set()
+            scaler.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+        assert not scaler.is_alive()
+        assert not wrong
+
+    def test_only_fringes_touches_the_storage(self):
+        # other modules go through FrameStack._from_samples and _scaled
+        package = Path(fringes.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            if path.name != "fringes.py":
+                assert "._counts" not in path.read_text(encoding="utf-8"), path.name
 
     def test_scratch_bands_survive_many_switching_workers(self):
         # more workers than cores, switching threads every microsecond: a

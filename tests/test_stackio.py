@@ -172,7 +172,7 @@ class TestStackRoundTrip:
         stored = read_stack(tmp_path / "s")
         floats = FrameStack(read_stack(tmp_path / "s").frames, stored.scan_phases, stored.meta)
         write_stack(stored, tmp_path / "a", gain=gain)
-        assert stored._samples is not None, "writing must not expand the samples"
+        assert stored._counts[0].dtype == np.uint16, "writing must not expand the samples"
         write_stack(floats, tmp_path / "b", gain=gain)
         names = sorted(p.name for p in (tmp_path / "a").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
@@ -199,8 +199,8 @@ class TestStoredSamples:
         write_stack(stack, tmp_path / "s")
         back = read_stack(tmp_path / "s")
         assert "frames" not in vars(back)
-        assert back._samples.dtype == np.uint16
-        assert back._samples.nbytes == 2 * 5 * 16 * 20
+        assert back._counts[0].dtype == np.uint16
+        assert back._counts[0].nbytes == 2 * 5 * 16 * 20
         assert (back.frame_count, back.height, back.width) == (5, 16, 20)
 
     def test_frames_are_the_samples_over_the_gain(self, tmp_path):
@@ -213,13 +213,20 @@ class TestStoredSamples:
         ]).reshape(stack.frames.shape)
         back = read_stack(tmp_path / "s")
         assert np.array_equal(back.frames, raw / 9.1)
-        assert back._samples is None
+        assert back._counts[0].dtype == np.float64 and back._counts[1] == 1.0
+
+    def test_equality_is_identity_and_keeps_the_samples(self, tmp_path):
+        write_stack(sample_stack(), tmp_path / "s")
+        a, b = read_stack(tmp_path / "s"), read_stack(tmp_path / "s")
+        assert a == a and a != b
+        assert a._counts[0].dtype == b._counts[0].dtype == np.uint16
+        assert FrameStack(a.frames, a.scan_phases) != FrameStack(b.frames, b.scan_phases)
 
     def test_frames_used_keeps_the_samples(self, tmp_path):
         write_stack(sample_stack(k=8), tmp_path / "s")
         back = read_stack(tmp_path / "s")
         head = back.truncated(4)
-        assert head._samples is not None and head.frame_count == 4
+        assert head._counts[0].dtype == np.uint16 and head.frame_count == 4
         assert np.array_equal(head.frames, read_stack(tmp_path / "s").frames[:4])
 
 
@@ -323,10 +330,15 @@ class TestStackValidation:
             (lambda v: v.update(frame_sha256=v["frame_sha256"].rsplit(",", 1)[0]), r"frame_count"),
             (lambda v: v.update(scan_phases=v["scan_phases"].rsplit(",", 1)[0]), r"frame_count"),
             (lambda v: v.update(width=v["height"], height=v["width"]), r"frame_0000\.pgm"),
+            # checked before the (frame_count, height, width) samples are allocated
+            (
+                lambda v: v.update(width="5000000", height="4000000"),
+                r"frame frame_0000\.pgm is 20x16, manifest says 5000000x4000000",
+            ),
         ],
         ids=[
             "missing-gain", "zero-gain", "inf-gain", "nan-gain", "tiny-gain",
-            "few-checksums", "few-phases", "frame-size",
+            "few-checksums", "few-phases", "frame-size", "huge-frame-size",
         ],
     )
     def test_inconsistent_manifest_names_file(self, tmp_path, edit, pattern):
