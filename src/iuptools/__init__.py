@@ -7,63 +7,11 @@ poled LiNbO3, and benchmarks the analysis path.
 
 __version__ = "0.1.0"
 
-from .fringes import (
-    AnalysisResult,
-    ExtractionOptions,
-    FrameStack,
-    FrequencyEstimationError,
-    NyquistError,
-    OptionsError,
-    analyze_stack,
-    contrast,
-    dft_component,
-    estimate_fringe_frequency,
-    phase,
-    single_bin_amplitude,
-    visibility,
-)
-from .optics import (
-    ConfigurationError,
-    NoiseModel,
-    ObjectScene,
-    OpticalConfig,
-    ScanPlan,
-    coherence_envelope,
-    effective_complex_map,
-    fringe_phase_from_mirror,
-    magnification,
-    make_test_target,
-    psf_width,
-    render_frame,
-    simulate_stack,
-)
-from .qpm import (
-    CrystalState,
-    DispersionSet,
-    PhaseMatchError,
-    TuningPoint,
-    WavelengthPair,
-    default_dispersion_set,
-    idler_from_signal,
-    load_dispersion_set,
-    qpm_mismatch,
-    refractive_index,
-    solve_signal_idler,
-    tuning_curve,
-    tuning_table_csv,
-)
-from .stackio import (
-    StackFormatError,
-    StackIntegrityError,
-    UnsupportedVersionError,
-    export_maps,
-    parse_key_values,
-    read_config_file,
-    read_scene,
-    read_stack,
-    write_scene,
-    write_stack,
-)
-from .bench import BenchReport, BenchRow, parse_bench_csv, run_bench
+# each module's __all__ is the one list of its public names
+from .fringes import *
+from .optics import *
+from .qpm import *
+from .stackio import *
+from .bench import *
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -32,7 +32,7 @@ the other frames.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import ndimage
@@ -62,6 +62,14 @@ TARGET_KINDS = ("ring-electrode", "smooth-wing", "phase-step", "uniform")
 
 class ConfigurationError(ValueError):
     """Scene and optical geometry cannot be reconciled."""
+
+
+def _check_finite(settings, error: type[ValueError]) -> None:
+    """Raise error naming the first float field of the dataclass settings that is NaN or inf."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if f.type == "float" and not math.isfinite(value):
+            raise error(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -118,19 +126,12 @@ class OpticalConfig:
     loss_coupling: str = "amplitude"
 
     def __post_init__(self) -> None:
-        for name in (
-            "pump_wavelength_nm",
-            "detected_wavelength_nm",
-            "undetected_wavelength_nm",
-            "f_u_mm",
-            "f_c_mm",
-            "pump_waist_mm",
-            "coherence_length_mm",
-            "pixel_pitch_um",
-            "mean_counts",
-        ):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be > 0")
+        _check_finite(self, ConfigurationError)
+        # every float setting but these two is a wavelength, length or count
+        for f in fields(self):
+            if f.type == "float" and f.name not in ("system_visibility", "path_mismatch_mm"):
+                if not getattr(self, f.name) > 0:
+                    raise ConfigurationError(f"{f.name} must be > 0")
         if self.sensor_width < 1 or self.sensor_height < 1:
             raise ConfigurationError("sensor dimensions must be >= 1 pixel")
         if not 0.0 <= self.system_visibility <= 1.0:
@@ -190,16 +191,21 @@ class NoiseModel:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.read_noise_sigma < 0:
+        _check_finite(self, ValueError)
+        # written so that NaN fails too
+        if not self.read_noise_sigma >= 0:
             raise ValueError("read_noise_sigma must be >= 0")
-        if self.dark_offset < 0:
+        if not self.dark_offset >= 0:
             raise ValueError("dark_offset must be >= 0")
         self.rng_seed = int(self.rng_seed) & (2**64 - 1)
 
 
-def fringe_phase_from_mirror(displacement_nm: float, idler_wavelength_nm: float) -> float:
-    """Fringe phase 4 pi d / lambda_u; the mirror path is travelled twice, so
-    the fringe period is half the idler wavelength in displacement."""
+def fringe_phase_from_mirror(
+    displacement_nm: float | np.ndarray, idler_wavelength_nm: float
+) -> float | np.ndarray:
+    """Fringe phase 4 pi d / lambda_u of a displacement d, or of each in an array;
+    the mirror path is travelled twice, so the fringe period is half the idler
+    wavelength in displacement."""
     if not idler_wavelength_nm > 0:
         raise ValueError("idler_wavelength_nm must be > 0")
     return 4.0 * math.pi * displacement_nm / idler_wavelength_nm
@@ -259,21 +265,18 @@ def effective_complex_map(scene: ObjectScene, config: OpticalConfig) -> np.ndarr
     # grid-constant blends linearly into the fill value at the boundary;
     # plain constant would snap a coordinate of -1e-15 to the fill value.
     # Each scene-sized product is dropped as soon as it has been resampled.
-    real = np.cos(scene.phase_map)
-    real *= scene.amplitude_map
-    real = ndimage.affine_transform(
-        real, (step, step), offset=(row0, col0), output_shape=shape,
-        order=1, mode="grid-constant", cval=1.0,
-    )
-    imag = np.sin(scene.phase_map)
-    imag *= scene.amplitude_map
-    imag = ndimage.affine_transform(
-        imag, (step, step), offset=(row0, col0), output_shape=shape,
-        order=1, mode="grid-constant", cval=0.0,
-    )
+    parts = []
+    for quadrature, fill in ((np.cos, 1.0), (np.sin, 0.0)):
+        part = quadrature(scene.phase_map)
+        part *= scene.amplitude_map
+        part = ndimage.affine_transform(
+            part, (step, step), offset=(row0, col0), output_shape=shape,
+            order=1, mode="grid-constant", cval=fill,
+        )
+        parts.append(part)
     t = np.empty(shape, dtype=np.complex128)
-    ndimage.gaussian_filter(real, sigma_px, mode="nearest", output=t.real)
-    ndimage.gaussian_filter(imag, sigma_px, mode="nearest", output=t.imag)
+    for part, out in zip(parts, (t.real, t.imag)):
+        ndimage.gaussian_filter(part, sigma_px, mode="nearest", output=out)
     return t
 
 
@@ -366,12 +369,7 @@ def simulate_stack(
 ) -> FrameStack:
     """Render one frame per mirror position and assemble the stack."""
     noise = noise if noise is not None else NoiseModel()
-    phases = np.array(
-        [
-            fringe_phase_from_mirror(d, config.undetected_wavelength_nm)
-            for d in plan.mirror_positions_nm
-        ]
-    )
+    phases = fringe_phase_from_mirror(plan.mirror_positions_nm, config.undetected_wavelength_nm)
     # the stack is allocated before the basis maps, so that releasing them
     # frees one block instead of leaving holes in the heap under the stack
     # (the reverse order raised the peak RSS of a full-frame acquire, write,

@@ -155,22 +155,19 @@ def idler_from_signal(pump_nm: float, signal_nm: float) -> float:
 
 
 def _check_window(ds: DispersionSet, temperature_c: float, *wavelengths_nm) -> None:
-    """Raise ValueError for a wavelength (nm) or the temperature outside ds's window."""
-    # a temperature fault is reported after the first wavelength's fault and
-    # before any later one's, as when each was checked with the temperature
-    temp_ok = ds.temp_min_c <= temperature_c <= ds.temp_max_c
-    for lam_nm in wavelengths_nm[: None if temp_ok else 1]:
+    """Raise ValueError for the temperature or a wavelength (nm) outside ds's window."""
+    if not ds.temp_min_c <= temperature_c <= ds.temp_max_c:
+        raise ValueError(
+            f"temperature {temperature_c} C outside the validity range "
+            f"[{ds.temp_min_c}, {ds.temp_max_c}] C of dispersion set {ds.name}"
+        )
+    for lam_nm in wavelengths_nm:
         lam_um = np.asarray(lam_nm, dtype=np.float64) / 1000.0
         if np.any(lam_um < ds.lambda_min_um) or np.any(lam_um > ds.lambda_max_um):
             raise ValueError(
                 f"wavelength outside the validity window "
                 f"[{ds.lambda_min_um}, {ds.lambda_max_um}] um of dispersion set {ds.name}"
             )
-    if not temp_ok:
-        raise ValueError(
-            f"temperature {temperature_c} C outside the validity range "
-            f"[{ds.temp_min_c}, {ds.temp_max_c}] C of dispersion set {ds.name}"
-        )
 
 
 def refractive_index(wavelength_nm, temperature_c: float, dispersion_set: DispersionSet | None = None):

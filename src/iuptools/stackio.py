@@ -219,8 +219,11 @@ def _items(text: str) -> list[str]:
     return [v for v in text.split(",") if v != ""]
 
 
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in _items(text)]
+def _finite_floats(text: str) -> list[float]:
+    values = [float(v) for v in _items(text)]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("values must be finite")
+    return values
 
 
 def _payload(path: Path, source: str, what: str) -> bytes:
@@ -271,7 +274,7 @@ def read_stack(manifest_path: str | Path) -> FrameStack:
             f"{source}: gain must be finite and > 0, with 65535 / gain finite; "
             f"got {values['gain']!r}"
         )
-    phases = _field(values, "scan_phases", source, _floats)
+    phases = _field(values, "scan_phases", source, _finite_floats)
     names = _field(values, "frame_files", source, _items)
     digests = _field(values, "frame_sha256", source, _items)
     for listed, what in ((names, "frame file(s)"), (digests, "checksum(s)"),

@@ -119,6 +119,15 @@ class TestSimulate:
         assert "'shot_noise'" in err and "'maybe'" in err
         assert not (tmp_path / "x").exists()
 
+    def test_non_finite_setting_names_key(self, tmp_path, scene_dir, capsys):
+        code = run("simulate", "--scene", str(scene_dir), "--set", "read_noise_sigma=nan",
+                   "--seed", "3", "--out", str(tmp_path / "x"))
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:") and "read_noise_sigma" in lines[0]
+        assert not (tmp_path / "x").exists()
+
     def test_every_config_field_settable(self, tmp_path, scene_dir, monkeypatch):
         import iuptools.cli as cli
         from iuptools import NoiseModel, OpticalConfig

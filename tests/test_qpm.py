@@ -107,6 +107,10 @@ class TestDispersion:
         with pytest.raises(ValueError):
             refractive_index(1064.0, 250.0)
 
+    def test_temperature_fault_reported_before_wavelength_fault(self):
+        with pytest.raises(ValueError, match="temperature 10.0 C outside"):
+            refractive_index(450.0, 10.0)
+
     def test_load_from_explicit_path(self, tmp_path):
         import iuptools.data
 

@@ -95,6 +95,22 @@ class TestSceneAndConfig:
         with pytest.raises(ValueError):
             NoiseModel(dark_offset=-0.5)
 
+    @pytest.mark.parametrize(
+        "cls, field, value",
+        [
+            (NoiseModel, "read_noise_sigma", np.nan),
+            (NoiseModel, "read_noise_sigma", np.inf),
+            (NoiseModel, "dark_offset", np.nan),
+            (OpticalConfig, "path_mismatch_mm", np.nan),
+            (OpticalConfig, "mean_counts", np.inf),
+            (OpticalConfig, "system_visibility", np.nan),
+            (OpticalConfig, "f_u_mm", -np.inf),
+        ],
+    )
+    def test_non_finite_setting_refused_by_name(self, cls, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            cls(**{field: value})
+
     def test_scan_plan_equal_steps(self):
         plan = ScanPlan.equal_steps(4, 1558.0)
         phases = [fringe_phase_from_mirror(p, 1558.0) for p in plan.mirror_positions_nm]
@@ -201,6 +217,14 @@ class TestSimulateStack:
         assert stack.scan_phases == pytest.approx([0, np.pi / 2, np.pi, 3 * np.pi / 2])
         assert stack.meta["exposure_ms"] == 200.0
         assert stack.meta["undetected_nm"] == cfg.undetected_wavelength_nm
+
+    def test_scan_phases_equal_the_scalar_formula(self):
+        cfg = small_config()
+        scene = make_test_target("uniform", (8, 8))
+        positions = [0.0, 97.3, 211.0, 388.8, 1013.7, -52.1, 0.1]
+        stack = simulate_stack(scene, cfg, ScanPlan(positions), NoiseModel())
+        want = [fringe_phase_from_mirror(d, cfg.undetected_wavelength_nm) for d in positions]
+        assert np.array_equal(stack.scan_phases, want)
 
     def test_noiseless_round_trip(self):
         """analyze(simulate(scene)) returns V_sys*E*|t| and arg t per pixel."""
