@@ -16,11 +16,9 @@ import numpy as np
 
 from .fringes import FrameStack, analyze_stack
 
-__all__ = ["BenchRow", "BenchReport", "run_bench", "parse_bench_csv"]
+__all__ = ["BenchRow", "BenchReport", "run_bench"]
 
 _WARMUP_RUNS = 3
-_CSV_HEADER = "K,mean_ms,std_ms,runs,threads,width,height"
-_CSV_MACHINE = "# machine: "
 
 
 @dataclass(frozen=True)
@@ -38,16 +36,6 @@ class BenchReport:
     height: int
     threads: int
     machine: str
-
-    def to_csv(self) -> str:
-        lines = [_CSV_HEADER]
-        for row in self.rows:
-            lines.append(
-                f"{row.frame_count},{row.mean_ms:.6f},{row.std_ms:.6f},"
-                f"{row.runs},{self.threads},{self.width},{self.height}"
-            )
-        lines.append(_CSV_MACHINE + self.machine)
-        return "\n".join(lines) + "\n"
 
     def table(self) -> str:
         lines = [
@@ -114,27 +102,3 @@ def run_bench(
         )
     return BenchReport(tuple(rows), width, height, threads, _machine_descriptor())
 
-
-def parse_bench_csv(text: str) -> BenchReport:
-    """Rebuild a report from its CSV text, machine descriptor included.
-
-    A CSV without the trailing "# machine:" line reports the machine as
-    "unknown".
-    """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != _CSV_HEADER:
-        raise ValueError(f"expected header {_CSV_HEADER!r}")
-    machine = "unknown"
-    if lines[-1].startswith(_CSV_MACHINE):
-        machine = lines.pop()[len(_CSV_MACHINE) :]
-    rows = []
-    threads = width = height = None
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise ValueError(f"expected 7 columns, got {len(parts)}: {line!r}")
-        rows.append(BenchRow(int(parts[0]), float(parts[1]), float(parts[2]), int(parts[3])))
-        threads, width, height = int(parts[4]), int(parts[5]), int(parts[6])
-    if threads is None:
-        raise ValueError("CSV has no data rows")
-    return BenchReport(tuple(rows), width, height, threads, machine)

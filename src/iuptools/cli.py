@@ -166,9 +166,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     frame_counts = [int(v) for v in args.frames.split(",") if v != ""]
     report = run_bench(args.width, args.height, frame_counts, args.runs, threads=args.threads)
     print(report.table())
-    if args.out:
-        _atomic_write_text(Path(args.out), report.to_csv())
-        print(f"csv -> {args.out}")
     return 0
 
 
@@ -230,7 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", default="3,4,8,15", help="comma list of frame counts")
     p.add_argument("--runs", type=int, default=100, help="timed repetitions per K")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--out", default=None, help="write the report as CSV here")
     p.set_defaults(func=_cmd_bench)
     return parser
 

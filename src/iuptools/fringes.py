@@ -7,16 +7,20 @@ frequency f (cycles per scan). The fit is a fixed linear map of the series,
 the projector built by _projectors, so every frequency mode runs the same
 kernel: assume-one-cycle is f = 1, where the fit reproduces the DFT-bin
 formulas (A = X0/K, c = 2 X1/K) to rounding error; fixed uses a given f;
-estimate takes f from the minimum of the fit residual of the spatial-mean
+estimate takes f from the minimum of the fit residual of the frame-mean
 series, which keeps the fringe energy of off-bin scans out of neighbouring
 bins.
+
+Pixels are read in fixed row chunks shared among worker threads. The
+frame-mean series adds each chunk's frame sums in chunk order, so it is the
+same for any thread count; estimate mode and the leakage flag both fit it.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -326,33 +330,55 @@ def _estimate_from_series(y: np.ndarray) -> float:
     return best
 
 
-def _mean_series(stack: FrameStack) -> np.ndarray:
-    """The spatial mean of each frame, frames.mean(axis=(1, 2)).
-
-    Samples are scaled one frame at a time into one buffer. Each frame's
-    mean reduces the same values in the same order as the whole-stack mean,
-    so the series is bit-equal to it, except for a float stack whose frame
-    axis has the smallest stride (Fortran order), where numpy sums the whole
-    stack in another order.
-    """
-    frame = np.empty((stack.height, stack.width))
-    return np.array([stack._scaled(i, frame).mean() for i in range(stack.frame_count)])
+# pixels per row chunk, so that a chunk's (3, pixels) sums and scratch stay in cache
+_CHUNK_PIXELS = 1 << 15
 
 
-def estimate_fringe_frequency(stack: FrameStack) -> float:
-    """Locate the fringe frequency (cycles per scan) of a stack.
+def _row_chunks(height: int, width: int) -> list[tuple[int, int]]:
+    rows = max(1, _CHUNK_PIXELS // width)
+    return [(r0, min(r0 + rows, height)) for r0 in range(0, height, rows)]
 
-    The single-frequency fit residual of the spatial-mean series is scanned
-    on an even grid over [1/8, K/2 - 1/8]. From the grid minimum, parabolic
-    vertex steps through the residuals at +-h, for h of one grid step, 1e-3,
-    1e-5 and 1e-8 cycles, each move the estimate by at most h, stay inside
-    that interval and are kept only where the residual does not rise. An
-    estimate on an edge of the interval, where the residual still falls, is
-    refused with FrequencyEstimationError.
-    """
+
+def _map_chunks(stack: FrameStack, body, threads: int) -> list:
+    """body(rows, y) for each fixed row chunk, shared among `threads` workers,
+    in chunk order. y is frames[:, rows] as float64: a view of samples that
+    are the counts, else the samples over the gain in a buffer per worker."""
+    k, height, width = stack.frame_count, stack.height, stack.width
+    chunks = _row_chunks(height, width)
+    band_rows = chunks[0][1] - chunks[0][0]
+    scratch = threading.local()
+
+    def run(chunk: tuple[int, int]):
+        rows = slice(*chunk)
+        band = getattr(scratch, "band", None)
+        if band is None:
+            band = scratch.band = np.empty((k, band_rows, width))
+        return body(rows, stack._scaled(np.s_[:, rows], band[:, : rows.stop - rows.start]))
+
+    workers = max(1, min(int(threads), len(chunks)))
+    if workers == 1:
+        return [run(chunk) for chunk in chunks]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, chunks))
+
+
+def _sums_by_frame(rows: slice, y: np.ndarray) -> list:
+    """Each frame's sum over the pixels of one row chunk."""
+    return [y[i].sum() for i in range(y.shape[0])]
+
+
+def _frame_means(chunk_sums: list, stack: FrameStack) -> np.ndarray:
+    """The frame-mean series: the chunks' frame sums, added in chunk order,
+    over height * width; the same for any worker count."""
+    return np.array(chunk_sums).sum(axis=0) / (stack.height * stack.width)
+
+
+def _estimate(stack: FrameStack, threads: int) -> float:
+    """estimate_fringe_frequency, with the frame sums shared among `threads` workers."""
     if stack.frame_count < 4:
         raise OptionsError("estimate mode needs at least 4 frames; use assume-one-cycle or fixed")
-    estimate = _estimate_from_series(_mean_series(stack))
+    chunk_sums = _map_chunks(stack, _sums_by_frame, threads)
+    estimate = _estimate_from_series(_frame_means(chunk_sums, stack))
     if estimate in (_EDGE, stack.frame_count / 2.0 - _EDGE):
         raise FrequencyEstimationError(
             f"the fit residual falls toward the edge of the search interval at {estimate:g} "
@@ -361,13 +387,20 @@ def estimate_fringe_frequency(stack: FrameStack) -> float:
     return estimate
 
 
-# pixels per row chunk, so that a chunk's (3, pixels) sums and scratch stay in cache
-_CHUNK_PIXELS = 1 << 15
+def estimate_fringe_frequency(stack: FrameStack) -> float:
+    """Locate the fringe frequency (cycles per scan) of a stack.
 
-
-def _row_chunks(height: int, width: int) -> list[tuple[int, int]]:
-    rows = max(1, _CHUNK_PIXELS // width)
-    return [(r0, min(r0 + rows, height)) for r0 in range(0, height, rows)]
+    The fit runs on the frame-mean series, each frame's sums per row chunk
+    added in chunk order over the pixel count, as analyze_stack builds it at
+    any thread count. Its single-frequency fit residual is scanned on an even
+    grid over [1/8, K/2 - 1/8]. From the grid minimum, parabolic vertex steps
+    through the residuals at +-h, for h of one grid step, 1e-3, 1e-5 and 1e-8
+    cycles, each move the estimate by at most h, stay inside that interval
+    and are kept only where the residual does not rise. An estimate on an
+    edge of the interval, where the residual still falls, is refused with
+    FrequencyEstimationError.
+    """
+    return _estimate(stack, threads=1)
 
 
 def analyze_stack(
@@ -385,7 +418,9 @@ def analyze_stack(
     processed in fixed row chunks, shared among `threads` workers; each
     pixel's sums run over the frames in index order, so results are
     bit-identical for any worker count. A stack's samples are scaled by its
-    gain one chunk at a time, into a chunk-sized buffer per worker.
+    gain one chunk at a time, into a chunk-sized buffer per worker. Estimate
+    mode and the leakage flag fit the frame-mean series of
+    estimate_fringe_frequency; the flag's sums are taken in the projection pass.
     """
     opts = options if options is not None else ExtractionOptions()
     k = stack.frame_count
@@ -401,7 +436,7 @@ def analyze_stack(
                 f"fixed frequency {f_used} outside the resolvable interval (0, {k / 2})"
             )
     elif opts.frequency_mode == "estimate":
-        f_used = estimate_fringe_frequency(stack)
+        f_used = _estimate(stack, threads)
     else:
         f_used = 1.0
     # P as (3, K): row j weighs the K frames into sum j
@@ -416,50 +451,34 @@ def analyze_stack(
     mask = np.empty((height, width), dtype=bool)
     # the threshold is never negative, so a >= floor means a >= threshold and a > 0
     floor = max(float(opts.min_dc_threshold), math.ulp(0.0))
-    chunks = _row_chunks(height, width)
-    band_rows = chunks[0][1] - chunks[0][0]
-    scratch = threading.local()
-    # the leakage check fits the spatial-mean series; each chunk's per-frame
-    # sums fill one row here while the chunk is in cache
+    # the leakage check fits the frame-mean series; each chunk returns its
+    # frame sums while it is in cache
     check_leakage = k >= 4 and opts.frequency_mode != "estimate"
-    frame_sums = np.empty((len(chunks), k)) if check_leakage else None
 
-    def extract_rows(index: int) -> None:
-        r0, r1 = chunks[index]
-        band = getattr(scratch, "band", None)
-        if band is None:
-            band = scratch.band = np.empty((k, band_rows, width))
-        y = stack._scaled(np.s_[:, r0:r1], band[:, : r1 - r0])
+    def extract_rows(rows: slice, y: np.ndarray) -> list | None:
         # einsum's loop adds each pixel's K products in frame order, where a
         # BLAS product would neither fix that order nor stay off the workers' CPUs
         a, cr, ci = np.einsum("jk,krw->jrw", proj, y)
-        if check_leakage:
-            for i in range(k):
-                frame_sums[index, i] = y[i].sum()
-        valid = np.greater_equal(a, floor, out=mask[r0:r1])
-        angles = np.arctan2(ci, cr, out=ph[r0:r1], where=valid)
+        sums = _sums_by_frame(rows, y) if check_leakage else None
+        valid = np.greater_equal(a, floor, out=mask[rows])
+        angles = np.arctan2(ci, cr, out=ph[rows], where=valid)
         # atan2 can round to -pi; phases lie in (-pi, pi]
         np.add(angles, 2.0 * np.pi, out=angles, where=angles <= -np.pi)
         # the complex magnitude rescales where cr**2 + ci**2 would overflow
         c = np.empty(a.shape, dtype=complex)
         c.real, c.imag = cr, ci
         amp = np.abs(c, out=cr)
-        np.divide(amp, a, out=vis[r0:r1], where=valid)
-        np.multiply(amp, 2.0, out=con[r0:r1], where=valid)
-        np.maximum(a, 0.0, out=dc[r0:r1])
+        np.divide(amp, a, out=vis[rows], where=valid)
+        np.multiply(amp, 2.0, out=con[rows], where=valid)
+        np.maximum(a, 0.0, out=dc[rows])
+        return sums
 
-    workers = max(1, min(int(threads), len(chunks)))
-    if workers == 1:
-        for index in range(len(chunks)):
-            extract_rows(index)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(extract_rows, range(len(chunks))))
+    chunk_sums = _map_chunks(stack, extract_rows, threads)
 
     leakage = False
     if check_leakage:
         try:
-            observed = _estimate_from_series(frame_sums.sum(axis=0) / (height * width))
+            observed = _estimate_from_series(_frame_means(chunk_sums, stack))
         except FrequencyEstimationError:
             observed = None
         if observed is not None and abs(observed - f_used) > 0.05:

@@ -64,6 +64,10 @@ class ConfigurationError(ValueError):
     """Scene and optical geometry cannot be reconciled."""
 
 
+# numpy's Poisson sampler refuses a larger lam
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+
+
 def _check_finite(settings, error: type[ValueError]) -> None:
     """Raise error naming the first float field of the dataclass settings that is NaN or inf."""
     for f in fields(settings):
@@ -95,6 +99,7 @@ class ObjectScene:
             raise ValueError(f"amplitude values must lie in [0, 1], got [{amin}, {amax}]")
         if self.mode not in SCENE_MODES:
             raise ValueError(f"mode must be one of {SCENE_MODES}")
+        _check_finite(self, ValueError)
         if not self.scene_pitch_um > 0:
             raise ValueError("scene_pitch_um must be > 0")
 
@@ -163,6 +168,7 @@ class ScanPlan:
             raise ValueError("a scan needs at least one mirror position")
         if not np.isfinite(self.mirror_positions_nm).all():
             raise ValueError("mirror positions must be finite")
+        _check_finite(self, ValueError)
         if not self.exposure_ms > 0:
             raise ValueError("exposure_ms must be > 0")
 
@@ -294,8 +300,16 @@ def _fringe_basis(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sensor maps (dc, P, Q) with mu = dc + cos s * P - sin s * Q.
 
-    P and Q are the real and imaginary parts of one complex map.
+    P and Q are the real and imaginary parts of one complex map. A peak count
+    mean_counts * (1 + V_sys) + dark past the float64 range, or under shot
+    noise past numpy's Poisson limit, is refused.
     """
+    peak = config.mean_counts * (1.0 + config.system_visibility) + noise.dark_offset
+    limit = _POISSON_LAM_MAX if noise.shot_noise else np.finfo(np.float64).max
+    if not peak <= limit:
+        raise ConfigurationError(
+            f"mean_counts {config.mean_counts!r} gives a peak count of {peak:g}, past {limit:g}"
+        )
     pq = effective_complex_map(scene, config)
     if config.loss_coupling == "intensity":
         pq *= np.abs(pq)

@@ -128,6 +128,20 @@ class TestSimulate:
         assert lines[0].startswith("error:") and "read_noise_sigma" in lines[0]
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "settings",
+        [["mean_counts=1e308"], ["mean_counts=1e20", "shot_noise=true"]],
+        ids=["overflow", "poisson-limit"],
+    )
+    def test_unrenderable_budget_names_key(self, tmp_path, scene_dir, capsys, settings):
+        sets = [arg for item in settings for arg in ("--set", item)]
+        code = run("simulate", "--scene", str(scene_dir), *sets, "--out", str(tmp_path / "x"))
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:") and "mean_counts" in lines[0]
+        assert not (tmp_path / "x").exists()
+
     def test_every_config_field_settable(self, tmp_path, scene_dir, monkeypatch):
         import iuptools.cli as cli
         from iuptools import NoiseModel, OpticalConfig
@@ -286,18 +300,14 @@ class TestTune:
 
 
 class TestBench:
-    def test_csv_output(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
+    def test_table_output(self, capsys):
         assert run("bench", "--width", "64", "--height", "48",
-                   "--frames", "3,4", "--runs", "2", "--out", str(out)) == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "K,mean_ms,std_ms,runs,threads,width,height"
-        assert len(lines) == 4
-        assert lines[-1].startswith("# machine: ")
-        k, mean_ms, std_ms, runs, threads, width, height = lines[1].split(",")
-        assert (int(k), int(runs), int(threads)) == (3, 2, 1)
-        assert (int(width), int(height)) == (64, 48)
-        assert float(mean_ms) > 0.0
+                   "--frames", "3,4", "--runs", "2") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "geometry: 64x48, threads: 1" in lines
+        rows = [line.split() for line in lines[3:]]
+        assert [int(row[0]) for row in rows] == [3, 4]
+        assert all(int(row[3]) == 2 for row in rows)
 
 
 class TestTopLevel:

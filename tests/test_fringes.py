@@ -26,8 +26,8 @@ from iuptools import (
     single_bin_amplitude,
     visibility,
 )
-from iuptools import fringes
-from iuptools.fringes import _mean_series, _projectors
+from iuptools import fringes, read_stack, write_stack
+from iuptools.fringes import _frame_means, _map_chunks, _projectors, _sums_by_frame
 
 
 def fringe_series(k_frames, amp_dc, amp_mod, phi0, cycles=1.0):
@@ -400,16 +400,31 @@ class TestAnalyzeStack:
         assert fixed.visibility_map == pytest.approx(0.5, abs=1e-6)
 
     @pytest.mark.parametrize("cycles, flagged", [(1.0, False), (1.25, True)])
-    def test_leakage_flag_matches_frequency_estimate(self, cycles, flagged):
+    def test_leakage_flag_matches_frequency_estimate(self, tmp_path, cycles, flagged):
         # 250 rows of 300 pixels span three row chunks, the last one short
         rng = np.random.default_rng(46)
         stack = fringe_stack(8, 200.0, 80.0, 0.3, shape=(250, 300), cycles=cycles)
         frames = stack.frames + rng.uniform(0.0, 5.0, stack.frames.shape)
         stack = FrameStack(frames, stack.scan_phases)
-        observed = estimate_fringe_frequency(stack)
-        assert (abs(observed - 1.0) > 0.05) == flagged
-        for threads in (1, 2, 3):
-            assert analyze_stack(stack, threads=threads).leakage_flag == flagged
+        read = read_stack(write_stack(stack, tmp_path / "stack"))
+        for each in (stack, read):
+            observed = estimate_fringe_frequency(each)
+            assert (abs(observed - 1.0) > 0.05) == flagged
+            for threads in (1, 2, 3, 7):
+                assert analyze_stack(each, threads=threads).leakage_flag == flagged
+        assert read._counts[0].dtype == np.uint16
+
+    def test_estimate_mode_matches_frequency_estimate(self, tmp_path):
+        rng = np.random.default_rng(47)
+        stack = fringe_stack(8, 200.0, 80.0, 0.3, shape=(250, 300), cycles=1.3)
+        stack = FrameStack(rng.poisson(stack.frames).astype(float), stack.scan_phases)
+        read = read_stack(write_stack(stack, tmp_path / "stack"))
+        options = ExtractionOptions(frequency_mode="estimate")
+        for each in (stack, read):
+            want = estimate_fringe_frequency(each)
+            assert want == pytest.approx(1.3, abs=0.01)
+            for threads in (1, 2, 3, 7):
+                assert analyze_stack(each, options, threads=threads).fringe_frequency == want
 
     def test_estimate_mode_recovers_off_bin_fringe(self):
         stack = fringe_stack(8, 2.0, 1.0, 0.0, cycles=1.25)
@@ -485,15 +500,21 @@ class TestIntegerStorage:
         "shape", [(1, 1), (7, 13), (333, 517), (1, 9999), (2049, 3)], ids=str
     )
     def test_mean_series_is_bit_equal(self, shape):
+        def frame_means(stack, threads):
+            return _frame_means(_map_chunks(stack, _sums_by_frame, threads), stack)
+
         stored, floats = sample_stacks(5, shape)
-        series = _mean_series(stored)
-        assert np.array_equal(series, floats.frames.mean(axis=(1, 2)))
-        assert np.array_equal(series, _mean_series(floats))
-        # a strided float stack reduces each frame in the whole-stack order too
+        series = frame_means(stored, 1)
+        # a strided float stack of the same counts
         padded = np.zeros((5, 2 * shape[0], 3 * shape[1]))
         padded[:, ::2, ::3] = floats.frames
         strided = FrameStack(padded[:, ::2, ::3], floats.scan_phases)
-        assert np.array_equal(_mean_series(strided), strided.frames.mean(axis=(1, 2)))
+        for threads in (1, 2, 3, 7):
+            assert np.array_equal(frame_means(stored, threads), series)
+            assert np.array_equal(frame_means(floats, threads), series)
+            for stack in (floats, strided):
+                want = stack.frames.mean(axis=(1, 2))
+                np.testing.assert_allclose(frame_means(stack, threads), want, rtol=1e-14, atol=0)
 
     def test_repr_keeps_the_samples(self):
         stored, floats = sample_stacks(4, (6, 7))

@@ -111,6 +111,20 @@ class TestSceneAndConfig:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             cls(**{field: value})
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda v: ScanPlan([0.0, 1.0, 2.0], exposure_ms=v), "exposure_ms"),
+            (lambda v: ObjectScene(np.ones((2, 2)), np.zeros((2, 2)), scene_pitch_um=v),
+             "scene_pitch_um"),
+        ],
+        ids=["ScanPlan", "ObjectScene"],
+    )
+    def test_non_finite_scan_or_scene_refused_by_name(self, make, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            make(value)
+
     def test_scan_plan_equal_steps(self):
         plan = ScanPlan.equal_steps(4, 1558.0)
         phases = [fringe_phase_from_mirror(p, 1558.0) for p in plan.mirror_positions_nm]
@@ -205,6 +219,26 @@ class TestRenderFrame:
         noise = NoiseModel(shot_noise=True, read_noise_sigma=10.0, rng_seed=8)
         frame = render_frame(scene, cfg, 0.0, noise)
         assert (frame >= 0.0).all()
+
+
+class TestPhotonBudget:
+    @pytest.mark.parametrize(
+        "mean_counts, noise",
+        [(1e308, NoiseModel()), (1e20, NoiseModel(shot_noise=True))],
+        ids=["overflow", "poisson-limit"],
+    )
+    def test_unrenderable_budget_refused_by_name(self, mean_counts, noise):
+        scene = make_test_target("uniform", (32, 40))
+        config = small_config(mean_counts=mean_counts)
+        with pytest.raises(ConfigurationError, match="mean_counts"):
+            simulate_stack(scene, config, ScanPlan.equal_steps(4, 1558.0), noise)
+        with pytest.raises(ConfigurationError, match="mean_counts"):
+            render_frame(scene, config, 0.0, noise)
+
+    def test_budget_past_the_poisson_limit_renders_without_shot_noise(self):
+        scene = make_test_target("uniform", (32, 40))
+        frame = render_frame(scene, small_config(mean_counts=1e20), 0.0)
+        assert np.isfinite(frame).all() and frame.max() > 1e20
 
 
 class TestSimulateStack:

@@ -449,6 +449,7 @@ class TestSceneFiles:
             ("height", "-2"),
             ("mode", "banana"),
             ("scene_pitch_um", "-1"),
+            ("scene_pitch_um", "inf"),
         ],
     )
     def test_unparsable_pitch_names_file_and_key(self, tmp_path, key, bad):
@@ -461,6 +462,7 @@ class TestSceneFiles:
         message = {
             "banana": "mode must be one of",
             "-1": "scene_pitch_um must be > 0",
+            "inf": "scene_pitch_um must be finite",
         }.get(bad, f"key '{key}'")
         with pytest.raises(StackFormatError, match=f"scene.manifest: {message}"):
             read_scene(tmp_path / "scene")
