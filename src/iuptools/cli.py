@@ -87,13 +87,15 @@ def _parse_size(text: str) -> tuple[int, int]:
     return n, n
 
 
-def _parse_value_list(text: str) -> list[float]:
-    """Comma list ("7.4,7.7") or inclusive range ("7.3:7.8:0.1")."""
+def _parse_value_list(text: str, option: str) -> list[float]:
+    """Comma list ("7.4,7.7") or inclusive range ("7.3:7.8:0.1") given to option."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"range must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        if not np.isfinite([start, stop, step]).all():
+            raise ValueError(f"{option}: range start, stop and step must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("range step must be > 0")
         return [float(v) for v in np.arange(start, stop + step / 2.0, step)]
@@ -142,7 +144,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_tune(args: argparse.Namespace) -> int:
     if args.periods is None or args.temps is None:
         raise ValueError("provide --periods (or --period) and --temps (or --temp)")
-    points = tuning_curve(args.pump, _parse_value_list(args.periods), _parse_value_list(args.temps))
+    periods = _parse_value_list(args.periods, "--periods")
+    points = tuning_curve(args.pump, periods, _parse_value_list(args.temps, "--temps"))
     if args.out:
         _atomic_write_text(Path(args.out), tuning_table_csv(points))
         print(args.out)

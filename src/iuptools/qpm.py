@@ -8,6 +8,11 @@ the collinear first-order type-0 QPM condition
 with all indices extraordinary. The dispersion data ships as a plain-text
 coefficient table (see data/ppln_mgo5pct_e.txt for the provenance citation);
 alternative tables in the same format can be substituted per crystal.
+
+A tuning grid is solved in array passes: the period-free part of dk is
+scanned once per temperature over a 0.5 nm signal grid, the first sign change
+of every cell is found in fixed-size blocks of cells, and one run of Brent's
+method (scipy's brentq, step for step) polishes all bracketed roots together.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .stackio import _field, _key_values
 
@@ -41,6 +45,9 @@ __all__ = [
 _DEFAULT_SET_RESOURCE = "ppln_mgo5pct_e.txt"
 _SCAN_STEP_NM = 0.5
 _ROOT_TOL_NM = 1e-7
+_ROOT_RTOL = 4.0 * np.finfo(np.float64).eps  # brentq's defaults
+_ROOT_MAXITER = 100
+_BLOCK_CELLS = 64  # cells per pre-scan pass: keeps the (cells x scan points) arrays in cache
 _DEGENERATE_TOL = 1e-6  # 1/um
 
 
@@ -183,23 +190,20 @@ def refractive_index(wavelength_nm, temperature_c: float, dispersion_set: Disper
     return float(n) if np.isscalar(wavelength_nm) else n
 
 
-def _mismatch_unchecked(pump_nm: float, signal: np.ndarray, crystal: CrystalState) -> np.ndarray:
-    # raw mismatch without validity-window errors: out-of-window wavelengths
-    # drive the Sellmeier form negative and come out as NaN, which the
-    # bracket scan simply skips
-    ds = crystal.dispersion_set
+def _mismatch_terms(pump_nm: float, signal, temperature_c, ds: DispersionSet):
+    # dk / 2 pi + 1/Lambda over broadcast signal and temperature, unchecked: out-of-window
+    # wavelengths drive the Sellmeier form negative and give NaN, which the scan skips
     idler = 1.0 / (1.0 / pump_nm - 1.0 / signal)
     with np.errstate(invalid="ignore", divide="ignore"):
-        n_p = np.sqrt(ds.index_squared(pump_nm / 1000.0, crystal.temperature_c))
-        n_s = np.sqrt(ds.index_squared(signal / 1000.0, crystal.temperature_c))
-        n_i = np.sqrt(ds.index_squared(idler / 1000.0, crystal.temperature_c))
-        dk = 2.0 * np.pi * (
-            n_p * (1000.0 / pump_nm)
-            - n_s * (1000.0 / signal)
-            - n_i * (1000.0 / idler)
-            - 1.0 / crystal.poling_period_um
-        )
-    return dk
+        n_p = np.sqrt(ds.index_squared(pump_nm / 1000.0, temperature_c))
+        n_s = np.sqrt(ds.index_squared(signal / 1000.0, temperature_c))
+        n_i = np.sqrt(ds.index_squared(idler / 1000.0, temperature_c))
+        return n_p * (1000.0 / pump_nm) - n_s * (1000.0 / signal) - n_i * (1000.0 / idler)
+
+
+def _mismatch_unchecked(pump_nm: float, signal: np.ndarray, crystal: CrystalState) -> np.ndarray:
+    terms = _mismatch_terms(pump_nm, signal, crystal.temperature_c, crystal.dispersion_set)
+    return 2.0 * np.pi * (terms - 1.0 / crystal.poling_period_um)
 
 
 def qpm_mismatch(pump_nm: float, signal_nm, crystal: CrystalState):
@@ -233,63 +237,126 @@ def _signal_scan_bounds(pump_nm: float, ds: DispersionSet) -> tuple[float, float
     return lo, hi
 
 
-def _first_root(grid: np.ndarray, values: np.ndarray) -> tuple[float, float] | None:
-    """First root of sampled values, looking only at neighbour pairs that are both finite.
+def _first_root(grid: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First root of each row of samples, looking only at neighbour pairs that are both finite.
 
-    Returns (x, x) for an exact zero at the left point x, (a, b) for a sign
-    change between neighbours a and b, or None.
+    Returns (found, a, b) per row: a == b for an exact zero at the left point
+    a, a < b for a sign change between neighbours a and b.
     """
-    left, right = values[:-1], values[1:]
+    left, right = values[..., :-1], values[..., 1:]
     hits = np.isfinite(left) & np.isfinite(right) & ((left == 0.0) | (left * right < 0.0))
-    if not hits.any():
-        return None
-    i = int(np.argmax(hits))
-    return float(grid[i]), float(grid[i if left[i] == 0.0 else i + 1])
+    i = np.argmax(hits, axis=-1)
+    zero = np.take_along_axis(left, i[..., None], axis=-1)[..., 0] == 0.0
+    return hits.any(axis=-1), grid[i], grid[np.where(zero, i, i + 1)]
+
+
+def _brentq(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """scipy.optimize.brentq(f, a[j], b[j], xtol=_ROOT_TOL_NM) for every bracket j at once.
+
+    Bit for bit and with brentq's errors, given finite f(a) and f(b) of opposite
+    signs; f(x, j) evaluates brackets j, and only brackets still iterating.
+    """
+    j, root = np.arange(a.size), np.empty(a.size)
+    xpre, xcur, fpre, fcur = a, b, f(a, j), f(b, j)
+    xblk = fblk = spre = scur = np.zeros(a.size)
+    for _ in range(_ROOT_MAXITER):
+        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        step = xcur - xpre
+        xblk, fblk, spre, scur = np.where(flip, [xpre, fpre, step, step], [xblk, fblk, spre, scur])
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = np.where(swap, [xcur, xblk, xcur], [xpre, xcur, xblk])
+        fpre, fcur, fblk = np.where(swap, [fcur, fblk, fcur], [fpre, fcur, fblk])
+        delta = (_ROOT_TOL_NM + _ROOT_RTOL * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        root[j[done]] = xcur[done]
+        if done.all():
+            return root
+        state = (j, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
+        j, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (v[~done] for v in state)
+        with np.errstate(all="ignore"):  # the rule not taken may divide by zero
+            dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+            extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, interpolate, extrapolate)
+        bound = np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)
+        short = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) & (2 * np.abs(stry) < bound)
+        spre, scur = np.where(short, [scur, stry], sbis)
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = f(xcur, j)
+        if np.isnan(fcur).any():
+            bad = xcur[np.isnan(fcur)][0]
+            raise ValueError(f"The function value at x={bad} is NaN; solver cannot continue.")
+    raise RuntimeError(f"Failed to converge after {_ROOT_MAXITER} iterations.")
+
+
+def _solve_grid(pump_nm: float, periods: list, temps: list, ds: DispersionSet) -> list[TuningPoint]:
+    """Solve every cell of a grid of checked periods and temperatures, in (period, T) order."""
+    cells = [(p, t) for p in periods for t in temps]
+    try:
+        lo, hi = _signal_scan_bounds(pump_nm, ds)
+    except PhaseMatchError as err:
+        return [TuningPoint(p, t, None, str(err)) for p, t in cells]
+    grid = np.append(np.arange(lo, hi, _SCAN_STEP_NM), hi)
+    fine = np.linspace(max(lo, hi - 2.0), hi, 401)
+    temp, inv_period = np.array(temps, dtype=np.float64), 1.0 / np.array(periods, dtype=np.float64)
+    index = np.arange(len(cells)).reshape(inv_period.size, temp.size)
+    found, a, b = np.zeros(len(cells), dtype=bool), np.zeros(len(cells)), np.zeros(len(cells))
+    pairs = np.empty(len(cells), dtype=object)
+
+    def dk(signal, c):
+        terms = _mismatch_terms(pump_nm, signal, temp[c % temp.size], ds)
+        return 2.0 * np.pi * (terms - inv_period[c // temp.size])
+
+    t_step, p_step = min(temp.size, _BLOCK_CELLS), max(1, _BLOCK_CELLS // temp.size)
+    for t0 in range(0, temp.size, t_step):
+        terms = _mismatch_terms(pump_nm, grid, temp[t0 : t0 + t_step, None], ds)
+        for p0 in range(0, inv_period.size, p_step):
+            block = index[p0 : p0 + p_step, t0 : t0 + t_step].ravel()
+            rows = 2.0 * np.pi * (terms - inv_period[p0 : p0 + p_step, None, None])
+            found[block], a[block], b[block] = _first_root(grid, rows.reshape(block.size, -1))
+            need = block[~found[block]]
+            if hi == 2.0 * pump_nm and need.size:
+                # tangency fallback: refine near the degenerate edge
+                fine_rows = dk(fine, need[:, None])
+                found[need], a[need], b[need] = _first_root(fine, fine_rows)
+                edge = np.abs(fine_rows[:, -1])
+                tangent = ~found[need] & (edge <= _DEGENERATE_TOL)
+                pairs[need[tangent]] = [WavelengthPair(hi, hi, r) for r in edge[tangent].tolist()]
+    polish = np.flatnonzero(found & (a < b))
+    a[polish] = _brentq(lambda x, j: dk(x, polish[j]), a[polish], b[polish])
+    solved = np.flatnonzero(found)
+    roots = zip(a[solved].tolist(), np.abs(dk(a[solved], solved)).tolist())
+    pairs[solved] = [WavelengthPair(s, idler_from_signal(pump_nm, s), r) for s, r in roots]
+    points = [TuningPoint(p, t, pair) for (p, t), pair in zip(cells, pairs)]
+    for c in [c for c, pt in enumerate(points) if pt.pair is None]:
+        values = dk(grid, c)
+        shown = values[np.isfinite(values)]
+        detail = "mismatch is not finite anywhere in the scanned range"
+        if shown.size:
+            detail = f"mismatch spans [{shown.min():.6g}, {shown.max():.6g}] 1/um "
+            detail += f"over signal {lo:.1f}..{hi:.1f} nm"
+        note = f"no phase matching for pump {pump_nm} nm at poling period {cells[c][0]} um"
+        points[c] = TuningPoint(*cells[c], None, f"{note}, {cells[c][1]} C ({detail})")
+    return points
 
 
 def solve_signal_idler(pump_nm: float, crystal: CrystalState) -> WavelengthPair:
     """Find the non-degenerate phase-matched pair for a pump wavelength.
 
     A 0.5 nm pre-scan of the mismatch over the valid signal range brackets a
-    sign change; the root is then polished by Brent's method to better than
-    0.01 nm. The mismatch is tangent to zero at degeneracy (its derivative
-    vanishes at signal = 2 pump by signal/idler symmetry), so when no sign
-    change exists the degenerate point itself is checked before giving up.
+    sign change; the root is then polished by Brent's method to within
+    1e-7 nm + 4 eps |signal|. The mismatch is tangent to zero at degeneracy
+    (its derivative vanishes at signal = 2 pump by signal/idler symmetry), so
+    when no sign change exists the degenerate point itself is checked before
+    giving up. This is the 1x1 case of tuning_curve's grid solve.
     """
-    lo, hi = _signal_scan_bounds(pump_nm, crystal.dispersion_set)
-    grid = np.append(np.arange(lo, hi, _SCAN_STEP_NM), hi)
-    values = _mismatch_unchecked(pump_nm, grid, crystal)
-    bracket = _first_root(grid, values)
-
-    if bracket is None and hi == 2.0 * pump_nm:
-        # tangency fallback: refine near the degenerate edge
-        fine = np.linspace(max(lo, hi - 2.0), hi, 401)
-        fine_vals = _mismatch_unchecked(pump_nm, fine, crystal)
-        bracket = _first_root(fine, fine_vals)
-        if bracket is None and abs(float(fine_vals[-1])) <= _DEGENERATE_TOL:
-            return WavelengthPair(hi, hi, abs(float(fine_vals[-1])))
-
-    if bracket is None:
-        shown = values[np.isfinite(values)]
-        detail = (
-            f"mismatch spans [{shown.min():.6g}, {shown.max():.6g}] 1/um "
-            f"over signal {lo:.1f}..{hi:.1f} nm"
-            if shown.size
-            else "mismatch is not finite anywhere in the scanned range"
-        )
-        raise PhaseMatchError(
-            f"no phase matching for pump {pump_nm} nm at poling period "
-            f"{crystal.poling_period_um} um, {crystal.temperature_c} C ({detail})"
-        )
-
-    def mismatch(signal_nm: float) -> float:
-        return float(_mismatch_unchecked(pump_nm, np.float64(signal_nm), crystal))
-
-    signal_nm, b = bracket
-    if signal_nm < b:
-        signal_nm = brentq(mismatch, signal_nm, b, xtol=_ROOT_TOL_NM)
-    idler_nm = idler_from_signal(pump_nm, signal_nm)
-    return WavelengthPair(signal_nm, idler_nm, abs(mismatch(signal_nm)))
+    cell = [crystal.poling_period_um], [crystal.temperature_c]
+    (point,) = _solve_grid(pump_nm, *cell, crystal.dispersion_set)
+    if point.pair is None:
+        raise PhaseMatchError(point.note)
+    return point.pair
 
 
 def tuning_curve(
@@ -307,16 +374,9 @@ def tuning_curve(
     temps = sorted(float(t) for t in temperatures_c)
     if not periods or not temps:
         raise ValueError("poling period and temperature grids must be non-empty")
-    points: list[TuningPoint] = []
-    for period in periods:
-        for temp in temps:
-            crystal = CrystalState(period, temp, ds)
-            try:
-                pair = solve_signal_idler(pump_nm, crystal)
-                points.append(TuningPoint(period, temp, pair))
-            except PhaseMatchError as err:
-                points.append(TuningPoint(period, temp, None, note=str(err)))
-    return points
+    for period, temp in [(periods[0], t) for t in temps] + [(p, temps[0]) for p in periods[1:]]:
+        CrystalState(period, temp, ds)  # the first bad value in (period, T) cell order
+    return _solve_grid(pump_nm, periods, temps, ds)
 
 
 def tuning_table_csv(points: list[TuningPoint]) -> str:

@@ -298,6 +298,17 @@ class TestTune:
         assert run("tune", "--period", "7.4") == 1
         assert run("tune", "--temp", "25") == 1
 
+    @pytest.mark.parametrize(
+        "option, text",
+        [("--periods", "7:8:nan"), ("--periods", "7:inf:0.1"), ("--temps", "nan:200:10")],
+    )
+    def test_non_finite_range_names_option(self, capsys, option, text):
+        other = {"--periods": ("--temps", "25"), "--temps": ("--periods", "7.4")}[option]
+        assert run("tune", option, text, *other) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert option in err[0] and repr(text) in err[0]
+
 
 class TestBench:
     def test_table_output(self, capsys):

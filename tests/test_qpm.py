@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -20,9 +23,19 @@ from iuptools import (
     tuning_curve,
     tuning_table_csv,
 )
-from iuptools.qpm import _first_root, _mismatch_unchecked, _signal_scan_bounds
+from iuptools.qpm import (
+    _brentq,
+    _first_root,
+    _mismatch_terms,
+    _mismatch_unchecked,
+    _signal_scan_bounds,
+)
 
 PUMP_NM = 532.0
+# poling periods (um) with phase-matched cells between 20 and 200 C, per pump (nm)
+MATCHING_PERIODS_UM = {
+    532.0: (6.6, 11.6), 600.0: (9.5, 14.5), 775.0: (18.7, 21.3), 1000.0: (27.0, 30.3)
+}
 
 
 def reference_solve(pump_nm, crystal):
@@ -64,12 +77,12 @@ def reference_solve(pump_nm, crystal):
     return pair_at(float(brentq(mismatch, *bracket, xtol=1e-7)))
 
 
-def degenerate_period(temp_c):
+def degenerate_period(temp_c, pump_nm=PUMP_NM):
     """Poling period that phase-matches signal = idler = 2 * pump."""
     ds = default_dispersion_set()
-    n_p = refractive_index(PUMP_NM, temp_c, ds)
-    n_h = refractive_index(2 * PUMP_NM, temp_c, ds)
-    return (PUMP_NM / 1000.0) / (n_p - n_h)
+    n_p = refractive_index(pump_nm, temp_c, ds)
+    n_h = refractive_index(2 * pump_nm, temp_c, ds)
+    return (pump_nm / 1000.0) / (n_p - n_h)
 
 
 class TestDispersion:
@@ -277,7 +290,14 @@ class TestFirstRoot:
     )
     def test_synthetic_samples(self, values, want):
         grid = np.arange(len(values), dtype=np.float64)
-        assert _first_root(grid, np.array(values)) == want
+        found, a, b = _first_root(grid, np.array([values]))
+        assert ((float(a[0]), float(b[0])) if found[0] else None) == want
+
+    def test_rows_are_searched_independently(self):
+        rows = np.array([[1.0, 0.0, -1.0], [1.0, -1.0, 1.0], [1.0, 2.0, 3.0], [1.0, 2.0, 0.0]])
+        found, a, b = _first_root(np.arange(3.0), rows)
+        assert found.tolist() == [True, True, False, False]
+        assert (a[:2].tolist(), b[:2].tolist()) == ([1.0, 0.0], [1.0, 1.0])
 
     def test_solver_matches_reference_scan(self):
         rng = np.random.default_rng(23)
@@ -306,7 +326,109 @@ class TestFirstRoot:
         assert solve_signal_idler(PUMP_NM, CrystalState(degenerate_period(100.0), 100.0)).degenerate
 
 
+def seeded_brackets(rng, pump_nm, n):
+    """Coarse-scan brackets of n random cells and fine-scan (last 2 nm) brackets of n cells
+    within a few ppm of the degenerate period, as (period, temperature, a, b) arrays."""
+    lo, hi = _signal_scan_bounds(pump_nm, default_dispersion_set())
+    temps = rng.uniform(20.0, 200.0, 2 * n)
+    near = np.array([degenerate_period(t, pump_nm) for t in temps[n:]])
+    near *= 1 + rng.uniform(-3e-6, 3e-6, n)
+    periods = np.concatenate([rng.uniform(*MATCHING_PERIODS_UM[pump_nm], n), near])
+    coarse = np.append(np.arange(lo, hi, 0.5), hi)
+    fine = np.linspace(max(lo, hi - 2.0), hi, 401)
+    cells = []
+    for grid, part in ((coarse, slice(0, n)), (fine, slice(n, 2 * n))):
+        p, t = periods[part], temps[part]
+        rows = [_mismatch_unchecked(pump_nm, grid, CrystalState(*cell)) for cell in zip(p, t)]
+        found, a, b = _first_root(grid, np.array(rows))
+        keep = found & (a < b)
+        cells.append((p[keep], t[keep], a[keep], b[keep]))
+    return [np.concatenate(column) for column in zip(*cells)]
+
+
+class TestArrayBrent:
+    def test_matches_scipy_brentq_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        ds = default_dispersion_set()
+        total = near = 0
+        for pump_nm in MATCHING_PERIODS_UM:
+            periods, temps, a, b = seeded_brackets(rng, pump_nm, 550)
+
+            def f(x, j):
+                return 2.0 * np.pi * (_mismatch_terms(pump_nm, x, temps[j], ds) - 1.0 / periods[j])
+
+            got = _brentq(f, a, b)
+            for i, (period, temp) in enumerate(zip(periods, temps)):
+                crystal = CrystalState(period, temp)
+
+                def mismatch(x):
+                    return float(_mismatch_unchecked(pump_nm, np.float64(x), crystal))
+
+                assert got[i] == brentq(mismatch, a[i], b[i], xtol=1e-7)
+            total += a.size
+            near += int(np.sum(b - a < 0.01))
+        assert total >= 2000 and near >= 400
+
+    @pytest.mark.parametrize(
+        "g",
+        [lambda d, k: k * d * d * d + 1e-3 * d, lambda d, k: d / (1.0 + k * d * d)],
+        ids=["cubic", "rational"],
+    )
+    def test_matches_scipy_brentq_where_interpolation_fails(self, g):
+        # flat and steep stretches make brentq reject interpolated steps and
+        # bisect, a branch the smooth mismatch seldom reaches
+        rng = np.random.default_rng(43)
+        r, k = rng.uniform(-1.0, 1.0, 300), rng.uniform(0.5, 20.0, 300)
+        a, b = r - rng.uniform(0.01, 3.0, 300), r + rng.uniform(0.01, 3.0, 300)
+        got = _brentq(lambda x, j: g(x - r[j], k[j]), a, b)
+        for i in range(300):
+            want = brentq(lambda x: float(g(np.float64(x) - r[i], k[i])), a[i], b[i], xtol=1e-7)
+            assert got[i] == want
+
+    @pytest.mark.parametrize(
+        "scalar, a, b",
+        [
+            (lambda x: np.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0),  # NaN at the first step
+            (lambda x: 1.0 if x > 0.5 else -1.0, -1e30, 1e30),  # no convergence in 100 steps
+        ],
+    )
+    def test_errors_match_scipy_brentq(self, scalar, a, b):
+        with pytest.raises((ValueError, RuntimeError)) as want:
+            brentq(scalar, a, b, xtol=1e-7)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            _brentq(lambda x, j: np.array([scalar(v) for v in x]), np.array([a]), np.array([b]))
+
+
 class TestTuningCurve:
+    def test_grid_matches_reference_solve(self):
+        grids = [
+            # unmatched periods, a degenerate period and both sides of the tangency fallback
+            (PUMP_NM, [5.0, 6.5, 6.8, 7.4, 8.05, 9.0, degenerate_period(100.0)], [20.0, 100.0, 200.0]),
+            # 775 nm near 20.6 um: two sign changes
+            (775.0, [20.3, 20.45, 20.6, 20.75, 21.0], [170.0, 180.0, 190.0, 200.0]),
+        ]
+        kinds = set()
+        for pump_nm, periods, temps in grids:
+            for point in tuning_curve(pump_nm, periods, temps):
+                crystal = CrystalState(point.poling_period_um, point.temperature_c)
+                want = reference_solve(pump_nm, crystal)
+                assert point.pair == want
+                assert bool(point.note) == (want is None)
+                kinds.add("none" if want is None else "degenerate" if want.degenerate else "pair")
+        assert kinds == {"none", "degenerate", "pair"}
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # one unblocked (cells x scan points) float64 array would be 72 MB
+        periods = np.linspace(*MATCHING_PERIODS_UM[PUMP_NM], 2000)
+        tracemalloc.start()
+        try:
+            points = tuning_curve(PUMP_NM, periods, [20.0, 65.0, 110.0, 155.0, 200.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(points) == 10_000
+        assert peak < 64 * 2**20
+
     def test_grid_ordering_and_markers(self):
         points = tuning_curve(PUMP_NM, [7.71, 7.40, 5.0], [200.0, 125.0])
         keys = [(p.poling_period_um, p.temperature_c) for p in points]
