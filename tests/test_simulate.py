@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from iuptools import optics
 from iuptools import (
     ConfigurationError,
     ExtractionOptions,
@@ -212,6 +217,29 @@ class TestRenderFrame:
         c = render_frame(scene, cfg, 0.3, noise, frame_index=3)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("scan_phase", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "noise", [NoiseModel(), NoiseModel(shot_noise=True)], ids=["noiseless", "shot"]
+    )
+    def test_non_finite_scan_phase_refused_by_name(self, scan_phase, noise):
+        scene = make_test_target("uniform", (32, 40))
+        with pytest.raises(ValueError, match="scan_phase"):
+            render_frame(scene, small_config(), scan_phase, noise)
+
+    @pytest.mark.parametrize("frame_index", [-1, 1.5, np.float64(1.0), 2**64])
+    def test_bad_frame_index_refused_by_name(self, frame_index):
+        scene = make_test_target("uniform", (32, 40))
+        noise = NoiseModel(shot_noise=True, rng_seed=4)
+        with pytest.raises(ValueError, match="frame_index"):
+            render_frame(scene, small_config(), 0.0, noise, frame_index=frame_index)
+
+    def test_numpy_integer_frame_index_keys_the_same_stream(self):
+        scene = make_test_target("uniform", (32, 40))
+        noise = NoiseModel(shot_noise=True, rng_seed=4)
+        a = render_frame(scene, small_config(), 0.0, noise, frame_index=3)
+        b = render_frame(scene, small_config(), 0.0, noise, frame_index=np.int64(3))
+        assert a.tobytes() == b.tobytes()
+
     def test_counts_never_negative(self):
         cfg = small_config(mean_counts=2.0)
         scene = make_test_target("uniform", (cfg.sensor_height, cfg.sensor_width),
@@ -387,6 +415,225 @@ class TestEffectiveComplexMap:
         if scene_shape == (40, 50):
             # the border sees clear aperture, t = 1
             assert got[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+
+def scipy_complex_map(scene, cfg):
+    """effective_complex_map through scipy.ndimage: affine_transform, then
+    gaussian_filter, per quadrature."""
+    m = magnification(cfg.f_c_mm, cfg.f_u_mm, cfg.detected_wavelength_nm,
+                      cfg.undetected_wavelength_nm)
+    h, w = cfg.sensor_height, cfg.sensor_width
+    sh, sw = scene.amplitude_map.shape
+    step = cfg.pixel_pitch_um / (m * scene.scene_pitch_um)
+    row0 = -(h - 1) / 2.0 * cfg.pixel_pitch_um / (m * scene.scene_pitch_um) + (sh - 1) / 2.0
+    col0 = -(w - 1) / 2.0 * cfg.pixel_pitch_um / (m * scene.scene_pitch_um) + (sw - 1) / 2.0
+    sigma_px = psf_width(cfg.f_u_mm, cfg.undetected_wavelength_nm, cfg.pump_waist_mm) / 2.0
+    sigma_px /= cfg.pixel_pitch_um
+    t = np.empty((h, w), dtype=np.complex128)
+    for quadrature, fill, out in ((np.cos, 1.0, t.real), (np.sin, 0.0, t.imag)):
+        part = quadrature(scene.phase_map) * scene.amplitude_map
+        part = ndimage.affine_transform(
+            part, (step, step), offset=(row0, col0), output_shape=(h, w),
+            order=1, mode="grid-constant", cval=fill,
+        )
+        ndimage.gaussian_filter(part, sigma_px, mode="nearest", output=out)
+    return t
+
+
+class TestScipyEquivalence:
+    """The resampling and blur reproduce scipy.ndimage's arithmetic bit for bit."""
+
+    def test_resample_and_blur_fuzz(self):
+        rng = np.random.default_rng(2024)
+        for case in range(400):
+            sh, sw = rng.integers(1, 41, size=2)
+            shape = tuple(int(n) for n in rng.integers(1, 51, size=2))
+            step = float(rng.uniform(0.05, 3.0))
+            origin = tuple(float(v) for v in rng.uniform(-30.0, 30.0, size=2))
+            fill = float(case % 2)
+            part = rng.uniform(-1.0, 1.0, (sh, sw))
+            # signed zeros test the order of the sums
+            part[rng.uniform(size=part.shape) < 0.2] = -0.0
+            want = ndimage.affine_transform(
+                part, (step, step), offset=origin, output_shape=shape,
+                order=1, mode="grid-constant", cval=fill,
+            )
+            got = np.empty(shape)
+            optics._resample(part, step, origin, fill, got)
+            assert got.tobytes() == want.tobytes(), (case, part.shape, shape, step, origin, fill)
+            # every 10th case has radius 0; sigma up to 6 gives radii past the side
+            sigma = 0.1 if case % 10 == 0 else float(rng.uniform(0.05, 6.0))
+            blurred = np.empty(shape)
+            optics._blur(want, sigma, blurred)
+            want_blurred = ndimage.gaussian_filter(want, sigma, mode="nearest")
+            assert blurred.tobytes() == want_blurred.tobytes(), (case, shape, sigma)
+
+    @pytest.mark.parametrize(
+        "pump_waist_mm",
+        [1.0, 20.0, 1e20, 0.02],
+        ids=["default", "radius-0", "sigma-1e-20", "radius-past-side"],
+    )
+    def test_effective_complex_map_matches_scipy(self, pump_waist_mm):
+        cfg = small_config(pump_waist_mm=pump_waist_mm)
+        scene = make_test_target("smooth-wing", (45, 60))
+        got = effective_complex_map(scene, cfg)
+        assert got.tobytes() == scipy_complex_map(scene, cfg).tobytes()
+
+    def test_full_frame_matches_scipy(self):
+        scene = make_test_target("smooth-wing", (1344, 1680))
+        cfg = OpticalConfig()
+        got = effective_complex_map(scene, cfg)
+        assert got.tobytes() == scipy_complex_map(scene, cfg).tobytes()
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Start from an empty basis cache and record each basis built."""
+    monkeypatch.setattr(optics, "_basis_entry", None)
+    calls = []
+    build = optics.effective_complex_map
+
+    def counted(scene, config):
+        calls.append(scene)
+        return build(scene, config)
+
+    monkeypatch.setattr(optics, "effective_complex_map", counted)
+    return calls
+
+
+# one changed value per OpticalConfig field, each still a valid config
+CONFIG_CHANGES = {
+    "pump_wavelength_nm": 532.1,
+    "detected_wavelength_nm": 808.1,
+    "undetected_wavelength_nm": 1558.5,
+    "f_u_mm": 50.5,
+    "f_c_mm": 75.5,
+    "pump_waist_mm": 1.1,
+    "system_visibility": 0.9,
+    "coherence_length_mm": 0.2,
+    "path_mismatch_mm": 0.01,
+    "sensor_width": 41,
+    "sensor_height": 33,
+    "pixel_pitch_um": 5.3,
+    "mean_counts": 999.0,
+    "loss_coupling": "intensity",
+}
+
+
+class TestBasisCache:
+    def scene(self):
+        return make_test_target("smooth-wing", (40, 50))
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            NoiseModel(),
+            NoiseModel(shot_noise=True, read_noise_sigma=2.0, dark_offset=3.0, rng_seed=5),
+        ],
+        ids=["noiseless", "noisy"],
+    )
+    def test_warm_stack_equals_cold(self, builds, noise):
+        cfg = small_config()
+        plan = ScanPlan.equal_steps(4, cfg.undetected_wavelength_nm)
+        cold = simulate_stack(self.scene(), cfg, plan, noise)
+        warm = simulate_stack(self.scene(), cfg, plan, noise)
+        assert len(builds) == 1
+        assert warm.frames.tobytes() == cold.frames.tobytes()
+
+    @pytest.mark.parametrize("field", ["amplitude_map", "phase_map"])
+    def test_in_place_scene_edit_renders_the_edit(self, builds, monkeypatch, field):
+        cfg = small_config()
+        scene = self.scene()
+        before = render_frame(scene, cfg, 0.3)
+        getattr(scene, field)[10:30, 15:35] *= 0.5
+        after = render_frame(scene, cfg, 0.3)
+        assert len(builds) == 2
+        assert not np.array_equal(after, before)
+        monkeypatch.setattr(optics, "_basis_entry", None)
+        fresh = ObjectScene(scene.amplitude_map.copy(), scene.phase_map.copy())
+        assert render_frame(fresh, cfg, 0.3).tobytes() == after.tobytes()
+
+    def test_config_changes_cover_every_field(self):
+        assert set(CONFIG_CHANGES) == {f.name for f in dataclasses.fields(OpticalConfig)}
+
+    @pytest.mark.parametrize("field", sorted(CONFIG_CHANGES))
+    def test_config_change_misses(self, builds, field):
+        cfg = small_config()
+        render_frame(self.scene(), cfg, 0.3)
+        render_frame(self.scene(), dataclasses.replace(cfg, **{field: CONFIG_CHANGES[field]}), 0.3)
+        assert len(builds) == 2
+
+    def test_scene_and_noise_changes_miss(self, builds):
+        cfg = small_config()
+        scene = self.scene()
+        render_frame(scene, cfg, 0.3)
+        render_frame(ObjectScene(scene.amplitude_map, scene.phase_map), cfg, 0.3)
+        assert len(builds) == 1
+        for other in (
+            dataclasses.replace(scene, mode="reflection"),
+            dataclasses.replace(scene, scene_pitch_um=5.3),
+            # the same bytes in another shape
+            ObjectScene(scene.amplitude_map.reshape(50, 40), scene.phase_map.reshape(50, 40)),
+        ):
+            render_frame(other, cfg, 0.3)
+        assert len(builds) == 4
+        render_frame(scene, cfg, 0.3)
+        render_frame(scene, cfg, 0.3, NoiseModel(dark_offset=1.0))
+        assert len(builds) == 6
+
+    def test_poisson_limit_refused_with_basis_cached(self, builds):
+        cfg = small_config(mean_counts=1e20)
+        render_frame(self.scene(), cfg, 0.0)
+        with pytest.raises(ConfigurationError, match="mean_counts"):
+            render_frame(self.scene(), cfg, 0.0, NoiseModel(shot_noise=True))
+        render_frame(self.scene(), cfg, 0.0)
+        assert len(builds) == 1
+
+    def test_cached_maps_are_read_only(self, builds):
+        cfg = small_config()
+        for _ in range(2):
+            dc, p, q = optics._fringe_basis(self.scene(), cfg, NoiseModel())
+            for cached in (p, q):
+                assert not cached.flags.writeable
+                with pytest.raises(ValueError):
+                    cached[0, 0] = 0.0
+            assert dc.flags.writeable
+        assert len(builds) == 1
+
+    def test_threads_with_their_own_scenes_get_their_own_bytes(self, monkeypatch):
+        monkeypatch.setattr(optics, "_basis_entry", None)
+        cfg = small_config()
+        plan = ScanPlan.equal_steps(3, cfg.undetected_wavelength_nm)
+        noise = NoiseModel(shot_noise=True, rng_seed=3)
+        rng = np.random.default_rng(8)
+        # three threads on two CPUs, two scenes each
+        scenes = [
+            ObjectScene(rng.uniform(0.0, 1.0, (40, 50)), rng.uniform(-3.0, 3.0, (40, 50)))
+            for _ in range(6)
+        ]
+        want = [simulate_stack(s, cfg, plan, noise).frames.tobytes() for s in scenes]
+        got = {i: [] for i in range(3)}
+
+        def work(i):
+            for _ in range(5):
+                for j in (2 * i, 2 * i + 1):
+                    got[i].append((j, simulate_stack(scenes[j], cfg, plan, noise).frames.tobytes()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i in range(3):
+            assert len(got[i]) == 10
+            for j, frames in got[i]:
+                assert frames == want[j]
 
 
 class TestResolution:
