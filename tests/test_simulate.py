@@ -601,22 +601,25 @@ class TestBasisCache:
         assert len(builds) == 1
 
     def test_threads_with_their_own_scenes_get_their_own_bytes(self, monkeypatch):
-        monkeypatch.setattr(optics, "_basis_entry", None)
         cfg = small_config()
         plan = ScanPlan.equal_steps(3, cfg.undetected_wavelength_nm)
         noise = NoiseModel(shot_noise=True, rng_seed=3)
         rng = np.random.default_rng(8)
-        # three threads on two CPUs, two scenes each
+        # three threads on two CPUs, two scenes each; each scene is shared by
+        # two threads, so one thread can hit the basis another one built
         scenes = [
             ObjectScene(rng.uniform(0.0, 1.0, (40, 50)), rng.uniform(-3.0, 3.0, (40, 50)))
-            for _ in range(6)
+            for _ in range(3)
         ]
-        want = [simulate_stack(s, cfg, plan, noise).frames.tobytes() for s in scenes]
+        want = []
+        for scene in scenes:
+            monkeypatch.setattr(optics, "_basis_entry", None)
+            want.append(simulate_stack(scene, cfg, plan, noise).frames.tobytes())
         got = {i: [] for i in range(3)}
 
         def work(i):
-            for _ in range(5):
-                for j in (2 * i, 2 * i + 1):
+            for _ in range(25):
+                for j in (i, (i + 1) % 3):
                     got[i].append((j, simulate_stack(scenes[j], cfg, plan, noise).frames.tobytes()))
 
         interval = sys.getswitchinterval()
@@ -631,7 +634,7 @@ class TestBasisCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         for i in range(3):
-            assert len(got[i]) == 10
+            assert len(got[i]) == 50
             for j, frames in got[i]:
                 assert frames == want[j]
 
