@@ -6,7 +6,6 @@ import argparse
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
@@ -43,22 +42,19 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-_PARSERS = {float: float, int: int, str: str, bool: _parse_bool}
+_PARSERS = {"float": float, "int": int, "str": str, "bool": _parse_bool}
 
 
 def _build_optics(
     settings: dict[str, str], sources: dict[str, str], seed: int | None
 ) -> tuple[OpticalConfig, NoiseModel]:
     kwargs: dict[type, dict] = {OpticalConfig: {}, NoiseModel: {}}
-    field_types: dict[str, tuple[type, type]] = {}
-    for cls in kwargs:
-        hints = get_type_hints(cls)
-        field_types.update({f.name: (cls, hints[f.name]) for f in fields(cls)})
+    field_types = {f.name: (cls, f.type) for cls in kwargs for f in fields(cls)}
     for key in settings:
         if key not in field_types:
             raise ValueError(f"{sources[key]}: unknown config key {key!r}")
-        cls, hint = field_types[key]
-        kwargs[cls][key] = _field(settings, key, sources[key], _PARSERS[hint])
+        cls, type_name = field_types[key]
+        kwargs[cls][key] = _field(settings, key, sources[key], _PARSERS[type_name])
     if seed is not None:
         kwargs[NoiseModel]["rng_seed"] = seed
     return OpticalConfig(**kwargs[OpticalConfig]), NoiseModel(**kwargs[NoiseModel])
@@ -79,23 +75,33 @@ def _load_settings(
     return settings, sources
 
 
+def _option_value(option: str, parse, text: str):
+    """parse(text) for the value of option; a ValueError names the option."""
+    try:
+        return parse(text)
+    except ValueError as err:
+        raise ValueError(f"{option}: {err}") from None
+
+
 def _parse_size(text: str) -> tuple[int, int]:
-    if "x" in text:
-        h, _, w = text.partition("x")
-        return int(h), int(w)
-    n = int(text)
-    return n, n
+    """N or HxW pixels."""
+    h, sep, w = text.partition("x")
+    return int(h), int(w if sep else h)
 
 
-def _parse_value_list(text: str, option: str) -> list[float]:
-    """Comma list ("7.4,7.7") or inclusive range ("7.3:7.8:0.1") given to option."""
+def _parse_int_list(text: str) -> list[int]:
+    return [int(p) for p in text.split(",") if p != ""]
+
+
+def _parse_value_list(text: str) -> list[float]:
+    """Comma list ("7.4,7.7") or inclusive range ("7.3:7.8:0.1")."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"range must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
         if not np.isfinite([start, stop, step]).all():
-            raise ValueError(f"{option}: range start, stop and step must be finite, got {text!r}")
+            raise ValueError(f"range start, stop and step must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("range step must be > 0")
         return [float(v) for v in np.arange(start, stop + step / 2.0, step)]
@@ -106,7 +112,7 @@ def _cmd_target(args: argparse.Namespace) -> int:
     params: dict = {"scene_pitch_um": args.pitch}
     if args.step is not None:
         params["step_rad"] = args.step
-    scene = make_test_target(args.kind, _parse_size(args.size), **params)
+    scene = make_test_target(args.kind, _option_value("--size", _parse_size, args.size), **params)
     manifest = write_scene(scene, args.out)
     print(manifest)
     return 0
@@ -144,8 +150,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_tune(args: argparse.Namespace) -> int:
     if args.periods is None or args.temps is None:
         raise ValueError("provide --periods (or --period) and --temps (or --temp)")
-    periods = _parse_value_list(args.periods, "--periods")
-    points = tuning_curve(args.pump, periods, _parse_value_list(args.temps, "--temps"))
+    periods = _option_value("--periods", _parse_value_list, args.periods)
+    temps = _option_value("--temps", _parse_value_list, args.temps)
+    points = tuning_curve(args.pump, periods, temps)
     if args.out:
         _atomic_write_text(Path(args.out), tuning_table_csv(points))
         print(args.out)
@@ -166,7 +173,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    frame_counts = [int(v) for v in args.frames.split(",") if v != ""]
+    frame_counts = _option_value("--frames", _parse_int_list, args.frames)
     report = run_bench(args.width, args.height, frame_counts, args.runs, threads=args.threads)
     print(report.table())
     return 0

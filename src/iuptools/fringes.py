@@ -355,7 +355,7 @@ def _map_chunks(stack: FrameStack, body, threads: int) -> list:
             band = scratch.band = np.empty((k, band_rows, width))
         return body(rows, stack._scaled(np.s_[:, rows], band[:, : rows.stop - rows.start]))
 
-    workers = max(1, min(int(threads), len(chunks)))
+    workers = min(threads, len(chunks))
     if workers == 1:
         return [run(chunk) for chunk in chunks]
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
@@ -415,13 +415,15 @@ def analyze_stack(
     projector at the mode's frequency (f = 1 for assume-one-cycle, where this
     equals the DFT-bin formulas A = X0/K and c = 2 X1/K to rounding error).
     Visibility is |c|/A, contrast 2|c| and phase atan2(Im c, Re c). Pixels are
-    processed in fixed row chunks, shared among `threads` workers; each
-    pixel's sums run over the frames in index order, so results are
-    bit-identical for any worker count. A stack's samples are scaled by its
+    processed in fixed row chunks, shared among `threads` workers (an integer
+    >= 1); each pixel's sums run over the frames in index order, so results
+    are bit-identical for any worker count. A stack's samples are scaled by its
     gain one chunk at a time, into a chunk-sized buffer per worker. Estimate
     mode and the leakage flag fit the frame-mean series of
     estimate_fringe_frequency; the flag's sums are taken in the projection pass.
     """
+    if not (isinstance(threads, (int, np.integer)) and threads >= 1):
+        raise OptionsError(f"threads must be an integer >= 1, got {threads!r}")
     opts = options if options is not None else ExtractionOptions()
     k = stack.frame_count
     if k < 3:

@@ -22,14 +22,14 @@ maps:
 
 with w = 1 for amplitude coupling and w = |t| for intensity coupling. P + iQ,
 which needs the resampling and blur of effective_complex_map, is kept in a
-one-entry cache, read-only: the last one built, under a key of a sha256 of
-the scene's two maps, their shape, scene_pitch_um, mode, every OpticalConfig
-field and the dark offset. A call with the same key, such as each stack of
-an acquisition series of one scene, reuses it. An in-place edit of a scene
-map, or any other change of key, builds a new map that replaces it. The
-entry holds 21 MB at the full 1280x1024 sensor; hashing a 1344x1680 scene
-costs about 29 ms on every call. dc is rebuilt, and the peak-count check
-run, on every call.
+one-entry cache, read-only: the last one built, under a key of what it is
+built from, a sha256 of the scene's two maps, their shape, scene_pitch_um and
+every OpticalConfig field. A call with the same key, such as each stack of
+an acquisition series of one scene, reuses it, whatever its noise model. An
+in-place edit of a scene map, or any other change of key, builds a new map
+that replaces it. The entry holds 21 MB at the full 1280x1024 sensor;
+hashing a 1344x1680 scene costs about 29 ms on every call. dc is rebuilt
+from the illumination, and the peak-count check run, on every call.
 
 Each frame is max(dc + cos s * P - sin s * Q, 0), written straight into the
 stack in cache-sized row chunks. Poisson and read noise are optional. They
@@ -66,7 +66,6 @@ __all__ = [
     "make_test_target",
 ]
 
-SCENE_MODES = ("transmission", "reflection")
 LOSS_COUPLINGS = ("amplitude", "intensity")
 TARGET_KINDS = ("ring-electrode", "smooth-wing", "phase-step", "uniform")
 
@@ -79,12 +78,20 @@ class ConfigurationError(ValueError):
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
-def _check_finite(settings, error: type[ValueError]) -> None:
-    """Raise error naming the first float field of the dataclass settings that is NaN or inf."""
+def _check_fields(settings, error: type[ValueError], positive=(), non_negative=()) -> None:
+    """Raise error naming the first field of the dataclass settings, in field
+    order, that is an int field holding no integer, a float field that is NaN
+    or inf, or named in positive and not > 0 or in non_negative and not >= 0."""
     for f in fields(settings):
         value = getattr(settings, f.name)
+        if f.type == "int" and not isinstance(value, (int, np.integer)):
+            raise error(f"{f.name} must be an integer, got {value!r}")
         if f.type == "float" and not math.isfinite(value):
             raise error(f"{f.name} must be finite, got {value!r}")
+        if f.name in positive and not value > 0:
+            raise error(f"{f.name} must be > 0")
+        if f.name in non_negative and not value >= 0:
+            raise error(f"{f.name} must be >= 0")
 
 
 @dataclass
@@ -93,7 +100,6 @@ class ObjectScene:
 
     amplitude_map: np.ndarray
     phase_map: np.ndarray
-    mode: str = "transmission"
     scene_pitch_um: float = 5.2
 
     def __post_init__(self) -> None:
@@ -108,11 +114,7 @@ class ObjectScene:
         amin, amax = float(self.amplitude_map.min()), float(self.amplitude_map.max())
         if amin < 0.0 or amax > 1.0 + 1e-12:
             raise ValueError(f"amplitude values must lie in [0, 1], got [{amin}, {amax}]")
-        if self.mode not in SCENE_MODES:
-            raise ValueError(f"mode must be one of {SCENE_MODES}")
-        _check_finite(self, ValueError)
-        if not self.scene_pitch_um > 0:
-            raise ValueError("scene_pitch_um must be > 0")
+        _check_fields(self, ValueError, positive=("scene_pitch_um",))
 
     def complex_map(self) -> np.ndarray:
         return self.amplitude_map * np.exp(1j * self.phase_map)
@@ -142,12 +144,10 @@ class OpticalConfig:
     loss_coupling: str = "amplitude"
 
     def __post_init__(self) -> None:
-        _check_finite(self, ConfigurationError)
-        # every float setting but these two is a wavelength, length or count
-        for f in fields(self):
-            if f.type == "float" and f.name not in ("system_visibility", "path_mismatch_mm"):
-                if not getattr(self, f.name) > 0:
-                    raise ConfigurationError(f"{f.name} must be > 0")
+        _check_fields(self, ConfigurationError, positive=(
+            "pump_wavelength_nm", "detected_wavelength_nm", "undetected_wavelength_nm", "f_u_mm",
+            "f_c_mm", "pump_waist_mm", "coherence_length_mm", "pixel_pitch_um", "mean_counts",
+        ))
         if self.sensor_width < 1 or self.sensor_height < 1:
             raise ConfigurationError("sensor dimensions must be >= 1 pixel")
         if not 0.0 <= self.system_visibility <= 1.0:
@@ -179,9 +179,7 @@ class ScanPlan:
             raise ValueError("a scan needs at least one mirror position")
         if not np.isfinite(self.mirror_positions_nm).all():
             raise ValueError("mirror positions must be finite")
-        _check_finite(self, ValueError)
-        if not self.exposure_ms > 0:
-            raise ValueError("exposure_ms must be > 0")
+        _check_fields(self, ValueError, positive=("exposure_ms",))
 
     @property
     def frame_count(self) -> int:
@@ -192,8 +190,8 @@ class ScanPlan:
         cls, frame_count: int, idler_wavelength_nm: float, exposure_ms: float = 200.0
     ) -> "ScanPlan":
         """K equal mirror steps spanning one fringe oscillation (endpoint excluded)."""
-        if frame_count < 1:
-            raise ValueError("frame_count must be >= 1")
+        if not (isinstance(frame_count, (int, np.integer)) and frame_count >= 1):
+            raise ValueError(f"frame_count must be an integer >= 1, got {frame_count!r}")
         positions = np.arange(frame_count) * (idler_wavelength_nm / (2.0 * frame_count))
         return cls(positions, exposure_ms)
 
@@ -208,12 +206,7 @@ class NoiseModel:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_finite(self, ValueError)
-        # written so that NaN fails too
-        if not self.read_noise_sigma >= 0:
-            raise ValueError("read_noise_sigma must be >= 0")
-        if not self.dark_offset >= 0:
-            raise ValueError("dark_offset must be >= 0")
+        _check_fields(self, ValueError, non_negative=("read_noise_sigma", "dark_offset"))
         self.rng_seed = int(self.rng_seed) & (2**64 - 1)
 
 
@@ -434,20 +427,13 @@ _basis_lock = threading.Lock()
 _basis_entry: tuple[tuple, np.ndarray] | None = None
 
 
-def _basis_key(scene: ObjectScene, config: OpticalConfig, noise: NoiseModel) -> tuple:
+def _basis_key(scene: ObjectScene, config: OpticalConfig) -> tuple:
     """Everything the basis is built from. The scene maps enter by content,
     so an in-place edit changes the key; repr tells -0.0 from 0.0."""
     digest = hashlib.sha256()
     for part in (scene.amplitude_map, scene.phase_map):
         digest.update(np.ascontiguousarray(part))
-    return (
-        digest.digest(),
-        scene.amplitude_map.shape,
-        repr(scene.scene_pitch_um),
-        scene.mode,
-        repr(config),
-        repr(noise.dark_offset),
-    )
+    return digest.digest(), scene.amplitude_map.shape, repr(scene.scene_pitch_um), repr(config)
 
 
 def _fringe_basis(
@@ -467,7 +453,7 @@ def _fringe_basis(
         raise ConfigurationError(
             f"mean_counts {config.mean_counts!r} gives a peak count of {peak:g}, past {limit:g}"
         )
-    key = _basis_key(scene, config, noise)
+    key = _basis_key(scene, config)
     with _basis_lock:
         if _basis_entry is not None and _basis_entry[0] != key:
             # released before the new map is built, so two never coexist
@@ -477,18 +463,21 @@ def _fringe_basis(
         pq = effective_complex_map(scene, config)
         if config.loss_coupling == "intensity":
             pq *= np.abs(pq)
-        pq *= _illumination(config)
+        # allocated once the resample and blur have freed their temporaries
+        illumination = _illumination(config)
+        pq *= illumination
         envelope = coherence_envelope(config.path_mismatch_mm, config.coherence_length_mm)
         pq *= config.mean_counts * config.system_visibility * envelope
         pq.flags.writeable = False
         entry = (key, pq)
         with _basis_lock:
             _basis_entry = entry
+    else:
+        illumination = _illumination(config)
     pq = entry[1]
-    dc = _illumination(config)
-    dc *= config.mean_counts
-    dc += noise.dark_offset
-    return dc, pq.real, pq.imag
+    illumination *= config.mean_counts
+    illumination += noise.dark_offset
+    return illumination, pq.real, pq.imag
 
 
 def _render_into(
@@ -562,7 +551,10 @@ def simulate_stack(
 ) -> FrameStack:
     """Render one frame per mirror position and assemble the stack."""
     noise = noise if noise is not None else NoiseModel()
-    phases = fringe_phase_from_mirror(plan.mirror_positions_nm, config.undetected_wavelength_nm)
+    with np.errstate(over="ignore"):
+        phases = fringe_phase_from_mirror(plan.mirror_positions_nm, config.undetected_wavelength_nm)
+    if not np.isfinite(phases).all():
+        raise ValueError("mirror_positions_nm give fringe phases past the float64 range")
     # the stack is allocated before the basis maps, so that releasing them
     # frees one block instead of leaving holes in the heap under the stack
     # (the reverse order raised the peak RSS of a full-frame acquire, write,
@@ -632,4 +624,4 @@ def make_test_target(kind: str, size, **params) -> ObjectScene:
 
     if params:
         raise ValueError(f"unknown target parameter(s): {sorted(params)}")
-    return ObjectScene(amplitude, phase, mode="transmission", scene_pitch_um=pitch)
+    return ObjectScene(amplitude, phase, scene_pitch_um=pitch)

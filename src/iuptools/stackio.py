@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 STACK_FORMAT_VERSION = 1
-SCENE_FORMAT_VERSION = 1
+SCENE_FORMAT_VERSION = 2
 MAPS_FORMAT_VERSION = 1
 STACK_MANIFEST = "stack.manifest"
 SCENE_MANIFEST = "scene.manifest"
@@ -410,7 +410,6 @@ def write_scene(scene: ObjectScene, directory: str | Path) -> Path:
         f"format_version = {SCENE_FORMAT_VERSION}",
         f"width = {w}",
         f"height = {h}",
-        f"mode = {scene.mode}",
         f"scene_pitch_um = {_fmt(scene.scene_pitch_um)}",
     ]
     manifest = directory / SCENE_MANIFEST
@@ -419,11 +418,10 @@ def write_scene(scene: ObjectScene, directory: str | Path) -> Path:
 
 
 def read_scene(path: str | Path) -> ObjectScene:
-    """Load a scene directory (or its manifest path)."""
+    """Load a scene directory (or its manifest path); a version-1 manifest's mode is ignored."""
     path, values, source = _read_manifest(path, SCENE_MANIFEST, SCENE_FORMAT_VERSION)
     width = _field(values, "width", source, _positive_int)
     height = _field(values, "height", source, _positive_int)
-    mode = _field(values, "mode", source)
     pitch = _field(values, "scene_pitch_um", source, float)
     shape = (height, width)
     expected = width * height * 4
@@ -438,6 +436,6 @@ def read_scene(path: str | Path) -> ObjectScene:
 
     amplitude, phase = load("amplitude.f32"), load("phase.f32")
     try:
-        return ObjectScene(amplitude, phase, mode=mode, scene_pitch_um=pitch)
+        return ObjectScene(amplitude, phase, scene_pitch_um=pitch)
     except ValueError as err:
         raise StackFormatError(f"{source}: {err}") from None

@@ -63,6 +63,25 @@ class TestTarget:
                    "--out", str(tmp_path / "x")) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("target", "--kind", "uniform", "--size", "12x"), "--size"),
+        (("target", "--kind", "uniform", "--size", "ax9"), "--size"),
+        (("bench", "--frames", "3,x"), "--frames"),
+        (("tune", "--periods", "7.4,x", "--temps", "25"), "--periods"),
+        (("tune", "--periods", "7.4", "--temps", "20:a:5"), "--temps"),
+    ],
+    ids=["size-12x", "size-ax9", "frames", "periods", "temps"],
+)
+def test_unparsable_list_or_size_names_option(tmp_path, capsys, argv, option):
+    out = ("--out", str(tmp_path / "x")) if argv[0] == "target" else ()
+    assert run(*argv, *out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {option}: ")
+    assert not (tmp_path / "x").exists()
+
+
 class TestSimulate:
     def test_stack_written_with_metadata(self, stack_dir):
         stack = read_stack(stack_dir)
@@ -205,6 +224,15 @@ class TestAnalyze:
                        "--threads", threads, "--out", str(out)) == 0
             outs.append(dir_bytes(out))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_fail_in_one_line(self, tmp_path, stack_dir, capsys, threads):
+        code = run("analyze", "--stack", str(stack_dir), "--threads", threads,
+                   "--out", str(tmp_path / "m"))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: threads must be an integer >= 1")
+        assert not (tmp_path / "m").exists()
 
     def test_frames_used_truncates(self, tmp_path, stack_dir, capsys):
         out = tmp_path / "maps4"

@@ -661,6 +661,16 @@ class TestOptions:
         with pytest.raises(OptionsError):
             ExtractionOptions(min_dc_threshold=threshold)
 
+    @pytest.mark.parametrize("threads", [0, -2, 2.7, "3", None])
+    def test_threads_must_be_a_positive_integer(self, threads):
+        with pytest.raises(OptionsError, match="threads must be an integer >= 1"):
+            analyze_stack(fringe_stack(4, 2.0, 1.0, 0.0), threads=threads)
+
+    def test_numpy_integer_threads_accepted(self):
+        stack = fringe_stack(4, 2.0, 1.0, 0.0)
+        want = analyze_stack(stack, threads=2).visibility_map
+        assert analyze_stack(stack, threads=np.int64(2)).visibility_map.tobytes() == want.tobytes()
+
 
 class TestFrequencyEstimation:
     def test_on_bin_is_exact(self):

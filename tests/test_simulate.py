@@ -75,8 +75,8 @@ class TestSceneAndConfig:
             ObjectScene(np.full((4, 4), 1.5), np.zeros((4, 4)))
         with pytest.raises(ValueError):
             ObjectScene(np.ones((4, 4)), np.zeros((3, 4)))
-        with pytest.raises(ValueError):
-            ObjectScene(np.ones((4, 4)), np.zeros((4, 4)), mode="emission")
+        with pytest.raises(ValueError, match="scene maps must be finite"):
+            ObjectScene(np.ones((4, 4)), np.full((4, 4), np.nan))
 
     def test_complex_map(self):
         scene = ObjectScene(np.full((2, 2), 0.5), np.full((2, 2), np.pi / 2))
@@ -129,6 +129,26 @@ class TestSceneAndConfig:
     def test_non_finite_scan_or_scene_refused_by_name(self, make, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             make(value)
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: OpticalConfig(sensor_width=1.5), "sensor_width"),
+            (lambda: OpticalConfig(sensor_height=np.float64(32.0)), "sensor_height"),
+            (lambda: NoiseModel(rng_seed=1.5), "rng_seed"),
+            (lambda: ScanPlan.equal_steps(2.5, 1558.0), "frame_count"),
+        ],
+        ids=["sensor_width", "sensor_height", "rng_seed", "frame_count"],
+    )
+    def test_non_integer_count_refused_by_name(self, make, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            make()
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = OpticalConfig(sensor_width=np.int64(40), sensor_height=np.int32(32))
+        assert (cfg.sensor_width, cfg.sensor_height) == (40, 32)
+        assert NoiseModel(rng_seed=np.uint64(7)).rng_seed == 7
+        assert ScanPlan.equal_steps(np.int64(3), 1558.0).frame_count == 3
 
     def test_scan_plan_equal_steps(self):
         plan = ScanPlan.equal_steps(4, 1558.0)
@@ -287,6 +307,15 @@ class TestSimulateStack:
         stack = simulate_stack(scene, cfg, ScanPlan(positions), NoiseModel())
         want = [fringe_phase_from_mirror(d, cfg.undetected_wavelength_nm) for d in positions]
         assert np.array_equal(stack.scan_phases, want)
+
+    @pytest.mark.parametrize("position", [1e308, -1e308])
+    def test_overflowing_mirror_position_refused_by_name(self, builds, position):
+        # refused before the basis is built, without an overflow warning
+        # (pytest turns RuntimeWarning into an error)
+        plan = ScanPlan([0.0, position])
+        with pytest.raises(ValueError, match="mirror_positions_nm"):
+            simulate_stack(make_test_target("uniform", (8, 8)), small_config(), plan)
+        assert builds == []
 
     def test_noiseless_round_trip(self):
         """analyze(simulate(scene)) returns V_sys*E*|t| and arg t per pixel."""
@@ -563,23 +592,34 @@ class TestBasisCache:
         render_frame(self.scene(), dataclasses.replace(cfg, **{field: CONFIG_CHANGES[field]}), 0.3)
         assert len(builds) == 2
 
-    def test_scene_and_noise_changes_miss(self, builds):
+    def test_scene_changes_miss(self, builds):
         cfg = small_config()
         scene = self.scene()
         render_frame(scene, cfg, 0.3)
         render_frame(ObjectScene(scene.amplitude_map, scene.phase_map), cfg, 0.3)
         assert len(builds) == 1
         for other in (
-            dataclasses.replace(scene, mode="reflection"),
             dataclasses.replace(scene, scene_pitch_um=5.3),
             # the same bytes in another shape
             ObjectScene(scene.amplitude_map.reshape(50, 40), scene.phase_map.reshape(50, 40)),
         ):
             render_frame(other, cfg, 0.3)
-        assert len(builds) == 4
-        render_frame(scene, cfg, 0.3)
-        render_frame(scene, cfg, 0.3, NoiseModel(dark_offset=1.0))
-        assert len(builds) == 6
+        assert len(builds) == 3
+
+    def test_noise_change_reuses_the_basis(self, builds, monkeypatch):
+        cfg = small_config()
+        plan = ScanPlan.equal_steps(4, cfg.undetected_wavelength_nm)
+        simulate_stack(self.scene(), cfg, plan)
+        noises = [
+            NoiseModel(dark_offset=2.5),
+            NoiseModel(shot_noise=True, read_noise_sigma=1.5, dark_offset=7.0, rng_seed=9),
+        ]
+        warm = [simulate_stack(self.scene(), cfg, plan, noise) for noise in noises]
+        assert len(builds) == 1
+        for noise, stack in zip(noises, warm):
+            monkeypatch.setattr(optics, "_basis_entry", None)
+            cold = simulate_stack(self.scene(), cfg, plan, noise)
+            assert stack.frames.tobytes() == cold.frames.tobytes()
 
     def test_poisson_limit_refused_with_basis_cached(self, builds):
         cfg = small_config(mean_counts=1e20)

@@ -438,8 +438,23 @@ class TestSceneFiles:
         # float32 storage costs precision; no more than that
         assert np.abs(back.amplitude_map - scene.amplitude_map).max() <= 1e-6
         assert np.abs(back.phase_map - scene.phase_map).max() <= 1e-6
-        assert back.mode == scene.mode
         assert back.scene_pitch_um == pytest.approx(scene.scene_pitch_um)
+        manifest = parse_key_values((tmp_path / "scene" / "scene.manifest").read_text())
+        assert manifest["format_version"] == "2"
+        assert "mode" not in manifest
+
+    @pytest.mark.parametrize("mode", ["transmission", "reflection"])
+    def test_version_1_manifest_with_mode_reads(self, tmp_path, mode):
+        write_scene(make_test_target("smooth-wing", (6, 7)), tmp_path / "scene")
+        want = read_scene(tmp_path / "scene")
+        mf = tmp_path / "scene" / "scene.manifest"
+        values = parse_key_values(mf.read_text())
+        values.update(format_version="1", mode=mode)
+        mf.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        back = read_scene(tmp_path / "scene")
+        assert back.amplitude_map.tobytes() == want.amplitude_map.tobytes()
+        assert back.phase_map.tobytes() == want.phase_map.tobytes()
+        assert back.scene_pitch_um == want.scene_pitch_um
 
     @pytest.mark.parametrize(
         "key, bad",
@@ -447,7 +462,7 @@ class TestSceneFiles:
             ("scene_pitch_um", "wide"),
             ("width", "0"),
             ("height", "-2"),
-            ("mode", "banana"),
+            ("width", "2.5"),
             ("scene_pitch_um", "-1"),
             ("scene_pitch_um", "inf"),
         ],
@@ -460,7 +475,6 @@ class TestSceneFiles:
         mf.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
         # values that parse but that ObjectScene refuses
         message = {
-            "banana": "mode must be one of",
             "-1": "scene_pitch_um must be > 0",
             "inf": "scene_pitch_um must be finite",
         }.get(bad, f"key '{key}'")
