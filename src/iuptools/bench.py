@@ -80,10 +80,12 @@ def run_bench(
         raise ValueError("runs must be >= 2 so a standard deviation exists")
     if width < 1 or height < 1:
         raise ValueError("geometry must be positive")
-    counts = [int(k) for k in frame_counts]
+    counts = list(frame_counts)
     if not counts:
         raise ValueError("frame_counts must be non-empty")
     for k in counts:
+        if not isinstance(k, (int, np.integer)):
+            raise ValueError(f"frame count {k!r} is not an integer")
         if k < 3:
             raise ValueError(f"frame count {k} is below the 3-frame extraction minimum")
 
@@ -98,7 +100,7 @@ def run_bench(
             analyze_stack(stack, threads=threads)
             samples[i] = (perf_counter() - start) * 1e3
         rows.append(
-            BenchRow(k, float(samples.mean()), float(samples.std(ddof=1)), runs)
+            BenchRow(int(k), float(samples.mean()), float(samples.std(ddof=1)), runs)
         )
     return BenchReport(tuple(rows), width, height, threads, _machine_descriptor())
 

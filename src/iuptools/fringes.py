@@ -339,6 +339,16 @@ def _row_chunks(height: int, width: int) -> list[tuple[int, int]]:
     return [(r0, min(r0 + rows, height)) for r0 in range(0, height, rows)]
 
 
+def _ordered_map(fn, items, workers: int) -> list:
+    """fn(item) for each item, in item order, shared among at most `workers`
+    threads; with one worker, or one item, it runs here and starts no thread."""
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def _map_chunks(stack: FrameStack, body, threads: int) -> list:
     """body(rows, y) for each fixed row chunk, shared among `threads` workers,
     in chunk order. y is frames[:, rows] as float64: a view of samples that
@@ -355,11 +365,7 @@ def _map_chunks(stack: FrameStack, body, threads: int) -> list:
             band = scratch.band = np.empty((k, band_rows, width))
         return body(rows, stack._scaled(np.s_[:, rows], band[:, : rows.stop - rows.start]))
 
-    workers = min(threads, len(chunks))
-    if workers == 1:
-        return [run(chunk) for chunk in chunks]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, chunks))
+    return _ordered_map(run, chunks, threads)
 
 
 def _sums_by_frame(rows: slice, y: np.ndarray) -> list:

@@ -37,18 +37,28 @@ are still drawn from one counter-based stream keyed by (seed, frame index)
 and in row-major order: first every Poisson draw of the frame, then every
 read-noise draw, so a frame's noise does not depend on the chunking or on
 the other frames.
+
+simulate_stack builds the basis once, then shares the frames among one
+worker thread per CPU the calling thread may run on (its affinity set, or
+os.cpu_count() where the platform has none), at most one per frame. numpy
+releases the GIL in the arithmetic and in the noise draws, so the workers
+run at once. A frame is written by one worker, into its own slice of the
+stack, from its own noise stream, so the stack's bytes are the same for any
+worker count and any order in which the frames finish. With one usable CPU
+the frames are rendered in turn and no thread is started.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fringes import FrameStack, _row_chunks
+from .fringes import FrameStack, _ordered_map, _row_chunks
 
 __all__ = [
     "ObjectScene",
@@ -80,12 +90,16 @@ _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 def _check_fields(settings, error: type[ValueError], positive=(), non_negative=()) -> None:
     """Raise error naming the first field of the dataclass settings, in field
-    order, that is an int field holding no integer, a float field that is NaN
-    or inf, or named in positive and not > 0 or in non_negative and not >= 0."""
+    order, that is an int field holding no integer, a bool field holding no
+    bool, a float field that is NaN or inf, or named in positive and not > 0
+    or in non_negative and not >= 0."""
     for f in fields(settings):
         value = getattr(settings, f.name)
         if f.type == "int" and not isinstance(value, (int, np.integer)):
             raise error(f"{f.name} must be an integer, got {value!r}")
+        # a truthy string such as "false" would otherwise switch the field on
+        if f.type == "bool" and not isinstance(value, (bool, np.bool_)):
+            raise error(f"{f.name} must be a bool, got {value!r}")
         if f.type == "float" and not math.isfinite(value):
             raise error(f"{f.name} must be finite, got {value!r}")
         if f.name in positive and not value > 0:
@@ -543,13 +557,27 @@ def render_frame(
     return frame
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs the calling thread may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def simulate_stack(
     scene: ObjectScene,
     config: OpticalConfig,
     plan: ScanPlan,
     noise: NoiseModel | None = None,
 ) -> FrameStack:
-    """Render one frame per mirror position and assemble the stack."""
+    """Render one frame per mirror position and assemble the stack.
+
+    The frames are shared among one worker thread per CPU the calling thread
+    may run on, at most one per frame; with one such CPU they are rendered
+    in turn, in this thread. Each frame's noise comes from its own stream,
+    keyed by (rng_seed, frame index), and each worker writes only the frames
+    it renders, so the stack is byte-identical for any worker count.
+    """
     noise = noise if noise is not None else NoiseModel()
     with np.errstate(over="ignore"):
         phases = fringe_phase_from_mirror(plan.mirror_positions_nm, config.undetected_wavelength_nm)
@@ -561,8 +589,11 @@ def simulate_stack(
     # read and analyse loop by about 10%)
     frames = np.empty((plan.frame_count, config.sensor_height, config.sensor_width))
     basis = _fringe_basis(scene, config, noise)
-    for i, scan_phase in enumerate(phases):
-        _render_into(frames[i], basis, float(scan_phase), noise, i)
+
+    def render(i: int) -> None:
+        _render_into(frames[i], basis, float(phases[i]), noise, i)
+
+    _ordered_map(render, range(plan.frame_count), _usable_cpus())
     del basis
     meta = {
         "pump_nm": config.pump_wavelength_nm,
@@ -591,12 +622,16 @@ def make_test_target(kind: str, size, **params) -> ObjectScene:
     """
     if kind not in TARGET_KINDS:
         raise ValueError(f"unknown target kind {kind!r}; expected one of {TARGET_KINDS}")
-    if isinstance(size, (int, np.integer)):
-        shape = (int(size), int(size))
-    else:
-        shape = (int(size[0]), int(size[1]))
-    if shape[0] < 1 or shape[1] < 1:
-        raise ValueError("size must be positive")
+    pair = (size, size) if isinstance(size, (int, np.integer)) else size
+    try:
+        shape = tuple(pair)
+    except TypeError:
+        shape = ()
+    if not (len(shape) == 2 and all(isinstance(n, (int, np.integer)) and n >= 1 for n in shape)):
+        raise ValueError(
+            f"size must be a positive integer or a (height, width) pair of them, got {size!r}"
+        )
+    shape = (int(shape[0]), int(shape[1]))
     pitch = float(params.pop("scene_pitch_um", 5.2))
     yy, xx = _normalized_grid(shape)
 

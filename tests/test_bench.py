@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from iuptools import BenchReport, run_bench
@@ -28,6 +29,16 @@ class TestRunBench:
             run_bench(width=0, height=32, frame_counts=(3,), runs=2)
         with pytest.raises(ValueError):
             run_bench(width=48, height=32, frame_counts=(2,), runs=2)
+
+    @pytest.mark.parametrize("k", [3.7, 3.0, "4"])
+    def test_non_integer_frame_count_refused_by_value(self, k):
+        with pytest.raises(ValueError, match=f"frame count {k!r} is not an integer"):
+            run_bench(width=16, height=12, frame_counts=[k], runs=2)
+
+    def test_numpy_integer_frame_count_accepted(self):
+        rep = run_bench(width=16, height=12, frame_counts=[np.int64(3)], runs=2)
+        assert [r.frame_count for r in rep.rows] == [3]
+        assert type(rep.rows[0].frame_count) is int
 
     def test_table_mentions_geometry(self):
         rep = quick_report()

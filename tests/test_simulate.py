@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
+import os
 import sys
 import threading
 
@@ -150,6 +152,18 @@ class TestSceneAndConfig:
         assert NoiseModel(rng_seed=np.uint64(7)).rng_seed == 7
         assert ScanPlan.equal_steps(np.int64(3), 1558.0).frame_count == 3
 
+    @pytest.mark.parametrize("value", ["false", "", 0, 1, None, 1.0])
+    def test_non_bool_switch_refused_by_name(self, value):
+        with pytest.raises(ValueError, match=f"shot_noise must be a bool, got {value!r}"):
+            NoiseModel(shot_noise=value)
+
+    def test_numpy_bool_switch_accepted(self):
+        cfg = small_config()
+        scene = make_test_target("uniform", (8, 8))
+        got = render_frame(scene, cfg, 0.3, NoiseModel(shot_noise=np.bool_(True), rng_seed=2))
+        want = render_frame(scene, cfg, 0.3, NoiseModel(shot_noise=True, rng_seed=2))
+        assert got.tobytes() == want.tobytes()
+
     def test_scan_plan_equal_steps(self):
         plan = ScanPlan.equal_steps(4, 1558.0)
         phases = [fringe_phase_from_mirror(p, 1558.0) for p in plan.mirror_positions_nm]
@@ -190,6 +204,18 @@ class TestTargets:
     def test_rectangular_size(self):
         scene = make_test_target("uniform", (24, 30))
         assert scene.amplitude_map.shape == (24, 30)
+
+    @pytest.mark.parametrize(
+        "size", [2.5, (2.5, 3.9), (24, 30.0), np.float64(16), (24,), (2, 3, 4), "ab", 0, (0, 3)]
+    )
+    def test_bad_size_refused_by_name(self, size):
+        with pytest.raises(ValueError, match="size must be a positive integer"):
+            make_test_target("uniform", size)
+
+    def test_numpy_integer_size_accepted(self):
+        assert make_test_target("uniform", np.int64(5)).amplitude_map.shape == (5, 5)
+        scene = make_test_target("uniform", (np.int32(6), np.uint8(7)))
+        assert scene.amplitude_map.shape == (6, 7)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -677,6 +703,98 @@ class TestBasisCache:
             assert len(got[i]) == 50
             for j, frames in got[i]:
                 assert frames == want[j]
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Record the worker count of each thread pool started, and the thread
+    that renders each frame."""
+    started, renders = [], []
+    executor = concurrent.futures.ThreadPoolExecutor
+    render_into = optics._render_into
+
+    class Recorded(executor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    def recorded(out, basis, scan_phase, noise, frame_index):
+        renders.append(threading.current_thread())
+        render_into(out, basis, scan_phase, noise, frame_index)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+    monkeypatch.setattr(optics, "_render_into", recorded)
+    return started, renders
+
+
+class TestParallelFrames:
+    # 300 pixels per row and 217 rows put chunk edges inside each frame
+    def config(self):
+        return small_config(sensor_width=300, sensor_height=217)
+
+    @pytest.mark.parametrize("k", [3, 8])
+    @pytest.mark.parametrize(
+        "noise",
+        [NoiseModel(), NoiseModel(shot_noise=True, read_noise_sigma=2.0, rng_seed=21)],
+        ids=["noiseless", "shot+read"],
+    )
+    def test_stack_bytes_do_not_depend_on_the_worker_count(self, monkeypatch, pools, k, noise):
+        cfg = self.config()
+        scene = make_test_target("smooth-wing", (300, 390))
+        plan = ScanPlan.equal_steps(k, cfg.undetected_wavelength_nm)
+        phases = fringe_phase_from_mirror(plan.mirror_positions_nm, cfg.undetected_wavelength_nm)
+        # the serial loop, one frame at a time
+        want = np.stack([
+            render_frame(scene, cfg, float(s), noise, frame_index=i) for i, s in enumerate(phases)
+        ]).tobytes()
+        started, renders = pools
+        for cpus in (1, 2, 3, 7):
+            # the calling thread appears to have `cpus` usable CPUs
+            monkeypatch.setattr(
+                os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False
+            )
+            started.clear()
+            renders.clear()
+            stack = simulate_stack(scene, cfg, plan, noise)
+            assert stack.frames.tobytes() == want
+            workers = min(cpus, k)
+            assert started == ([workers] if workers > 1 else [])
+            in_caller = [t is threading.current_thread() for t in renders]
+            assert in_caller == [workers == 1] * k
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_a_thread_pinned_to_one_cpu_starts_no_pool(self, pools):
+        cfg = self.config()
+        scene = make_test_target("smooth-wing", (300, 390))
+        plan = ScanPlan.equal_steps(8, cfg.undetected_wavelength_nm)
+        noise = NoiseModel(shot_noise=True, rng_seed=4)
+        want = simulate_stack(scene, cfg, plan, noise).frames.tobytes()
+        started, renders = pools
+        started.clear()
+        renders.clear()
+        got = []
+
+        def pinned():
+            # pins this thread alone; the thread ends with the test
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            got.append(simulate_stack(scene, cfg, plan, noise).frames.tobytes())
+
+        thread = threading.Thread(target=pinned)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert got == [want]
+        assert started == []
+        assert renders == [thread] * 8
+
+    @pytest.mark.parametrize("count, workers", [(3, 3), (None, 1)])
+    def test_cpu_count_where_affinity_is_missing(self, monkeypatch, pools, count, workers):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        cfg = small_config()
+        plan = ScanPlan.equal_steps(8, cfg.undetected_wavelength_nm)
+        simulate_stack(make_test_target("uniform", (8, 8)), cfg, plan)
+        assert pools[0] == ([workers] if workers > 1 else [])
 
 
 class TestResolution:
