@@ -22,6 +22,7 @@ from .optics import (
 )
 from .qpm import tuning_curve, tuning_table_csv
 from .stackio import (
+    _CONVERTERS,
     _atomic_write_text,
     _field,
     export_maps,
@@ -33,18 +34,6 @@ from .stackio import (
 )
 
 
-def _parse_bool(value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
-
-
-_PARSERS = {"float": float, "int": int, "str": str, "bool": _parse_bool}
-
-
 def _build_optics(
     settings: dict[str, str], sources: dict[str, str], seed: int | None
 ) -> tuple[OpticalConfig, NoiseModel]:
@@ -54,7 +43,7 @@ def _build_optics(
         if key not in field_types:
             raise ValueError(f"{sources[key]}: unknown config key {key!r}")
         cls, type_name = field_types[key]
-        kwargs[cls][key] = _field(settings, key, sources[key], _PARSERS[type_name])
+        kwargs[cls][key] = _field(settings, key, sources[key], _CONVERTERS[type_name])
     if seed is not None:
         kwargs[NoiseModel]["rng_seed"] = seed
     return OpticalConfig(**kwargs[OpticalConfig]), NoiseModel(**kwargs[NoiseModel])

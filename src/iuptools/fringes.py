@@ -79,7 +79,15 @@ class FrameStack:
 
     def __post_init__(self) -> None:
         samples = self._counts[0]
-        self._check_shapes(samples.shape)
+        if samples.ndim != 3 or len(samples) < 1:
+            raise ValueError("frames must be a (K, height, width) array with K >= 1")
+        if samples.size == 0:
+            raise ValueError("frames must have at least one pixel")
+        self.scan_phases = np.atleast_1d(np.asarray(self.scan_phases, dtype=np.float64))
+        if self.scan_phases.shape != (len(samples),):
+            raise ValueError("scan_phases length must equal the frame count")
+        if not np.isfinite(self.scan_phases).all():
+            raise ValueError("scan phases must be finite")
         # NaN propagates through both reductions and +-inf shows in one of them
         lo, hi = float(samples.min()), float(samples.max())
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -87,28 +95,16 @@ class FrameStack:
         if lo < 0.0:
             raise ValueError("frame counts must be non-negative")
 
-    def _check_shapes(self, shape: tuple[int, ...]) -> None:
-        """Check a (K, height, width) stack shape and K finite scan phases."""
-        if len(shape) != 3 or shape[0] < 1:
-            raise ValueError("frames must be a (K, height, width) array with K >= 1")
-        if shape[1] < 1 or shape[2] < 1:
-            raise ValueError("frames must have at least one pixel")
-        self.scan_phases = np.atleast_1d(np.asarray(self.scan_phases, dtype=np.float64))
-        if self.scan_phases.shape != (shape[0],):
-            raise ValueError("scan_phases length must equal the frame count")
-        if not np.isfinite(self.scan_phases).all():
-            raise ValueError("scan phases must be finite")
-
     @classmethod
     def _from_samples(
-        cls, samples: np.ndarray, gain: float, scan_phases, meta: dict
+        cls, samples: np.ndarray, gain: float, scan_phases: np.ndarray, meta: dict
     ) -> "FrameStack":
-        """A stack of the counts samples / gain, which the caller ensures are
-        finite and non-negative; only shapes are checked."""
+        """A stack of the counts samples / gain, unchecked: the caller ensures a
+        (K, height, width) shape with K >= 1 and a pixel, K finite float64 scan
+        phases, and counts that are finite and non-negative."""
         stack = cls.__new__(cls)
         stack._counts = samples, gain
         stack.scan_phases, stack.meta = scan_phases, meta
-        stack._check_shapes(samples.shape)
         return stack
 
     def __getattr__(self, name: str):

@@ -170,7 +170,8 @@ def _check_window(ds: DispersionSet, temperature_c: float, *wavelengths_nm) -> N
         )
     for lam_nm in wavelengths_nm:
         lam_um = np.asarray(lam_nm, dtype=np.float64) / 1000.0
-        if np.any(lam_um < ds.lambda_min_um) or np.any(lam_um > ds.lambda_max_um):
+        # written so that NaN fails too
+        if not np.all((lam_um >= ds.lambda_min_um) & (lam_um <= ds.lambda_max_um)):
             raise ValueError(
                 f"wavelength outside the validity window "
                 f"[{ds.lambda_min_um}, {ds.lambda_max_um}] um of dispersion set {ds.name}"
@@ -213,8 +214,9 @@ def qpm_mismatch(pump_nm: float, signal_nm, crystal: CrystalState):
     Raises for wavelengths outside the dispersion set's validity window.
     """
     signal = np.asarray(signal_nm, dtype=np.float64)
+    _check_window(crystal.dispersion_set, crystal.temperature_c, pump_nm, signal)
     idler = 1.0 / (1.0 / pump_nm - 1.0 / signal)
-    _check_window(crystal.dispersion_set, crystal.temperature_c, pump_nm, signal, idler)
+    _check_window(crystal.dispersion_set, crystal.temperature_c, idler)
     dk = _mismatch_unchecked(pump_nm, signal, crystal)
     return float(dk) if np.isscalar(signal_nm) else dk
 
@@ -292,7 +294,7 @@ def _brentq(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _solve_grid(pump_nm: float, periods: list, temps: list, ds: DispersionSet) -> list[TuningPoint]:
-    """Solve every cell of a grid of checked periods and temperatures, in (period, T) order."""
+    """Solve every cell of a checked pump, period and temperature grid, in (period, T) order."""
     cells = [(p, t) for p in periods for t in temps]
     try:
         lo, hi = _signal_scan_bounds(pump_nm, ds)
@@ -352,6 +354,7 @@ def solve_signal_idler(pump_nm: float, crystal: CrystalState) -> WavelengthPair:
     when no sign change exists the degenerate point itself is checked before
     giving up. This is the 1x1 case of tuning_curve's grid solve.
     """
+    _check_window(crystal.dispersion_set, crystal.temperature_c, pump_nm)
     cell = [crystal.poling_period_um], [crystal.temperature_c]
     (point,) = _solve_grid(pump_nm, *cell, crystal.dispersion_set)
     if point.pair is None:
@@ -376,6 +379,7 @@ def tuning_curve(
         raise ValueError("poling period and temperature grids must be non-empty")
     for period, temp in [(periods[0], t) for t in temps] + [(p, temps[0]) for p in periods[1:]]:
         CrystalState(period, temp, ds)  # the first bad value in (period, T) cell order
+    _check_window(ds, temps[0], pump_nm)
     return _solve_grid(pump_nm, periods, temps, ds)
 
 

@@ -6,6 +6,9 @@ manifest ("key = value", arrays comma-separated). Maps export as raw
 little-endian float32 with a text sidecar per map. Every file is written to a
 uniquely named ".partial" path first and moved into place, so interrupted or
 concurrent writes never leave a partial final-named file behind.
+
+Key/value text has one reader (parse_key_values, then _field with a converter
+from _CONVERTERS) and one writer (_write_key_values, value text by _text_value).
 """
 
 from __future__ import annotations
@@ -80,6 +83,23 @@ def _atomic_write_text(path: Path, text: str) -> None:
     _atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _text_value(value) -> str:
+    """value as key/value text: a bool as true/false, a float to 17 significant
+    digits, a list, tuple or array item by item joined by commas, else str()."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return ",".join(map(_text_value, value))
+    return str(value)
+
+
+def _write_key_values(path: Path, entries: dict) -> None:
+    """Write one "key = value" line per entry, in order, atomically."""
+    _atomic_write_text(path, "".join(f"{k} = {_text_value(v)}\n" for k, v in entries.items()))
+
+
 def parse_key_values(text: str) -> dict[str, str]:
     """Parse "key = value" lines; '#' starts a comment, blank lines ignored.
 
@@ -91,7 +111,7 @@ def parse_key_values(text: str) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
-        if not sep:
+        if not sep or not key:
             raise StackFormatError(
                 f"line {lineno}: expected 'key = value', got {line!r}"
             )
@@ -135,10 +155,6 @@ def _parse_pgm(payload: bytes, source: str) -> np.ndarray:
     return np.frombuffer(data, dtype=">u2").reshape(h, w)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _usable_gain(gain: float) -> bool:
     """True where every sample 0..65535 scales to a finite count sample / gain."""
     return gain > 0 and math.isfinite(gain) and math.isfinite(65535.0 / float(gain))
@@ -180,22 +196,33 @@ def write_stack(stack: FrameStack, directory: str | Path, gain: float | None = N
         names.append(name)
         digests.append(hashlib.sha256(payload).hexdigest())
 
-    lines = [
-        f"format_version = {STACK_FORMAT_VERSION}",
-        f"width = {stack.width}",
-        f"height = {stack.height}",
-        f"frame_count = {stack.frame_count}",
-        f"gain = {_fmt(gain)}",
-        "scan_phases = " + ",".join(_fmt(p) for p in stack.scan_phases),
-        "frame_files = " + ",".join(names),
-        "frame_sha256 = " + ",".join(digests),
-    ]
-    for key in _STACK_META_KEYS:
-        if key in stack.meta:
-            lines.append(f"{key} = {_fmt(stack.meta[key])}")
+    entries = {
+        "format_version": STACK_FORMAT_VERSION,
+        "width": stack.width,
+        "height": stack.height,
+        "frame_count": stack.frame_count,
+        "gain": float(gain),
+        "scan_phases": stack.scan_phases,
+        "frame_files": names,
+        "frame_sha256": digests,
+    }
+    entries.update((key, float(stack.meta[key])) for key in _STACK_META_KEYS if key in stack.meta)
     manifest = directory / STACK_MANIFEST
-    _atomic_write_text(manifest, "\n".join(lines) + "\n")
+    _write_key_values(manifest, entries)
     return manifest
+
+
+def _parse_bool(value: str) -> bool:
+    lowered = value.lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {value!r}")
+
+
+# _field converters by the type name a dataclass field is annotated with
+_CONVERTERS = {"float": float, "int": int, "str": str, "bool": _parse_bool}
 
 
 def _field(values: dict[str, str], key: str, source: str, convert=str):
@@ -308,32 +335,12 @@ def read_stack(manifest_path: str | Path) -> FrameStack:
     for key in _STACK_META_KEYS:
         if key in values:
             meta[key] = _field(values, key, source, float)
-    try:
-        return FrameStack._from_samples(samples, gain, np.array(phases), meta)
-    except ValueError as err:
-        raise StackFormatError(f"{source}: {err}") from None
+    return FrameStack._from_samples(samples, gain, np.array(phases), meta)
 
 
 def _write_f32(path: Path, data: np.ndarray) -> None:
     """Write data as raw little-endian float32, with no copy beyond the cast."""
     _atomic_write_bytes(path, memoryview(np.ascontiguousarray(data, dtype="<f4")))
-
-
-def _write_raw_map(
-    directory: Path, name: str, data: np.ndarray, extra_sidecar: list[str] | None = None
-) -> Path:
-    raw_path = directory / f"{name}.f32"
-    _write_f32(raw_path, data)
-    sidecar = [
-        f"width = {data.shape[1]}",
-        f"height = {data.shape[0]}",
-        "dtype = float32-le",
-        "scale = 1",
-    ]
-    if extra_sidecar:
-        sidecar.extend(extra_sidecar)
-    _atomic_write_text(directory / f"{name}.f32.txt", "\n".join(sidecar) + "\n")
-    return raw_path
 
 
 def export_maps(
@@ -358,7 +365,8 @@ def export_maps(
     }
     written: dict[str, Path] = {}
     for name, data in maps.items():
-        extra: list[str] = []
+        h, w = data.shape
+        sidecar = {"width": w, "height": h, "dtype": "float32-le", "scale": 1}
         if preview and name != "mask":
             # each preview is scaled, rounded and clipped in one float64 buffer
             if name == "visibility":
@@ -372,29 +380,31 @@ def export_maps(
                 peak = float(data.max())
                 preview_scale = 65535.0 / peak if peak > 0 else 1.0
                 scaled = data * preview_scale
-                extra.append(f"preview_scale = {_fmt(preview_scale)}")
+                sidecar["preview_scale"] = preview_scale
             np.rint(scaled, out=scaled)
             preview_u16 = np.clip(scaled, 0, 65535, out=scaled).astype(np.uint16)
             preview_path = directory / f"{name}.pgm"
             _atomic_write_bytes(preview_path, _pgm_bytes(preview_u16))
             written[f"{name}_preview"] = preview_path
-        written[name] = _write_raw_map(directory, name, data, extra)
+        written[name] = directory / f"{name}.f32"
+        _write_f32(written[name], data)
+        _write_key_values(directory / f"{name}.f32.txt", sidecar)
 
-    provenance = [
-        f"format_version = {MAPS_FORMAT_VERSION}",
-        f"toolkit_version = {__version__}",
-        f"width = {result.visibility_map.shape[1]}",
-        f"height = {result.visibility_map.shape[0]}",
-        f"fringe_frequency = {_fmt(result.fringe_frequency)}",
-        f"leakage_flag = {'true' if result.leakage_flag else 'false'}",
-        f"masked_pixels = {int((~result.mask).sum())}",
-        f"frequency_mode = {result.options.frequency_mode}",
-        f"min_dc_threshold = {_fmt(result.options.min_dc_threshold)}",
-    ]
+    provenance = {
+        "format_version": MAPS_FORMAT_VERSION,
+        "toolkit_version": __version__,
+        "width": result.visibility_map.shape[1],
+        "height": result.visibility_map.shape[0],
+        "fringe_frequency": float(result.fringe_frequency),
+        "leakage_flag": bool(result.leakage_flag),
+        "masked_pixels": int((~result.mask).sum()),
+        "frequency_mode": result.options.frequency_mode,
+        "min_dc_threshold": float(result.options.min_dc_threshold),
+    }
     if result.options.fixed_frequency is not None:
-        provenance.append(f"fixed_frequency = {_fmt(result.options.fixed_frequency)}")
+        provenance["fixed_frequency"] = float(result.options.fixed_frequency)
     manifest = directory / MAPS_MANIFEST
-    _atomic_write_text(manifest, "\n".join(provenance) + "\n")
+    _write_key_values(manifest, provenance)
     written["manifest"] = manifest
     return written
 
@@ -406,14 +416,9 @@ def write_scene(scene: ObjectScene, directory: str | Path) -> Path:
     h, w = scene.amplitude_map.shape
     _write_f32(directory / "amplitude.f32", scene.amplitude_map)
     _write_f32(directory / "phase.f32", scene.phase_map)
-    lines = [
-        f"format_version = {SCENE_FORMAT_VERSION}",
-        f"width = {w}",
-        f"height = {h}",
-        f"scene_pitch_um = {_fmt(scene.scene_pitch_um)}",
-    ]
     manifest = directory / SCENE_MANIFEST
-    _atomic_write_text(manifest, "\n".join(lines) + "\n")
+    _write_key_values(manifest, {"format_version": SCENE_FORMAT_VERSION, "width": w, "height": h,
+                                 "scene_pitch_um": float(scene.scene_pitch_um)})
     return manifest
 
 

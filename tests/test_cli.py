@@ -322,6 +322,15 @@ class TestTune:
         assert run("tune", "--period", "5.0", "--temp", "25") == 0
         assert "no phase matching" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("pump", ["nan", "0", "450"])
+    def test_pump_outside_the_dispersion_window_fails(self, tmp_path, capsys, pump):
+        out = tmp_path / "grid.csv"
+        assert run("tune", "--pump", pump, "--periods", "7.4", "--temps", "25",
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "validity window" in err[0]
+        assert not out.exists()
+
     def test_missing_arguments(self, capsys):
         assert run("tune", "--period", "7.4") == 1
         assert run("tune", "--temp", "25") == 1

@@ -113,6 +113,9 @@ class TestDispersion:
             refractive_index(450.0, 25.0)
         with pytest.raises(ValueError):
             refractive_index(4100.0, 25.0)
+        for nan in (np.nan, np.array([1064.0, np.nan])):
+            with pytest.raises(ValueError, match="validity window"):
+                refractive_index(nan, 25.0)
 
     def test_temperature_window_enforced(self):
         with pytest.raises(ValueError):
@@ -195,6 +198,15 @@ class TestMismatch:
         below = qpm_mismatch(PUMP_NM, pair.signal_nm - 5.0, crystal)
         above = qpm_mismatch(PUMP_NM, pair.signal_nm + 5.0, crystal)
         assert below * above < 0
+
+    @pytest.mark.parametrize(
+        "pump_nm, signal_nm",
+        [(np.nan, 800.0), (PUMP_NM, np.nan), (PUMP_NM, [800.0, np.nan]), (0.0, 800.0)],
+        ids=["nan-pump", "nan-signal", "nan-in-signals", "zero-pump"],
+    )
+    def test_wavelength_outside_the_window_is_refused(self, pump_nm, signal_nm):
+        with pytest.raises(ValueError, match="validity window"):
+            qpm_mismatch(pump_nm, signal_nm, CrystalState(7.40, 125.0))
 
     def test_scalar_and_array_agree(self):
         crystal = CrystalState(7.40, 125.0)
@@ -399,7 +411,23 @@ class TestArrayBrent:
             _brentq(lambda x, j: np.array([scalar(v) for v in x]), np.array([a]), np.array([b]))
 
 
+# pumps outside the bundled table's 0.5-4 um window, or no wavelength at all
+BAD_PUMPS_NM = [0.0, np.nan, -532.0, np.inf, 450.0, 4500.0]
+
+
 class TestTuningCurve:
+    @pytest.mark.parametrize("pump_nm", BAD_PUMPS_NM)
+    def test_pump_outside_the_window_is_refused(self, pump_nm):
+        with pytest.raises(ValueError, match="validity window"):
+            tuning_curve(pump_nm, [7.4], [25.0])
+        with pytest.raises(ValueError, match="validity window"):
+            solve_signal_idler(pump_nm, CrystalState(7.4, 25.0))
+
+    def test_pump_in_the_window_without_a_signal_range_is_noted(self):
+        # 2.1 um: every idler of a signal between the pump and 4 um lies past 4 um
+        (point,) = tuning_curve(2100.0, [7.4], [25.0])
+        assert point.pair is None and "no scannable signal range" in point.note
+
     def test_grid_matches_reference_solve(self):
         grids = [
             # unmatched periods, a degenerate period and both sides of the tangency fallback

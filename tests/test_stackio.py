@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from iuptools import (
+    AnalysisResult,
     ExtractionOptions,
     FrameStack,
     NoiseModel,
@@ -29,7 +30,7 @@ from iuptools import (
     write_scene,
     write_stack,
 )
-from iuptools import stackio
+from iuptools import __version__, stackio
 
 
 def sample_stack(k=4, noise=None, w=20, h=16):
@@ -46,8 +47,15 @@ class TestKeyValueFormat:
         assert got == {"width": "12", "name": "ring target"}
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(StackFormatError):
-            parse_key_values("this line has no equals sign\n")
+        for text in ("this line has no equals sign\n", "= 5\n"):
+            with pytest.raises(StackFormatError, match="expected 'key = value'"):
+                parse_key_values(text)
+
+    def test_empty_key_in_a_file_names_the_file(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("mean_counts = 500\n  = 5\n")
+        with pytest.raises(StackFormatError, match=r"run\.cfg: line 2: expected .*, got '= 5'"):
+            read_config_file(p)
 
     def test_read_config_file(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -76,6 +84,91 @@ class TestKeyValueFormat:
         for path in files:
             lines = [line for line in path.read_text().splitlines() if line]
             assert len(parse_key_values(path.read_text())) == len(lines), path.name
+
+    def test_toolkit_files_keep_their_text(self, tmp_path):
+        # integer gain, meta, pitch, threshold and fixed frequency are still written as floats
+        meta = {"pump_nm": 532.0, "detected_nm": 810.0, "undetected_nm": 1550.0,
+                "exposure_ms": 200.0, "pixel_pitch_um": 5.2}
+        frames = np.array([[[0.0, 1.5, 3.0]], [[4.5, 6.0, 7.0]]])
+        write_stack(FrameStack(frames, [0.0, np.pi], meta), tmp_path / "meta")
+        zeros = FrameStack(np.zeros((2, 1, 2)), [0.0, 1.0], {"exposure_ms": 10**17})
+        write_stack(zeros, tmp_path / "zero", gain=10**20)
+        scene = ObjectScene(np.full((1, 2), 0.5), np.zeros((1, 2)), scene_pitch_um=10**20)
+        write_scene(scene, tmp_path / "scene")
+        maps = dict(visibility_map=np.array([[0.5, 0.0]]), contrast_map=np.array([[0.75, 0.0]]),
+                    phase_map=np.array([[1.0, 0.0]]), dc_map=np.array([[7.0, 0.0]]),
+                    mask=np.array([[True, False]]))
+        one = ExtractionOptions(min_dc_threshold=10**20)
+        export_maps(AnalysisResult(**maps, fringe_frequency=1.0, leakage_flag=False, options=one),
+                    tmp_path / "one")
+        fixed = ExtractionOptions(frequency_mode="fixed", fixed_frequency=10**20)
+        export_maps(AnalysisResult(**maps, fringe_frequency=1.25, leakage_flag=True, options=fixed),
+                    tmp_path / "fixed", preview=True)
+
+        frame_files = ["frame_0000.pgm", "frame_0001.pgm"]
+        meta_sha = ["8f530d2b9372dd813c160dec10c3026c9aa1c3d0e3094f11fb0290143b73ed7c",
+                    "4de9ce4a507516e5192249e71ae350e6a6ff8c5ba90924c4d96a91661bd3618d"]
+        zero_sha = ["52219f655e7ff502409f71e7f1376d828cc31571c4def7f04e0eab2f070ef727"] * 2
+        sidecar = "width = 2\nheight = 1\ndtype = float32-le\nscale = 1\n"
+        sidecar_values = {"width": 2, "height": 1, "dtype": "float32-le", "scale": 1}
+        maps_head = f"format_version = 1\ntoolkit_version = {__version__}\nwidth = 2\nheight = 1\n"
+        maps_values = {"format_version": 1, "toolkit_version": __version__, "width": 2, "height": 1}
+        files = {  # whole text, then each key's value as it must read back
+            "meta/stack.manifest": (
+                "format_version = 1\nwidth = 3\nheight = 1\nframe_count = 2\n"
+                "gain = 9362.1428571428569\nscan_phases = 0,3.1415926535897931\n"
+                f"frame_files = {','.join(frame_files)}\nframe_sha256 = {','.join(meta_sha)}\n"
+                "pump_nm = 532\ndetected_nm = 810\nundetected_nm = 1550\nexposure_ms = 200\n"
+                "pixel_pitch_um = 5.2000000000000002\n",
+                {"format_version": 1, "width": 3, "height": 1, "frame_count": 2,
+                 "gain": 65535.0 / 7.0, "scan_phases": [0.0, np.pi], "frame_files": frame_files,
+                 "frame_sha256": meta_sha, **meta},
+            ),
+            "zero/stack.manifest": (
+                "format_version = 1\nwidth = 2\nheight = 1\nframe_count = 2\ngain = 1e+20\n"
+                f"scan_phases = 0,1\nframe_files = {','.join(frame_files)}\n"
+                f"frame_sha256 = {','.join(zero_sha)}\nexposure_ms = 1e+17\n",
+                {"format_version": 1, "width": 2, "height": 1, "frame_count": 2, "gain": 1e20,
+                 "scan_phases": [0.0, 1.0], "frame_files": frame_files, "frame_sha256": zero_sha,
+                 "exposure_ms": 1e17},
+            ),
+            "scene/scene.manifest": (
+                "format_version = 2\nwidth = 2\nheight = 1\nscene_pitch_um = 1e+20\n",
+                {"format_version": 2, "width": 2, "height": 1, "scene_pitch_um": 1e20},
+            ),
+            "one/maps.manifest": (
+                maps_head + "fringe_frequency = 1\nleakage_flag = false\nmasked_pixels = 1\n"
+                "frequency_mode = assume-one-cycle\nmin_dc_threshold = 1e+20\n",
+                {**maps_values, "fringe_frequency": 1.0, "leakage_flag": False,
+                 "masked_pixels": 1, "frequency_mode": "assume-one-cycle",
+                 "min_dc_threshold": 1e20},
+            ),
+            "fixed/maps.manifest": (
+                maps_head + "fringe_frequency = 1.25\nleakage_flag = true\nmasked_pixels = 1\n"
+                "frequency_mode = fixed\nmin_dc_threshold = 1.0000000000000001e-09\n"
+                "fixed_frequency = 1e+20\n",
+                {**maps_values, "fringe_frequency": 1.25, "leakage_flag": True,
+                 "masked_pixels": 1, "frequency_mode": "fixed", "min_dc_threshold": 1e-9,
+                 "fixed_frequency": 1e20},
+            ),
+            "one/dc.f32.txt": (sidecar, sidecar_values),
+            "fixed/visibility.f32.txt": (sidecar, sidecar_values),
+            "fixed/dc.f32.txt": (
+                sidecar + "preview_scale = 9362.1428571428569\n",
+                {**sidecar_values, "preview_scale": 65535.0 / 7.0},
+            ),
+        }
+        for name, (text, typed) in files.items():
+            assert (tmp_path / name).read_text(encoding="utf-8") == text, name
+            values = parse_key_values(text)
+            assert list(values) == list(typed), name
+            for key, want in typed.items():
+                if isinstance(want, list):
+                    convert = stackio._items if isinstance(want[0], str) else stackio._finite_floats
+                else:
+                    convert = stackio._CONVERTERS[type(want).__name__]
+                got = stackio._field(values, key, name, convert)
+                assert got == want and type(got) is type(want), (name, key)
 
 
 class TestStackRoundTrip:
