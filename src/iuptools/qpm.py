@@ -9,10 +9,13 @@ with all indices extraordinary. The dispersion data ships as a plain-text
 coefficient table (see data/ppln_mgo5pct_e.txt for the provenance citation);
 alternative tables in the same format can be substituted per crystal.
 
-A tuning grid is solved in array passes: the period-free part of dk is
-scanned once per temperature over a 0.5 nm signal grid, the first sign change
-of every cell is found in fixed-size blocks of cells, and one run of Brent's
-method (scipy's brentq, step for step) polishes all bracketed roots together.
+A tuning grid is solved in array passes. The Sellmeier terms that depend on
+temperature alone, and the pump's index, are evaluated once per temperature.
+The period-free part of dk is scanned once per temperature over a 0.5 nm
+signal grid, and every period's first sign change on that row is found by one
+sorted search in the row's running maximum or minimum; a row holding a
+non-finite value is scanned pair by pair instead. One run of Brent's method
+(scipy's brentq, step for step) polishes all bracketed roots together.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ _SCAN_STEP_NM = 0.5
 _ROOT_TOL_NM = 1e-7
 _ROOT_RTOL = 4.0 * np.finfo(np.float64).eps  # brentq's defaults
 _ROOT_MAXITER = 100
-_BLOCK_CELLS = 64  # cells per pre-scan pass: keeps the (cells x scan points) arrays in cache
 _DEGENERATE_TOL = 1e-6  # 1/um
 
 
@@ -71,17 +73,22 @@ class DispersionSet:
     temp_max_c: float
 
     def index_squared(self, wavelength_um, temperature_c: float):
-        a1, a2, a3, a4, a5, a6 = self.a
+        return self._index_squared(wavelength_um, self._thermal(temperature_c))
+
+    def _thermal(self, temperature_c):
+        """The temperature-only terms of index_squared, stacked on a leading axis:
+        a1 + b1 f, a2 + b2 f, (a3 + b3 f)^2 and a4 + b4 f."""
+        a1, a2, a3, a4, _, _ = self.a
         b1, b2, b3, b4 = self.b
         f = (temperature_c - self.t_offset_c) * (temperature_c + self.t_factor)
+        return np.array([a1 + b1 * f, a2 + b2 * f, np.square(a3 + b3 * f), a4 + b4 * f])
+
+    def _index_squared(self, wavelength_um, thermal):
+        """n^2 at the given wavelength(s) from _thermal's terms, which broadcast against them."""
+        c1, c2, c3, c4 = thermal
+        a5, a6 = self.a[4:]
         lam2 = np.square(wavelength_um)
-        return (
-            a1
-            + b1 * f
-            + (a2 + b2 * f) / (lam2 - np.square(a3 + b3 * f))
-            + (a4 + b4 * f) / (lam2 - a5 * a5)
-            - a6 * lam2
-        )
+        return c1 + c2 / (lam2 - c3) + c4 / (lam2 - a5 * a5) - a6 * lam2
 
 
 def load_dispersion_set(path: str | Path) -> DispersionSet:
@@ -161,19 +168,24 @@ def idler_from_signal(pump_nm: float, signal_nm: float) -> float:
     return 1.0 / (1.0 / pump_nm - 1.0 / signal_nm)
 
 
-def _check_window(ds: DispersionSet, temperature_c: float, *wavelengths_nm) -> None:
-    """Raise ValueError for the temperature or a wavelength (nm) outside ds's window."""
+def _check_window(ds: DispersionSet, temperature_c: float, **wavelengths_nm) -> None:
+    """Raise ValueError for the temperature, or for the first wavelength (nm) outside
+    ds's window, named by its keyword and, in an array, by its index."""
     if not ds.temp_min_c <= temperature_c <= ds.temp_max_c:
         raise ValueError(
             f"temperature {temperature_c} C outside the validity range "
             f"[{ds.temp_min_c}, {ds.temp_max_c}] C of dispersion set {ds.name}"
         )
-    for lam_nm in wavelengths_nm:
-        lam_um = np.asarray(lam_nm, dtype=np.float64) / 1000.0
+    for role, lam_nm in wavelengths_nm.items():
+        lam_nm = np.asarray(lam_nm, dtype=np.float64)
+        lam_um = lam_nm / 1000.0
         # written so that NaN fails too
-        if not np.all((lam_um >= ds.lambda_min_um) & (lam_um <= ds.lambda_max_um)):
+        outside = ~((lam_um >= ds.lambda_min_um) & (lam_um <= ds.lambda_max_um))
+        if outside.any():
+            at = np.unravel_index(np.argmax(outside), outside.shape)
+            where = f" (at index {', '.join(map(str, at))})" if at else ""
             raise ValueError(
-                f"wavelength outside the validity window "
+                f"{role} {lam_nm[at]} nm{where} outside the validity window "
                 f"[{ds.lambda_min_um}, {ds.lambda_max_um}] um of dispersion set {ds.name}"
             )
 
@@ -185,25 +197,35 @@ def refractive_index(wavelength_nm, temperature_c: float, dispersion_set: Disper
     set's declared validity window.
     """
     ds = dispersion_set if dispersion_set is not None else default_dispersion_set()
-    _check_window(ds, temperature_c, wavelength_nm)
+    _check_window(ds, temperature_c, wavelength=wavelength_nm)
     lam_um = np.asarray(wavelength_nm, dtype=np.float64) / 1000.0
     n = np.sqrt(ds.index_squared(lam_um, temperature_c))
     return float(n) if np.isscalar(wavelength_nm) else n
 
 
-def _mismatch_terms(pump_nm: float, signal, temperature_c, ds: DispersionSet):
-    # dk / 2 pi + 1/Lambda over broadcast signal and temperature, unchecked: out-of-window
-    # wavelengths drive the Sellmeier form negative and give NaN, which the scan skips
+def _temperature_terms(pump_nm: float, temperature_c, ds: DispersionSet) -> np.ndarray:
+    # the pump term n_p/lp of dk/2pi above ds._thermal's four terms, on a leading axis of 5
+    thermal = ds._thermal(temperature_c)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        n_p = np.sqrt(ds._index_squared(pump_nm / 1000.0, thermal))
+    return np.concatenate([[n_p * (1000.0 / pump_nm)], thermal])
+
+
+def _mismatch_terms(pump_nm: float, signal, terms: np.ndarray, ds: DispersionSet):
+    # dk / 2 pi + 1/Lambda over signal broadcast against _temperature_terms, unchecked:
+    # out-of-window wavelengths drive the Sellmeier form negative and give NaN, which the
+    # scan skips
     idler = 1.0 / (1.0 / pump_nm - 1.0 / signal)
     with np.errstate(invalid="ignore", divide="ignore"):
-        n_p = np.sqrt(ds.index_squared(pump_nm / 1000.0, temperature_c))
-        n_s = np.sqrt(ds.index_squared(signal / 1000.0, temperature_c))
-        n_i = np.sqrt(ds.index_squared(idler / 1000.0, temperature_c))
-        return n_p * (1000.0 / pump_nm) - n_s * (1000.0 / signal) - n_i * (1000.0 / idler)
+        n_s = np.sqrt(ds._index_squared(signal / 1000.0, terms[1:]))
+        n_i = np.sqrt(ds._index_squared(idler / 1000.0, terms[1:]))
+        return terms[0] - n_s * (1000.0 / signal) - n_i * (1000.0 / idler)
 
 
 def _mismatch_unchecked(pump_nm: float, signal: np.ndarray, crystal: CrystalState) -> np.ndarray:
-    terms = _mismatch_terms(pump_nm, signal, crystal.temperature_c, crystal.dispersion_set)
+    ds = crystal.dispersion_set
+    by_temp = _temperature_terms(pump_nm, crystal.temperature_c, ds)
+    terms = _mismatch_terms(pump_nm, signal, by_temp, ds)
     return 2.0 * np.pi * (terms - 1.0 / crystal.poling_period_um)
 
 
@@ -214,9 +236,9 @@ def qpm_mismatch(pump_nm: float, signal_nm, crystal: CrystalState):
     Raises for wavelengths outside the dispersion set's validity window.
     """
     signal = np.asarray(signal_nm, dtype=np.float64)
-    _check_window(crystal.dispersion_set, crystal.temperature_c, pump_nm, signal)
+    _check_window(crystal.dispersion_set, crystal.temperature_c, pump=pump_nm, signal=signal)
     idler = 1.0 / (1.0 / pump_nm - 1.0 / signal)
-    _check_window(crystal.dispersion_set, crystal.temperature_c, idler)
+    _check_window(crystal.dispersion_set, crystal.temperature_c, idler=idler)
     dk = _mismatch_unchecked(pump_nm, signal, crystal)
     return float(dk) if np.isscalar(signal_nm) else dk
 
@@ -250,6 +272,34 @@ def _first_root(grid: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nd
     i = np.argmax(hits, axis=-1)
     zero = np.take_along_axis(left, i[..., None], axis=-1)[..., 0] == 0.0
     return hits.any(axis=-1), grid[i], grid[np.where(zero, i, i + 1)]
+
+
+def _first_roots(
+    grid: np.ndarray, rows: np.ndarray, levels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_first_root(grid, 2 pi (row - levels[:, None])) for every row, as (levels x rows)
+    arrays, without that (levels x grid) array where the row is finite.
+
+    2 pi fl(t - c) is zero only where t == c and otherwise has the sign of t - c, so a
+    finite row that starts below a level c first meets it where its running maximum
+    reaches c, and one that starts above where its running minimum does: one sorted
+    search per row and level. A bracket ends there, or starts there if the row equals
+    c at that point, which is no root at the last point. Rows holding a non-finite
+    value go to _first_root. As there, a and b mean nothing where nothing is found.
+    """
+    last = grid.size - 1
+    rise, fall = np.maximum.accumulate(rows, axis=1), -np.minimum.accumulate(rows, axis=1)
+    up, down = np.empty((2, rows.shape[0], levels.size), dtype=np.intp)
+    for t in range(rows.shape[0]):
+        up[t], down[t] = rise[t].searchsorted(levels), fall[t].searchsorted(-levels)
+    j = np.where(levels > rows[:, :1], up, down)
+    k = np.minimum(j, last)
+    zero = np.take_along_axis(rows, k, axis=1) == levels
+    found = (j < last) | ((j == last) & ~zero)
+    a, b = grid[np.where(zero, k, k - 1)], grid[k]
+    for t in np.flatnonzero(~np.isfinite(rows).all(axis=1)):
+        found[t], a[t], b[t] = _first_root(grid, 2.0 * np.pi * (rows[t] - levels[:, None]))
+    return found.T, a.T, b.T
 
 
 def _brentq(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -303,41 +353,41 @@ def _solve_grid(pump_nm: float, periods: list, temps: list, ds: DispersionSet) -
     grid = np.append(np.arange(lo, hi, _SCAN_STEP_NM), hi)
     fine = np.linspace(max(lo, hi - 2.0), hi, 401)
     temp, inv_period = np.array(temps, dtype=np.float64), 1.0 / np.array(periods, dtype=np.float64)
-    index = np.arange(len(cells)).reshape(inv_period.size, temp.size)
-    found, a, b = np.zeros(len(cells), dtype=bool), np.zeros(len(cells)), np.zeros(len(cells))
+    by_temp = _temperature_terms(pump_nm, temp, ds)
     pairs = np.empty(len(cells), dtype=object)
 
     def dk(signal, c):
-        terms = _mismatch_terms(pump_nm, signal, temp[c % temp.size], ds)
+        terms = _mismatch_terms(pump_nm, signal, by_temp[:, c % temp.size], ds)
         return 2.0 * np.pi * (terms - inv_period[c // temp.size])
 
-    t_step, p_step = min(temp.size, _BLOCK_CELLS), max(1, _BLOCK_CELLS // temp.size)
-    for t0 in range(0, temp.size, t_step):
-        terms = _mismatch_terms(pump_nm, grid, temp[t0 : t0 + t_step, None], ds)
-        for p0 in range(0, inv_period.size, p_step):
-            block = index[p0 : p0 + p_step, t0 : t0 + t_step].ravel()
-            rows = 2.0 * np.pi * (terms - inv_period[p0 : p0 + p_step, None, None])
-            found[block], a[block], b[block] = _first_root(grid, rows.reshape(block.size, -1))
-            need = block[~found[block]]
-            if hi == 2.0 * pump_nm and need.size:
-                # tangency fallback: refine near the degenerate edge
-                fine_rows = dk(fine, need[:, None])
-                found[need], a[need], b[need] = _first_root(fine, fine_rows)
-                edge = np.abs(fine_rows[:, -1])
-                tangent = ~found[need] & (edge <= _DEGENERATE_TOL)
-                pairs[need[tangent]] = [WavelengthPair(hi, hi, r) for r in edge[tangent].tolist()]
+    rows = _mismatch_terms(pump_nm, grid, by_temp[:, :, None], ds)
+    found, a, b = (v.ravel() for v in _first_roots(grid, rows, inv_period))
+    missed = ~found.reshape(inv_period.size, temp.size)
+    # tangency fallback: refine near the degenerate edge, one fine row per temperature
+    for t in np.flatnonzero(missed.any(axis=0) & (hi == 2.0 * pump_nm)):
+        p = np.flatnonzero(missed[:, t])
+        need = p * temp.size + t
+        fine_row = _mismatch_terms(pump_nm, fine, by_temp[:, t], ds)
+        fine_rows = 2.0 * np.pi * (fine_row - inv_period[p, None])
+        found[need], a[need], b[need] = _first_root(fine, fine_rows)
+        edge = np.abs(fine_rows[:, -1])
+        tangent = ~found[need] & (edge <= _DEGENERATE_TOL)
+        pairs[need[tangent]] = [WavelengthPair(hi, hi, r) for r in edge[tangent].tolist()]
     polish = np.flatnonzero(found & (a < b))
     a[polish] = _brentq(lambda x, j: dk(x, polish[j]), a[polish], b[polish])
     solved = np.flatnonzero(found)
     roots = zip(a[solved].tolist(), np.abs(dk(a[solved], solved)).tolist())
     pairs[solved] = [WavelengthPair(s, idler_from_signal(pump_nm, s), r) for s, r in roots]
     points = [TuningPoint(p, t, pair) for (p, t), pair in zip(cells, pairs)]
+    # rounding is monotone, so a row's finite extremes give each period's mismatch span
+    finite = np.isfinite(rows)
+    low, high = np.where(finite, rows, np.inf).min(1), np.where(finite, rows, -np.inf).max(1)
     for c in [c for c, pt in enumerate(points) if pt.pair is None]:
-        values = dk(grid, c)
-        shown = values[np.isfinite(values)]
+        t = c % temp.size
         detail = "mismatch is not finite anywhere in the scanned range"
-        if shown.size:
-            detail = f"mismatch spans [{shown.min():.6g}, {shown.max():.6g}] 1/um "
+        if finite[t].any():
+            shown = 2.0 * np.pi * (np.array([low[t], high[t]]) - inv_period[c // temp.size])
+            detail = f"mismatch spans [{shown[0]:.6g}, {shown[1]:.6g}] 1/um "
             detail += f"over signal {lo:.1f}..{hi:.1f} nm"
         note = f"no phase matching for pump {pump_nm} nm at poling period {cells[c][0]} um"
         points[c] = TuningPoint(*cells[c], None, f"{note}, {cells[c][1]} C ({detail})")
@@ -354,7 +404,7 @@ def solve_signal_idler(pump_nm: float, crystal: CrystalState) -> WavelengthPair:
     when no sign change exists the degenerate point itself is checked before
     giving up. This is the 1x1 case of tuning_curve's grid solve.
     """
-    _check_window(crystal.dispersion_set, crystal.temperature_c, pump_nm)
+    _check_window(crystal.dispersion_set, crystal.temperature_c, pump=pump_nm)
     cell = [crystal.poling_period_um], [crystal.temperature_c]
     (point,) = _solve_grid(pump_nm, *cell, crystal.dispersion_set)
     if point.pair is None:
@@ -379,7 +429,7 @@ def tuning_curve(
         raise ValueError("poling period and temperature grids must be non-empty")
     for period, temp in [(periods[0], t) for t in temps] + [(p, temps[0]) for p in periods[1:]]:
         CrystalState(period, temp, ds)  # the first bad value in (period, T) cell order
-    _check_window(ds, temps[0], pump_nm)
+    _check_window(ds, temps[0], pump=pump_nm)
     return _solve_grid(pump_nm, periods, temps, ds)
 
 

@@ -329,6 +329,7 @@ class TestTune:
                    "--out", str(out)) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "validity window" in err[0]
+        assert f"pump {float(pump)} nm" in err[0]
         assert not out.exists()
 
     def test_missing_arguments(self, capsys):

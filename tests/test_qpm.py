@@ -26,9 +26,11 @@ from iuptools import (
 from iuptools.qpm import (
     _brentq,
     _first_root,
+    _first_roots,
     _mismatch_terms,
     _mismatch_unchecked,
     _signal_scan_bounds,
+    _temperature_terms,
 )
 
 PUMP_NM = 532.0
@@ -85,6 +87,35 @@ def degenerate_period(temp_c, pump_nm=PUMP_NM):
     return (pump_nm / 1000.0) / (n_p - n_h)
 
 
+def oracle_index_squared(ds, wavelength_um, temperature_c):
+    """DispersionSet.index_squared as the one expression it was before its split."""
+    a1, a2, a3, a4, a5, a6 = ds.a
+    b1, b2, b3, b4 = ds.b
+    f = (temperature_c - ds.t_offset_c) * (temperature_c + ds.t_factor)
+    lam2 = np.square(wavelength_um)
+    return (
+        a1
+        + b1 * f
+        + (a2 + b2 * f) / (lam2 - np.square(a3 + b3 * f))
+        + (a4 + b4 * f) / (lam2 - a5 * a5)
+        - a6 * lam2
+    )
+
+
+def table_with(tmp_path, **coefficients):
+    """The bundled dispersion table with some coefficients replaced, loaded from tmp_path."""
+    from importlib import resources
+
+    text = resources.files("iuptools.data").joinpath("ppln_mgo5pct_e.txt").read_text()
+    lines = []
+    for line in text.splitlines():
+        key = line.split("=")[0].strip()
+        lines.append(f"{key} = {coefficients[key]}" if key in coefficients else line)
+    path = tmp_path / "table.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return load_dispersion_set(path)
+
+
 class TestDispersion:
     def test_bundled_table_loads(self):
         ds = default_dispersion_set()
@@ -116,6 +147,45 @@ class TestDispersion:
         for nan in (np.nan, np.array([1064.0, np.nan])):
             with pytest.raises(ValueError, match="validity window"):
                 refractive_index(nan, 25.0)
+
+    @pytest.mark.parametrize(
+        "wavelength_nm, shown",
+        [
+            (450.0, "wavelength 450.0 nm outside"),
+            (np.array([1064.0, 4100.0, 450.0]), "wavelength 4100.0 nm (at index 1) outside"),
+            (np.array([1064.0, np.nan, 450.0]), "wavelength nan nm (at index 1) outside"),
+        ],
+        ids=["scalar", "array", "nan-in-array"],
+    )
+    def test_window_fault_names_the_first_wavelength_outside(self, wavelength_nm, shown):
+        with pytest.raises(ValueError, match=f"^{re.escape(shown)} the validity window"):
+            refractive_index(wavelength_nm, 25.0)
+
+    def test_sellmeier_split_keeps_its_bits(self):
+        rng = np.random.default_rng(31)
+        ds = default_dispersion_set()
+        for temp in [20.0, 200.0, *rng.uniform(20.0, 200.0, 12)]:
+            lam_nm = rng.uniform(500.0, 4000.0, 64)
+            want = oracle_index_squared(ds, lam_nm / 1000.0, temp)
+            assert np.array_equal(ds.index_squared(lam_nm / 1000.0, temp), want)
+            assert np.array_equal(refractive_index(lam_nm, temp, ds), np.sqrt(want))
+            for one in lam_nm[:4].tolist():
+                want_one = oracle_index_squared(ds, one / 1000.0, temp)
+                assert ds.index_squared(one / 1000.0, temp) == want_one
+                assert refractive_index(one, temp, ds) == np.sqrt(want_one)
+            pump_nm = float(rng.uniform(500.0, 1000.0))
+            crystal = CrystalState(float(rng.uniform(4.0, 30.0)), temp, ds)
+            signal = rng.uniform(*_signal_scan_bounds(pump_nm, ds), 64)
+            idler = 1.0 / (1.0 / pump_nm - 1.0 / signal)
+            n_p, n_s, n_i = (
+                np.sqrt(oracle_index_squared(ds, lam / 1000.0, temp))
+                for lam in (pump_nm, signal, idler)
+            )
+            terms = n_p * (1000.0 / pump_nm) - n_s * (1000.0 / signal) - n_i * (1000.0 / idler)
+            want = 2.0 * np.pi * (terms - 1.0 / crystal.poling_period_um)
+            assert np.array_equal(qpm_mismatch(pump_nm, signal, crystal), want)
+            for one, value in zip(signal[:4].tolist(), want[:4].tolist()):
+                assert qpm_mismatch(pump_nm, one, crystal) == value
 
     def test_temperature_window_enforced(self):
         with pytest.raises(ValueError):
@@ -208,6 +278,23 @@ class TestMismatch:
         with pytest.raises(ValueError, match="validity window"):
             qpm_mismatch(pump_nm, signal_nm, CrystalState(7.40, 125.0))
 
+    @pytest.mark.parametrize(
+        "pump_nm, signal_nm, shown",
+        [
+            (450.0, 800.0, "pump 450.0 nm"),
+            (PUMP_NM, 4500.0, "signal 4500.0 nm"),
+            (PUMP_NM, [800.0, 4500.0, np.nan], "signal 4500.0 nm (at index 1)"),
+            (PUMP_NM, [800.0, np.nan, 4500.0], "signal nan nm (at index 1)"),
+            # the idler of a 540 nm signal lies near 35.9 um
+            (PUMP_NM, 540.0, f"idler {idler_from_signal(PUMP_NM, 540.0)} nm"),
+            (PUMP_NM, [800.0, 540.0], f"idler {idler_from_signal(PUMP_NM, 540.0)} nm (at index 1)"),
+        ],
+        ids=["pump", "signal", "signal-in-array", "nan-in-signals", "idler", "idler-in-array"],
+    )
+    def test_window_fault_names_the_wavelength(self, pump_nm, signal_nm, shown):
+        with pytest.raises(ValueError, match=f"^{re.escape(shown)} outside the validity window"):
+            qpm_mismatch(pump_nm, signal_nm, CrystalState(7.40, 125.0))
+
     def test_scalar_and_array_agree(self):
         crystal = CrystalState(7.40, 125.0)
         grid = np.array([800.0, 810.0, 820.0])
@@ -288,18 +375,40 @@ class TestSolver:
         assert pair.degenerate
 
 
+SYNTHETIC_SAMPLES = [
+    ([1.0, np.nan, -1.0, 1.0], (2.0, 3.0)),  # no bracket across the NaN
+    ([1.0, 0.0, -1.0], (1.0, 1.0)),  # exact zero at the left point
+    ([2.0, 0.0, np.nan, 1.0], None),  # ... but not beside a NaN
+    ([1.0, -1.0, 1.0], (0.0, 1.0)),  # first of two sign changes
+    ([1.0, 2.0, 3.0], None),
+    ([1.0, 2.0, 0.0], None),  # a zero at the last point is no root
+]
+
+
+def search_rows(rng):
+    """Named rows of 40 samples and the levels to search them for, as (name, row, levels)."""
+    n = 40
+    rising = np.sort(rng.uniform(-1.0, 1.0, n))
+    plateau = rising.copy()
+    plateau[15:22] = plateau[15]
+    wave = np.sin(np.linspace(0.0, 3.0 * np.pi, n)) + rng.uniform(-0.2, 0.2)
+    walk = np.cumsum(rng.normal(size=n))
+    random = rng.uniform(-2.0, 2.0, 12)
+    return [
+        ("plateau at the level", plateau, [plateau[15], plateau[15] + 1e-3, *random]),
+        ("zero at the first point", rising, [rising[0]]),
+        ("zero at an interior point", rising, [rising[17], -rising[17]]),
+        ("zero at the last point", rising, [rising[-1]]),
+        ("zero at the last point of a falling row", rising[::-1], [rising[0]]),
+        ("two crossings", wave, [0.0, 0.5, -0.5, wave[0], *random]),
+        ("monotone, never crossing", rising, [1.5, -1.5, 7.0]),
+        ("level equal to the first point", walk, [walk[0]]),
+        ("random walk at its own samples", walk, [*rng.choice(walk, 12), *(3 * random)]),
+    ]
+
+
 class TestFirstRoot:
-    @pytest.mark.parametrize(
-        "values, want",
-        [
-            ([1.0, np.nan, -1.0, 1.0], (2.0, 3.0)),  # no bracket across the NaN
-            ([1.0, 0.0, -1.0], (1.0, 1.0)),  # exact zero at the left point
-            ([2.0, 0.0, np.nan, 1.0], None),  # ... but not beside a NaN
-            ([1.0, -1.0, 1.0], (0.0, 1.0)),  # first of two sign changes
-            ([1.0, 2.0, 3.0], None),
-            ([1.0, 2.0, 0.0], None),  # a zero at the last point is no root
-        ],
-    )
+    @pytest.mark.parametrize("values, want", SYNTHETIC_SAMPLES)
     def test_synthetic_samples(self, values, want):
         grid = np.arange(len(values), dtype=np.float64)
         found, a, b = _first_root(grid, np.array([values]))
@@ -310,6 +419,35 @@ class TestFirstRoot:
         found, a, b = _first_root(np.arange(3.0), rows)
         assert found.tolist() == [True, True, False, False]
         assert (a[:2].tolist(), b[:2].tolist()) == ([1.0, 0.0], [1.0, 1.0])
+
+    def test_sorted_search_matches_first_root(self):
+        rng = np.random.default_rng(37)
+        table = [(str(values), values, [0.0, 0.5, -0.5]) for values, _ in SYNTHETIC_SAMPLES]
+        seeded = search_rows(rng)
+        table += seeded
+        kinds = set()
+        for name, row, levels in table:
+            row, levels = np.asarray(row, dtype=np.float64), np.asarray(levels, dtype=np.float64)
+            grid = 600.0 + 0.5 * np.arange(row.size)
+            found, a, b = _first_root(grid, 2.0 * np.pi * (row - levels[:, None]))
+            got = _first_roots(grid, row[None], levels)
+            assert got[0][:, 0].tolist() == found.tolist(), name
+            assert got[1][found, 0].tolist() == a[found].tolist(), name
+            assert got[2][found, 0].tolist() == b[found].tolist(), name
+            kinds.update("zero" if x == y else "bracket" for x, y in zip(a[found], b[found]))
+            if not found.all():
+                kinds.add("none")
+        assert kinds == {"zero", "bracket", "none"}
+        # every row at once: each row is searched on its own
+        rows = np.array([row for _, row, _ in seeded])
+        levels = np.concatenate([levels for _, _, levels in seeded])
+        grid = np.arange(rows.shape[1], dtype=np.float64)
+        found, a, b = _first_roots(grid, rows, levels)
+        for t, row in enumerate(rows):
+            want = _first_root(grid, 2.0 * np.pi * (row - levels[:, None]))
+            assert found[:, t].tolist() == want[0].tolist()
+            assert a[want[0], t].tolist() == want[1][want[0]].tolist()
+            assert b[want[0], t].tolist() == want[2][want[0]].tolist()
 
     def test_solver_matches_reference_scan(self):
         rng = np.random.default_rng(23)
@@ -367,7 +505,8 @@ class TestArrayBrent:
             periods, temps, a, b = seeded_brackets(rng, pump_nm, 550)
 
             def f(x, j):
-                return 2.0 * np.pi * (_mismatch_terms(pump_nm, x, temps[j], ds) - 1.0 / periods[j])
+                terms = _temperature_terms(pump_nm, temps[j], ds)
+                return 2.0 * np.pi * (_mismatch_terms(pump_nm, x, terms, ds) - 1.0 / periods[j])
 
             got = _brentq(f, a, b)
             for i, (period, temp) in enumerate(zip(periods, temps)):
@@ -418,9 +557,10 @@ BAD_PUMPS_NM = [0.0, np.nan, -532.0, np.inf, 450.0, 4500.0]
 class TestTuningCurve:
     @pytest.mark.parametrize("pump_nm", BAD_PUMPS_NM)
     def test_pump_outside_the_window_is_refused(self, pump_nm):
-        with pytest.raises(ValueError, match="validity window"):
+        shown = f"^pump {float(pump_nm)} nm outside the validity window"
+        with pytest.raises(ValueError, match=shown):
             tuning_curve(pump_nm, [7.4], [25.0])
-        with pytest.raises(ValueError, match="validity window"):
+        with pytest.raises(ValueError, match=shown):
             solve_signal_idler(pump_nm, CrystalState(7.4, 25.0))
 
     def test_pump_in_the_window_without_a_signal_range_is_noted(self):
@@ -429,11 +569,15 @@ class TestTuningCurve:
         assert point.pair is None and "no scannable signal range" in point.note
 
     def test_grid_matches_reference_solve(self):
+        wide = [20.0, 110.0, 200.0]
         grids = [
             # unmatched periods, a degenerate period and both sides of the tangency fallback
             (PUMP_NM, [5.0, 6.5, 6.8, 7.4, 8.05, 9.0, degenerate_period(100.0)], [20.0, 100.0, 200.0]),
             # 775 nm near 20.6 um: two sign changes
             (775.0, [20.3, 20.45, 20.6, 20.75, 21.0], [170.0, 180.0, 190.0, 200.0]),
+            # matched, unmatched and degenerate periods at two more pumps
+            (600.0, [8.0, 9.5, 11.0, 12.5, 14.5, 16.0, degenerate_period(110.0, 600.0)], wide),
+            (1000.0, [25.0, 27.0, 28.5, 30.3, 32.0, degenerate_period(110.0, 1000.0)], wide),
         ]
         kinds = set()
         for pump_nm, periods, temps in grids:
@@ -442,8 +586,31 @@ class TestTuningCurve:
                 want = reference_solve(pump_nm, crystal)
                 assert point.pair == want
                 assert bool(point.note) == (want is None)
-                kinds.add("none" if want is None else "degenerate" if want.degenerate else "pair")
-        assert kinds == {"none", "degenerate", "pair"}
+                kind = "none" if want is None else "degenerate" if want.degenerate else "pair"
+                kinds.add((pump_nm, kind))
+        assert {kind for _, kind in kinds} == {"none", "degenerate", "pair"}
+        assert {pump for pump, kind in kinds if kind == "pair"} == {PUMP_NM, 600.0, 775.0, 1000.0}
+
+    def test_rows_that_are_not_finite_match_reference_solve(self, tmp_path):
+        # the second Sellmeier pole at 2 um, inside the idler's 1.06-4 um scan range, with
+        # a strength a4 + b4 f that vanishes near 110 C: rows at the other temperatures
+        # hold NaN where n^2 < 0 beside the pole, and go through _first_root
+        ds = table_with(tmp_path, a1=4.55, a4=-5.821011, a5=2.0, b4=1e-4)
+        temps = np.arange(20.0, 200.5, 10.0)
+        lo, hi = _signal_scan_bounds(PUMP_NM, ds)
+        grid = np.append(np.arange(lo, hi, 0.5), hi)
+        rows = [_mismatch_unchecked(PUMP_NM, grid, CrystalState(7.0, t, ds)) for t in temps]
+        holds_nan = [bool(np.isnan(row).any()) for row in rows]
+        assert any(holds_nan) and not all(holds_nan)
+        kinds = set()
+        for point in tuning_curve(PUMP_NM, np.linspace(4.0, 14.0, 15), temps, ds):
+            crystal = CrystalState(point.poling_period_um, point.temperature_c, ds)
+            want = reference_solve(PUMP_NM, crystal)
+            assert point.pair == want
+            assert bool(point.note) == (want is None)
+            row_holds_nan = holds_nan[int(np.flatnonzero(temps == point.temperature_c)[0])]
+            kinds.add(("none" if want is None else "pair", row_holds_nan))
+        assert kinds == {("none", True), ("pair", True), ("none", False), ("pair", False)}
 
     def test_memory_does_not_grow_with_the_grid(self):
         # one unblocked (cells x scan points) float64 array would be 72 MB
