@@ -14,7 +14,9 @@ temperature alone, and the pump's index, are evaluated once per temperature.
 The period-free part of dk is scanned once per temperature over a 0.5 nm
 signal grid, and every period's first sign change on that row is found by one
 sorted search in the row's running maximum or minimum; a row holding a
-non-finite value is scanned pair by pair instead. One run of Brent's method
+non-finite value is scanned pair by pair instead. At most _ROWS_PER_PASS rows
+(of temperatures, or of periods in the pair-by-pair scans) are held at once,
+so memory does not grow with either side of the grid. One run of Brent's method
 (scipy's brentq, step for step) polishes all bracketed roots together.
 """
 
@@ -51,6 +53,7 @@ _ROOT_TOL_NM = 1e-7
 _ROOT_RTOL = 4.0 * np.finfo(np.float64).eps  # brentq's defaults
 _ROOT_MAXITER = 100
 _DEGENERATE_TOL = 1e-6  # 1/um
+_ROWS_PER_PASS = 64  # scan rows held at once: bounds the grid solve's memory by the grid's shape
 
 
 class PhaseMatchError(RuntimeError):
@@ -285,7 +288,8 @@ def _first_roots(
     reaches c, and one that starts above where its running minimum does: one sorted
     search per row and level. A bracket ends there, or starts there if the row equals
     c at that point, which is no root at the last point. Rows holding a non-finite
-    value go to _first_root. As there, a and b mean nothing where nothing is found.
+    value go to _first_root, _ROWS_PER_PASS levels at a time. As there, a and b mean
+    nothing where nothing is found.
     """
     last = grid.size - 1
     rise, fall = np.maximum.accumulate(rows, axis=1), -np.minimum.accumulate(rows, axis=1)
@@ -298,8 +302,15 @@ def _first_roots(
     found = (j < last) | ((j == last) & ~zero)
     a, b = grid[np.where(zero, k, k - 1)], grid[k]
     for t in np.flatnonzero(~np.isfinite(rows).all(axis=1)):
-        found[t], a[t], b[t] = _first_root(grid, 2.0 * np.pi * (rows[t] - levels[:, None]))
+        for at in _passes(levels.size):
+            level_rows = 2.0 * np.pi * (rows[t] - levels[at, None])
+            found[t, at], a[t, at], b[t, at] = _first_root(grid, level_rows)
     return found.T, a.T, b.T
+
+
+def _passes(n: int) -> list[slice]:
+    """range(n) in slices of _ROWS_PER_PASS."""
+    return [slice(i, i + _ROWS_PER_PASS) for i in range(0, n, _ROWS_PER_PASS)]
 
 
 def _brentq(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -360,19 +371,28 @@ def _solve_grid(pump_nm: float, periods: list, temps: list, ds: DispersionSet) -
         terms = _mismatch_terms(pump_nm, signal, by_temp[:, c % temp.size], ds)
         return 2.0 * np.pi * (terms - inv_period[c // temp.size])
 
-    rows = _mismatch_terms(pump_nm, grid, by_temp[:, :, None], ds)
-    found, a, b = (v.ravel() for v in _first_roots(grid, rows, inv_period))
-    missed = ~found.reshape(inv_period.size, temp.size)
+    shape = inv_period.size, temp.size
+    found, a, b = np.empty(shape, dtype=bool), np.empty(shape), np.empty(shape)
+    low, high = np.empty(temp.size), np.empty(temp.size)
+    for at in _passes(temp.size):
+        rows = _mismatch_terms(pump_nm, grid, by_temp[:, at, None], ds)
+        found[:, at], a[:, at], b[:, at] = _first_roots(grid, rows, inv_period)
+        finite = np.isfinite(rows)
+        low[at] = np.where(finite, rows, np.inf).min(axis=1)
+        high[at] = np.where(finite, rows, -np.inf).max(axis=1)
     # tangency fallback: refine near the degenerate edge, one fine row per temperature
-    for t in np.flatnonzero(missed.any(axis=0) & (hi == 2.0 * pump_nm)):
-        p = np.flatnonzero(missed[:, t])
-        need = p * temp.size + t
+    for t in np.flatnonzero(~found.all(axis=0) & (hi == 2.0 * pump_nm)):
         fine_row = _mismatch_terms(pump_nm, fine, by_temp[:, t], ds)
-        fine_rows = 2.0 * np.pi * (fine_row - inv_period[p, None])
-        found[need], a[need], b[need] = _first_root(fine, fine_rows)
-        edge = np.abs(fine_rows[:, -1])
-        tangent = ~found[need] & (edge <= _DEGENERATE_TOL)
-        pairs[need[tangent]] = [WavelengthPair(hi, hi, r) for r in edge[tangent].tolist()]
+        missed = np.flatnonzero(~found[:, t])
+        for p in (missed[at] for at in _passes(missed.size)):
+            fine_rows = 2.0 * np.pi * (fine_row - inv_period[p, None])
+            found[p, t], a[p, t], b[p, t] = _first_root(fine, fine_rows)
+            edge = np.abs(fine_rows[:, -1])
+            tangent = ~found[p, t] & (edge <= _DEGENERATE_TOL)
+            pairs[p[tangent] * temp.size + t] = [
+                WavelengthPair(hi, hi, r) for r in edge[tangent].tolist()
+            ]
+    found, a, b = found.ravel(), a.ravel(), b.ravel()
     polish = np.flatnonzero(found & (a < b))
     a[polish] = _brentq(lambda x, j: dk(x, polish[j]), a[polish], b[polish])
     solved = np.flatnonzero(found)
@@ -380,12 +400,10 @@ def _solve_grid(pump_nm: float, periods: list, temps: list, ds: DispersionSet) -
     pairs[solved] = [WavelengthPair(s, idler_from_signal(pump_nm, s), r) for s, r in roots]
     points = [TuningPoint(p, t, pair) for (p, t), pair in zip(cells, pairs)]
     # rounding is monotone, so a row's finite extremes give each period's mismatch span
-    finite = np.isfinite(rows)
-    low, high = np.where(finite, rows, np.inf).min(1), np.where(finite, rows, -np.inf).max(1)
     for c in [c for c, pt in enumerate(points) if pt.pair is None]:
         t = c % temp.size
         detail = "mismatch is not finite anywhere in the scanned range"
-        if finite[t].any():
+        if low[t] < np.inf:
             shown = 2.0 * np.pi * (np.array([low[t], high[t]]) - inv_period[c // temp.size])
             detail = f"mismatch spans [{shown[0]:.6g}, {shown[1]:.6g}] 1/um "
             detail += f"over signal {lo:.1f}..{hi:.1f} nm"

@@ -612,6 +612,12 @@ class TestTuningCurve:
             kinds.add(("none" if want is None else "pair", row_holds_nan))
         assert kinds == {("none", True), ("pair", True), ("none", False), ("pair", False)}
 
+    def test_rows_with_no_finite_value_are_noted(self, tmp_path):
+        ds = table_with(tmp_path, a1=-100.0)  # n^2 < 0 at every wavelength
+        points = tuning_curve(PUMP_NM, [7.4, 8.0], [20.0, 200.0], ds)
+        assert [p.pair for p in points] == [None] * 4
+        assert all(p.note.endswith("(mismatch is not finite anywhere in the scanned range)") for p in points)
+
     def test_memory_does_not_grow_with_the_grid(self):
         # one unblocked (cells x scan points) float64 array would be 72 MB
         periods = np.linspace(*MATCHING_PERIODS_UM[PUMP_NM], 2000)
@@ -623,6 +629,43 @@ class TestTuningCurve:
             tracemalloc.stop()
         assert len(points) == 10_000
         assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize(
+        "case", ["temperatures", "rows that are not finite", "tangency fallback"]
+    )
+    def test_memory_does_not_grow_along_either_axis(self, case, tmp_path):
+        ds, periods, temps = default_dispersion_set(), [7.4], np.linspace(20.0, 200.0, 10_000)
+        if case == "rows that are not finite":
+            # the table of test_rows_that_are_not_finite_match_reference_solve
+            ds = table_with(tmp_path, a1=4.55, a4=-5.821011, a5=2.0, b4=1e-4)
+            periods, temps = np.linspace(4.0, 14.0, 2000), [20.0]
+            lo, hi = _signal_scan_bounds(PUMP_NM, ds)
+            row = _mismatch_unchecked(PUMP_NM, np.linspace(lo, hi, 902), CrystalState(7.0, 20.0, ds))
+            assert np.isnan(row).any()
+        elif case == "tangency fallback":
+            periods, temps = np.linspace(5.0, 6.0, 3000), [25.0]
+        # one (temperatures or periods) x (scan points) float64 array would be 72, 14 or
+        # (at 401 fine points) 10 MB
+        tracemalloc.start()
+        try:
+            points = tuning_curve(PUMP_NM, periods, temps, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(points) == len(periods) * len(temps)
+        if case == "tangency fallback":
+            assert all(p.pair is None for p in points)
+        assert peak < 16 * 2**20
+
+    def test_rows_per_pass_do_not_change_the_result(self, monkeypatch, tmp_path):
+        # matched, unmatched (tangency fallback) and degenerate cells, and rows with NaN
+        periods = [*np.linspace(5.0, 6.0, 7), 7.4, 8.05, degenerate_period(100.0)]
+        pole = table_with(tmp_path, a1=4.55, a4=-5.821011, a5=2.0, b4=1e-4)
+        grids = [(periods, np.linspace(20.0, 200.0, 10), None), (periods, [20.0, 110.0], pole)]
+        want = [tuning_curve(PUMP_NM, *grid) for grid in grids]
+        for rows in (1, 3):
+            monkeypatch.setattr("iuptools.qpm._ROWS_PER_PASS", rows)
+            assert [tuning_curve(PUMP_NM, *grid) for grid in grids] == want
 
     def test_grid_ordering_and_markers(self):
         points = tuning_curve(PUMP_NM, [7.71, 7.40, 5.0], [200.0, 125.0])
