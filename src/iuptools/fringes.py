@@ -19,7 +19,9 @@ same for any thread count; estimate mode and the leakage flag both fit it.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import math
+import os
 import threading
 from dataclasses import dataclass, field
 
@@ -247,9 +249,25 @@ def _projectors(k: int, freqs) -> tuple[np.ndarray, np.ndarray]:
 
 def _residuals(y: np.ndarray, freqs) -> np.ndarray:
     """Sum of squared residuals sum (y - B^T P y)^2 of the fit at each frequency."""
-    basis, proj = _projectors(y.size, freqs)
+    return _fit_residuals(y, *_projectors(y.size, freqs))
+
+
+def _fit_residuals(y: np.ndarray, basis: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """_residuals of y at the frequencies of _projectors' basis and proj."""
     fit = np.einsum("ij,ijk->ik", proj @ y, basis)
     return np.square(y - fit).sum(axis=1)
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_projectors(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frequency estimator's search grid over k frames and its _projectors,
+    read-only. The grid depends on k alone, so each k's solve is kept (for the
+    last 8 k; 0.7 MB at k = 15) instead of being repeated on every estimate."""
+    grid = np.linspace(_EDGE, k / 2.0 - _EDGE, max(256, 64 * k) + 1)
+    basis, proj = _projectors(k, grid)
+    for array in (grid, basis, proj):
+        array.flags.writeable = False
+    return grid, basis, proj
 
 
 def single_bin_amplitude(series, f: float) -> complex:
@@ -310,8 +328,8 @@ def _estimate_from_series(y: np.ndarray) -> float:
     # parabolic vertex steps at shrinking scales; the residual is locally
     # quadratic, so the last step lands on the minimum to machine precision
     lo, hi = _EDGE, k / 2.0 - _EDGE
-    grid = np.linspace(lo, hi, max(256, 64 * k) + 1)
-    residuals = _residuals(y, grid)
+    grid, basis, proj = _grid_projectors(k)
+    residuals = _fit_residuals(y, basis, proj)
     i = min(max(int(np.argmin(residuals)), 1), grid.size - 2)
     best, best_res = float(grid[i]), float(residuals[i])
     for h in (float(grid[1] - grid[0]), 1e-3, 1e-5, 1e-8):
@@ -333,6 +351,14 @@ _CHUNK_PIXELS = 1 << 15
 def _row_chunks(height: int, width: int) -> list[tuple[int, int]]:
     rows = max(1, _CHUNK_PIXELS // width)
     return [(r0, min(r0 + rows, height)) for r0 in range(0, height, rows)]
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs the calling thread may run on: its affinity set, or
+    os.cpu_count() where the platform has none."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _ordered_map(fn, items, workers: int) -> list:
@@ -447,10 +473,9 @@ def analyze_stack(
     proj = _projectors(k, f_used)[1][0]
 
     height, width = stack.height, stack.width
-    # masked pixels keep these zeros, since the finish writes only where valid
-    vis = np.zeros((height, width))
-    con = np.zeros((height, width))
-    ph = np.zeros((height, width))
+    vis = np.empty((height, width))
+    con = np.empty((height, width))
+    ph = np.empty((height, width))
     dc = np.empty((height, width))
     mask = np.empty((height, width), dtype=bool)
     # the threshold is never negative, so a >= floor means a >= threshold and a > 0
@@ -465,15 +490,23 @@ def analyze_stack(
         a, cr, ci = np.einsum("jk,krw->jrw", proj, y)
         sums = _sums_by_frame(rows, y) if check_leakage else None
         valid = np.greater_equal(a, floor, out=mask[rows])
-        angles = np.arctan2(ci, cr, out=ph[rows], where=valid)
-        # atan2 can round to -pi; phases lie in (-pi, pi]
-        np.add(angles, 2.0 * np.pi, out=angles, where=angles <= -np.pi)
-        # the complex magnitude rescales where cr**2 + ci**2 would overflow
-        c = np.empty(a.shape, dtype=complex)
-        c.real, c.imag = cr, ci
-        amp = np.abs(c, out=cr)
-        np.divide(amp, a, out=vis[rows], where=valid)
-        np.multiply(amp, 2.0, out=con[rows], where=valid)
+        # every pixel is finished, then masked ones are set to 0.0: a mask
+        # argument would cost more than the pixels it skips. A masked pixel
+        # may divide by a DC level of 0 or less here.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            angles = np.arctan2(ci, cr, out=ph[rows])
+            # atan2 can round to -pi; phases lie in (-pi, pi]
+            np.add(angles, 2.0 * np.pi, out=angles, where=angles <= -np.pi)
+            # the complex magnitude rescales where cr**2 + ci**2 would overflow
+            c = np.empty(a.shape, dtype=complex)
+            c.real, c.imag = cr, ci
+            amp = np.abs(c, out=cr)
+            np.divide(amp, a, out=vis[rows])
+            np.multiply(amp, 2.0, out=con[rows])
+        if not valid.all():
+            masked = ~valid
+            for out in (vis, con, ph):
+                out[rows][masked] = 0.0
         np.maximum(a, 0.0, out=dc[rows])
         return sums
 

@@ -52,13 +52,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fringes import FrameStack, _ordered_map, _row_chunks
+from .fringes import FrameStack, _ordered_map, _row_chunks, _usable_cpus
 
 __all__ = [
     "ObjectScene",
@@ -555,13 +554,6 @@ def render_frame(
     frame = np.empty((config.sensor_height, config.sensor_width))
     _render_into(frame, _fringe_basis(scene, config, noise), scan_phase, noise, frame_index)
     return frame
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs the calling thread may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def simulate_stack(

@@ -60,6 +60,14 @@ class PhaseMatchError(RuntimeError):
     """No quasi-phase-matched solution in the scanned signal range."""
 
 
+class _NaNStep(ValueError):
+    """brentq's NaN error, naming the brackets (indices into a and b) whose step met NaN."""
+
+    def __init__(self, message: str, brackets: np.ndarray):
+        super().__init__(message)
+        self.brackets = brackets
+
+
 @dataclass(frozen=True)
 class DispersionSet:
     """Named Sellmeier coefficient table with thermal terms and validity window."""
@@ -317,7 +325,8 @@ def _brentq(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """scipy.optimize.brentq(f, a[j], b[j], xtol=_ROOT_TOL_NM) for every bracket j at once.
 
     Bit for bit and with brentq's errors, given finite f(a) and f(b) of opposite
-    signs; f(x, j) evaluates brackets j, and only brackets still iterating.
+    signs; f(x, j) evaluates brackets j, and only brackets still iterating. The
+    NaN error is a _NaNStep naming every bracket whose step met NaN.
     """
     j, root = np.arange(a.size), np.empty(a.size)
     xpre, xcur, fpre, fcur = a, b, f(a, j), f(b, j)
@@ -350,7 +359,8 @@ def _brentq(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         fcur = f(xcur, j)
         if np.isnan(fcur).any():
             bad = xcur[np.isnan(fcur)][0]
-            raise ValueError(f"The function value at x={bad} is NaN; solver cannot continue.")
+            message = f"The function value at x={bad} is NaN; solver cannot continue."
+            raise _NaNStep(message, j[np.isnan(fcur)])
     raise RuntimeError(f"Failed to converge after {_ROOT_MAXITER} iterations.")
 
 
@@ -394,7 +404,18 @@ def _solve_grid(pump_nm: float, periods: list, temps: list, ds: DispersionSet) -
             ]
     found, a, b = found.ravel(), a.ravel(), b.ravel()
     polish = np.flatnonzero(found & (a < b))
-    a[polish] = _brentq(lambda x, j: dk(x, polish[j]), a[polish], b[polish])
+    # a NaN stretch of the Sellmeier form can lie between two finite scan points
+    # of opposite sign; cells whose step lands in one are dropped and the rest,
+    # which are independent, polished again
+    gaps = {}
+    while True:
+        try:
+            a[polish] = _brentq(lambda x, j: dk(x, polish[j]), a[polish], b[polish])
+            break
+        except _NaNStep as err:
+            for c in polish[err.brackets].tolist():
+                found[c], gaps[c] = False, (a[c], b[c])
+            polish = np.delete(polish, err.brackets)
     solved = np.flatnonzero(found)
     roots = zip(a[solved].tolist(), np.abs(dk(a[solved], solved)).tolist())
     pairs[solved] = [WavelengthPair(s, idler_from_signal(pump_nm, s), r) for s, r in roots]
@@ -403,7 +424,9 @@ def _solve_grid(pump_nm: float, periods: list, temps: list, ds: DispersionSet) -
     for c in [c for c, pt in enumerate(points) if pt.pair is None]:
         t = c % temp.size
         detail = "mismatch is not finite anywhere in the scanned range"
-        if low[t] < np.inf:
+        if c in gaps:
+            detail = "mismatch is not finite between signal {:.6g} and {:.6g} nm".format(*gaps[c])
+        elif low[t] < np.inf:
             shown = 2.0 * np.pi * (np.array([low[t], high[t]]) - inv_period[c // temp.size])
             detail = f"mismatch spans [{shown[0]:.6g}, {shown[1]:.6g}] 1/um "
             detail += f"over signal {lo:.1f}..{hi:.1f} nm"

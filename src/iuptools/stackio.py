@@ -17,13 +17,14 @@ import hashlib
 import math
 import os
 import re
+import threading
 import uuid
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .fringes import AnalysisResult, FrameStack
+from .fringes import AnalysisResult, FrameStack, _ordered_map, _usable_cpus
 from .optics import ObjectScene
 
 __all__ = [
@@ -253,11 +254,21 @@ def _finite_floats(text: str) -> list[float]:
     return values
 
 
-def _payload(path: Path, source: str, what: str) -> bytes:
-    """Bytes of a file a manifest lists; StackFormatError naming both if absent."""
+def _payload(path: Path, source: str, what: str, buffer: bytearray | None = None):
+    """Bytes of a file a manifest lists; StackFormatError naming both if absent.
+
+    With a buffer, a file shorter than the buffer is read into it and returned
+    as a memoryview of its head, valid until the buffer is reused.
+    """
     if not path.is_file():
         raise StackFormatError(f"{source}: missing {what} file {path.name}")
-    return path.read_bytes()
+    if buffer is None:
+        return path.read_bytes()
+    with open(path, "rb") as handle:
+        size = handle.readinto(buffer)
+        if size < len(buffer):
+            return memoryview(buffer)[:size]
+        return bytes(buffer) + handle.read()
 
 
 def _read_manifest(
@@ -316,10 +327,10 @@ def read_stack(manifest_path: str | Path) -> FrameStack:
                 f"{source}: frame file {name!r} is not a plain file name in the stack directory"
             )
 
-    for i, (name, digest) in enumerate(zip(names, digests)):
-        payload = _payload(manifest_path.parent / name, source, "frame")
-        actual = hashlib.sha256(payload).hexdigest()
-        if actual != digest:
+    def checked_frame(i: int, payload) -> np.ndarray:
+        """Frame i's samples, a view of payload, once its checksum and geometry match."""
+        name = names[i]
+        if hashlib.sha256(payload).hexdigest() != digests[i]:
             raise StackIntegrityError(f"{source}: checksum mismatch for frame {name}")
         frame = _parse_pgm(payload, name)
         if frame.shape != (height, width):
@@ -327,9 +338,28 @@ def read_stack(manifest_path: str | Path) -> FrameStack:
                 f"{source}: frame {name} is {frame.shape[1]}x{frame.shape[0]}, "
                 f"manifest says {width}x{height}"
             )
-        if i == 0:  # allocated only once a frame has the manifest's geometry
-            samples = np.empty((frame_count, height, width), dtype=np.uint16)
-        samples[i] = frame
+        return frame
+
+    payload = _payload(manifest_path.parent / names[0], source, "frame")
+    first = checked_frame(0, payload)
+    # allocated only once a frame has the manifest's geometry
+    samples = np.empty((frame_count, height, width), dtype=np.uint16)
+    samples[0] = first
+    # each worker reads into its own buffer, one byte longer than frame 0
+    buffer_size = len(payload) + 1
+    del payload, first
+    scratch = threading.local()
+
+    def load(i: int) -> None:
+        buffer = getattr(scratch, "buffer", None)
+        if buffer is None:
+            buffer = scratch.buffer = bytearray(buffer_size)
+        payload = _payload(manifest_path.parent / names[i], source, "frame", buffer)
+        samples[i] = checked_frame(i, payload)
+
+    # frames 1.. on every usable CPU; _ordered_map raises the error of the
+    # first bad frame in frame order
+    _ordered_map(load, range(1, frame_count), _usable_cpus())
 
     meta = {"gain": gain}
     for key in _STACK_META_KEYS:

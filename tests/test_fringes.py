@@ -6,6 +6,7 @@ import dataclasses
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,13 @@ from iuptools import (
     visibility,
 )
 from iuptools import fringes, read_stack, write_stack
-from iuptools.fringes import _frame_means, _map_chunks, _projectors, _sums_by_frame
+from iuptools.fringes import (
+    _frame_means,
+    _grid_projectors,
+    _map_chunks,
+    _projectors,
+    _sums_by_frame,
+)
 
 
 def fringe_series(k_frames, amp_dc, amp_mod, phi0, cycles=1.0):
@@ -312,6 +319,31 @@ class TestAnalyzeStack:
         assert res.mask[1, 1]
         assert res.visibility_map[0, 0] == 0.0
         assert res.phase_map[0, 0] == 0.0
+
+    @pytest.mark.parametrize("f", [1.0, 1.25], ids=["assume-one-cycle", "fixed"])
+    def test_masked_pixels_hold_positive_zeros(self, f):
+        # 70 rows of 1000 pixels span three 32-row chunks: the first holds dead
+        # pixels (DC 0, so 0 / 0), the second dim ones (DC under the threshold)
+        # and the third no masked pixel
+        rng = np.random.default_rng(50)
+        fringe = 1.0 + 0.5 * np.cos(2.0 * np.pi * f * np.arange(8) / 8)
+        frames = 500.0 * fringe[:, None, None] * rng.uniform(0.2, 1.0, (8, 70, 1000))
+        frames[:, 3:9, 100:400] = 0.0
+        frames[:, 40:44, 600:700] *= 1e-15
+        stack = FrameStack(frames, 2.0 * np.pi * np.arange(8) / 8)
+        mode = {} if f == 1.0 else {"frequency_mode": "fixed", "fixed_frequency": f}
+        options = ExtractionOptions(min_dc_threshold=1e-6, **mode)
+        want = reference_maps(stack, f, threshold=1e-6)
+        for threads in (1, 2, 3):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = analyze_stack(stack, options, threads=threads)
+            masked = ~res.mask
+            assert np.array_equal(res.mask, want["mask"])
+            assert masked.sum() == 6 * 300 + 4 * 100 and not masked[64:].any()
+            for name in ("visibility_map", "contrast_map", "phase_map"):
+                assert getattr(res, name)[masked].tobytes() == bytes(8 * int(masked.sum()))
+                np.testing.assert_allclose(getattr(res, name), want[name], rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize(
         "options, shape",
@@ -668,6 +700,17 @@ class TestOptions:
 
 
 class TestFrequencyEstimation:
+    @pytest.mark.parametrize("k", [4, 8, 15])
+    def test_grid_projectors_are_cached_read_only(self, k):
+        grid, basis, proj = _grid_projectors(k)
+        assert _grid_projectors(k)[2] is proj
+        assert np.array_equal(grid, np.linspace(0.125, k / 2.0 - 0.125, max(256, 64 * k) + 1))
+        fresh = _projectors(k, grid)
+        assert (basis == fresh[0]).all() and (proj == fresh[1]).all()
+        for array in (grid, basis, proj):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
     def test_on_bin_is_exact(self):
         stack = fringe_stack(8, 2.0, 1.0, 0.9)
         assert estimate_fringe_frequency(stack) == pytest.approx(1.0, abs=1e-9)

@@ -612,6 +612,24 @@ class TestTuningCurve:
             kinds.add(("none" if want is None else "pair", row_holds_nan))
         assert kinds == {("none", True), ("pair", True), ("none", False), ("pair", False)}
 
+    def test_a_nan_stretch_inside_a_bracket_fails_its_cell_alone(self, tmp_path):
+        # the second Sellmeier pole at 1.9648 um puts a stretch of n^2 < 0 strictly
+        # between two scan points of opposite sign, near a signal of 729.6 nm
+        ds = table_with(tmp_path, a1=4.55, a4=0.01, a5=1.9648, b4=1e-7)
+        points = tuning_curve(PUMP_NM, np.linspace(4.0, 14.0, 30), np.arange(20.0, 200.5, 5.0), ds)
+        gaps = [p for p in points if "(mismatch is not finite between signal" in p.note]
+        assert gaps and all(p.pair is None for p in gaps)
+        for point in points:
+            crystal = CrystalState(point.poling_period_um, point.temperature_c, ds)
+            if point in gaps:
+                with pytest.raises(ValueError, match="is NaN; solver cannot continue"):
+                    reference_solve(PUMP_NM, crystal)
+                with pytest.raises(PhaseMatchError, match=f"^{re.escape(point.note)}$"):
+                    solve_signal_idler(PUMP_NM, crystal)
+            else:
+                assert point.pair == reference_solve(PUMP_NM, crystal)
+                assert bool(point.note) == (point.pair is None)
+
     def test_rows_with_no_finite_value_are_noted(self, tmp_path):
         ds = table_with(tmp_path, a1=-100.0)  # n^2 < 0 at every wavelength
         points = tuning_curve(PUMP_NM, [7.4, 8.0], [20.0, 200.0], ds)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import os
 
@@ -38,6 +39,17 @@ def sample_stack(k=4, noise=None, w=20, h=16):
     cfg = OpticalConfig(sensor_width=w, sensor_height=h)
     plan = ScanPlan.equal_steps(k, cfg.undetected_wavelength_nm)
     return simulate_stack(scene, cfg, plan, noise or NoiseModel())
+
+
+def replace_frame(directory, i, payload):
+    """Write payload as frame i of a stack and its checksum into the manifest."""
+    (directory / f"frame_{i:04d}.pgm").write_bytes(payload)
+    mf = directory / "stack.manifest"
+    values = parse_key_values(mf.read_text())
+    digests = values["frame_sha256"].split(",")
+    digests[i] = hashlib.sha256(payload).hexdigest()
+    values["frame_sha256"] = ",".join(digests)
+    mf.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
 
 
 class TestKeyValueFormat:
@@ -473,15 +485,95 @@ class TestStackValidation:
     )
     def test_bad_pgm_names_frame(self, tmp_path, payload):
         write_stack(sample_stack(), tmp_path / "s")
-        (tmp_path / "s" / "frame_0000.pgm").write_bytes(payload)
-        mf = tmp_path / "s" / "stack.manifest"
-        values = parse_key_values(mf.read_text())
-        digests = values["frame_sha256"].split(",")
-        digests[0] = hashlib.sha256(payload).hexdigest()
-        values["frame_sha256"] = ",".join(digests)
-        mf.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        replace_frame(tmp_path / "s", 0, payload)
         with pytest.raises(StackFormatError, match=r"frame_0000\.pgm"):
             read_stack(tmp_path / "s")
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """set(n) makes the calling thread appear to have n usable CPUs and returns
+    the list of thread pools (by worker count) started from then on."""
+    started = []
+    executor = concurrent.futures.ThreadPoolExecutor
+
+    class Recorded(executor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        started.clear()
+        return started
+
+    return set_cpus
+
+
+class TestParallelRead:
+    """read_stack checks frames 1.. on every usable CPU."""
+
+    # 8 frames, so that 7 workers each get one of frames 1..7
+    def stack_dir(self, tmp_path):
+        noise = NoiseModel(shot_noise=True, read_noise_sigma=2.0, rng_seed=12)
+        write_stack(sample_stack(k=8, noise=noise, w=300, h=217), tmp_path / "s")
+        return tmp_path / "s"
+
+    def test_stack_does_not_depend_on_the_worker_count(self, tmp_path, usable_cpus):
+        directory = self.stack_dir(tmp_path)
+        header_len = len(b"P5\n300 217\n65535\n")
+        raw = np.stack([
+            np.frombuffer((directory / f"frame_{i:04d}.pgm").read_bytes()[header_len:], ">u2")
+            for i in range(8)
+        ]).reshape(8, 217, 300)
+        for cpus in (1, 2, 3, 7):
+            started = usable_cpus(cpus)
+            back = read_stack(directory)
+            assert started == ([cpus] if cpus > 1 else [])
+            samples, gain = back._counts
+            assert samples.dtype == np.uint16 and np.array_equal(samples, raw)
+            if cpus == 1:
+                want = back
+                continue
+            assert gain == want._counts[1]
+            assert back.scan_phases.tobytes() == want.scan_phases.tobytes()
+            assert back.meta == want.meta
+
+    @pytest.mark.parametrize("damage", ["checksum", "missing", "geometry", "not-pgm"])
+    def test_the_first_bad_frame_is_reported(self, tmp_path, usable_cpus, damage):
+        directory = self.stack_dir(tmp_path)
+        source = directory / "stack.manifest"
+        wanted = {
+            "checksum": (StackIntegrityError, f"{source}: checksum mismatch for frame frame_0002.pgm"),
+            "missing": (StackFormatError, f"{source}: missing frame file frame_0002.pgm"),
+            # frame 2 is longer than frame 0, frame 5 shorter
+            "geometry": (
+                StackFormatError,
+                f"{source}: frame frame_0002.pgm is 301x217, manifest says 300x217",
+            ),
+            "not-pgm": (StackFormatError, "frame_0002.pgm: not a binary P5 PGM file"),
+        }
+        for i, width in ((2, 301), (5, 299)):
+            path = directory / f"frame_{i:04d}.pgm"
+            if damage == "checksum":
+                data = bytearray(path.read_bytes())
+                data[-1] ^= 0x01
+                path.write_bytes(bytes(data))
+            elif damage == "missing":
+                path.unlink()
+            elif damage == "geometry":
+                replace_frame(directory, i, stackio._pgm_bytes(np.zeros((217, width))))
+            else:
+                replace_frame(directory, i, b"P6" + path.read_bytes()[2:])
+        error, message = wanted[damage]
+        for cpus in (1, 2, 3, 7):
+            usable_cpus(cpus)
+            with pytest.raises(StackFormatError) as caught:
+                read_stack(directory)
+            assert type(caught.value) is error
+            assert str(caught.value) == message
 
 
 class TestMapExport:
