@@ -14,6 +14,8 @@ bins.
 Pixels are read in fixed row chunks shared among worker threads. The
 frame-mean series adds each chunk's frame sums in chunk order, so it is the
 same for any thread count; estimate mode and the leakage flag both fit it.
+The estimator's search grid and its projectors depend on K alone and are kept
+for the last few K.
 """
 
 from __future__ import annotations
@@ -247,13 +249,9 @@ def _projectors(k: int, freqs) -> tuple[np.ndarray, np.ndarray]:
     return basis, np.linalg.solve(gram, basis)
 
 
-def _residuals(y: np.ndarray, freqs) -> np.ndarray:
-    """Sum of squared residuals sum (y - B^T P y)^2 of the fit at each frequency."""
-    return _fit_residuals(y, *_projectors(y.size, freqs))
-
-
-def _fit_residuals(y: np.ndarray, basis: np.ndarray, proj: np.ndarray) -> np.ndarray:
-    """_residuals of y at the frequencies of _projectors' basis and proj."""
+def _residuals(y: np.ndarray, basis: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """Sum of squared residuals sum (y - B^T P y)^2 of the fit at each frequency
+    of _projectors' basis B and projector P."""
     fit = np.einsum("ij,ijk->ik", proj @ y, basis)
     return np.square(y - fit).sum(axis=1)
 
@@ -329,16 +327,16 @@ def _estimate_from_series(y: np.ndarray) -> float:
     # quadratic, so the last step lands on the minimum to machine precision
     lo, hi = _EDGE, k / 2.0 - _EDGE
     grid, basis, proj = _grid_projectors(k)
-    residuals = _fit_residuals(y, basis, proj)
+    residuals = _residuals(y, basis, proj)
     i = min(max(int(np.argmin(residuals)), 1), grid.size - 2)
     best, best_res = float(grid[i]), float(residuals[i])
     for h in (float(grid[1] - grid[0]), 1e-3, 1e-5, 1e-8):
-        r_lo, r_hi = _residuals(y, [best - h, best + h])
+        r_lo, r_hi = _residuals(y, *_projectors(k, [best - h, best + h]))
         den = r_lo - 2.0 * best_res + r_hi
         if den > 0.0:
             step = float(np.clip(0.5 * h * (r_lo - r_hi) / den, -h, h))
             cand = min(max(best + step, lo), hi)
-            cand_res = float(_residuals(y, cand)[0])
+            cand_res = float(_residuals(y, *_projectors(k, cand))[0])
             if cand_res <= best_res:
                 best, best_res = cand, cand_res
     return best

@@ -7,6 +7,12 @@ little-endian float32 with a text sidecar per map. Every file is written to a
 uniquely named ".partial" path first and moved into place, so interrupted or
 concurrent writes never leave a partial final-named file behind.
 
+read_stack checks frame 0, then shares the other frames among one worker
+thread per CPU the calling thread may run on; each worker reads, hashes and
+parses its frames into its own slice of the stack. An error names the first
+bad frame in frame order, as a frame-by-frame read would, and the stack is
+identical for any worker count.
+
 Key/value text has one reader (parse_key_values, then _field with a converter
 from _CONVERTERS) and one writer (_write_key_values, value text by _text_value).
 """
@@ -299,6 +305,10 @@ def read_stack(manifest_path: str | Path) -> FrameStack:
 
     The stack keeps the frames' 16-bit samples and meta["gain"]; its frames
     (samples / gain, float64) are computed on first use (see FrameStack).
+    Frame 0 is read and checked first; the other frames are checked on every
+    usable CPU (in the calling thread alone where there is one). A frame that
+    is missing, fails its checksum or is not a PGM of the manifest's geometry
+    raises for the first such frame in frame order, whatever the worker count.
     """
     manifest_path, values, source = _read_manifest(
         manifest_path, STACK_MANIFEST, STACK_FORMAT_VERSION
@@ -345,21 +355,25 @@ def read_stack(manifest_path: str | Path) -> FrameStack:
     # allocated only once a frame has the manifest's geometry
     samples = np.empty((frame_count, height, width), dtype=np.uint16)
     samples[0] = first
-    # each worker reads into its own buffer, one byte longer than frame 0
-    buffer_size = len(payload) + 1
+    # one read buffer per worker, one byte longer than frame 0. They are made
+    # here, not by the workers: what a worker thread allocates stays resident
+    # in its own heap arena after the thread ends (buffers made by two workers
+    # raised the peak RSS of a full-frame K=8 acquisition loop by 4 MiB)
+    workers = min(_usable_cpus(), frame_count - 1)
+    spare = [bytearray(len(payload) + 1) for _ in range(workers)]
     del payload, first
     scratch = threading.local()
 
     def load(i: int) -> None:
         buffer = getattr(scratch, "buffer", None)
         if buffer is None:
-            buffer = scratch.buffer = bytearray(buffer_size)
+            buffer = scratch.buffer = spare.pop()
         payload = _payload(manifest_path.parent / names[i], source, "frame", buffer)
         samples[i] = checked_frame(i, payload)
 
     # frames 1.. on every usable CPU; _ordered_map raises the error of the
     # first bad frame in frame order
-    _ordered_map(load, range(1, frame_count), _usable_cpus())
+    _ordered_map(load, range(1, frame_count), workers)
 
     meta = {"gain": gain}
     for key in _STACK_META_KEYS:
