@@ -23,7 +23,6 @@ import hashlib
 import math
 import os
 import re
-import threading
 import uuid
 from pathlib import Path
 
@@ -361,19 +360,20 @@ def read_stack(manifest_path: str | Path) -> FrameStack:
     # raised the peak RSS of a full-frame K=8 acquisition loop by 4 MiB). A
     # frame is read at an offset that puts samples after frame 0's header on a
     # 16-byte boundary of the (malloc-aligned) buffer: the byte-order copy from
-    # an odd address took 0.3 ms more per full frame
+    # an odd address took about 0.5 ms more per full frame
     pad = -(len(payload) - 2 * width * height) % 16
     workers = min(_usable_cpus(), frame_count - 1)
     spare = [memoryview(bytearray(pad + len(payload) + 1))[pad:] for _ in range(workers)]
     del payload, first
-    scratch = threading.local()
 
     def load(i: int) -> None:
-        buffer = getattr(scratch, "buffer", None)
-        if buffer is None:
-            buffer = scratch.buffer = spare.pop()
-        payload = _payload(manifest_path.parent / names[i], source, "frame", buffer)
-        samples[i] = checked_frame(i, payload)
+        # at most `workers` frames are read at once, so a buffer is always free
+        buffer = spare.pop()
+        try:
+            payload = _payload(manifest_path.parent / names[i], source, "frame", buffer)
+            samples[i] = checked_frame(i, payload)
+        finally:
+            spare.append(buffer)
 
     # frames 1.. on every usable CPU; _ordered_map raises the error of the
     # first bad frame in frame order

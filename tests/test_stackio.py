@@ -5,6 +5,8 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import os
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -540,6 +542,24 @@ class TestParallelRead:
             assert gain == want._counts[1]
             assert back.scan_phases.tobytes() == want.scan_phases.tobytes()
             assert back.meta == want.meta
+
+    def test_read_buffers_survive_many_switching_workers(self, tmp_path, usable_cpus):
+        # more workers than cores, switching threads every microsecond: a read
+        # buffer shared by two workers would fail a checksum or corrupt a frame
+        directory = self.stack_dir(tmp_path)
+        usable_cpus(1)
+        want = read_stack(directory)._counts[0]
+        usable_cpus(7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 5.0
+            runs = 0
+            while runs < 3 or (runs < 20 and time.monotonic() < deadline):
+                assert np.array_equal(read_stack(directory)._counts[0], want)
+                runs += 1
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("damage", ["checksum", "missing", "geometry", "not-pgm"])
     def test_the_first_bad_frame_is_reported(self, tmp_path, usable_cpus, damage):
