@@ -83,7 +83,9 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _parse_value_list(text: str) -> list[float]:
-    """Comma list ("7.4,7.7") or inclusive range ("7.3:7.8:0.1")."""
+    """Comma list ("7.4,7.7") or range ("7.3:7.8:0.1"): start, start + step, ...
+    below stop + step / 2, with a value past stop taken as stop, so that a stop
+    on the step grid is included."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -93,7 +95,8 @@ def _parse_value_list(text: str) -> list[float]:
             raise ValueError(f"range start, stop and step must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("range step must be > 0")
-        return [float(v) for v in np.arange(start, stop + step / 2.0, step)]
+        # start + n step can round past a stop on the grid
+        return [float(v) for v in np.minimum(np.arange(start, stop + step / 2.0, step), stop)]
     return [float(p) for p in text.split(",") if p != ""]
 
 
@@ -214,9 +217,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="solve phase-matched signal/idler pairs")
     p.add_argument("--pump", type=float, default=532.0, help="pump wavelength, nm")
     p.add_argument("--periods", "--period", dest="periods", default=None,
-                   help="poling period(s): value, comma list or start:stop:step (um)")
+                   help="poling period(s): value, comma list or start:stop:step (um); "
+                   "a range includes stop when stop lies on its step grid")
     p.add_argument("--temps", "--temp", dest="temps", default=None,
-                   help="crystal temperature(s): value, comma list or start:stop:step (C)")
+                   help="crystal temperature(s): value, comma list or start:stop:step (C); "
+                   "a range includes stop when stop lies on its step grid")
     p.add_argument("--out", default=None, help="write the grid as CSV here")
     p.set_defaults(func=_cmd_tune)
 

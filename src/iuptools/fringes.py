@@ -11,7 +11,10 @@ estimate takes f from the minimum of the fit residual of the frame-mean
 series, which keeps the fringe energy of off-bin scans out of neighbouring
 bins.
 
-Pixels are read in fixed row chunks shared among worker threads. The
+Pixels are read in fixed row chunks shared among worker threads. Samples
+that need scaling by the gain are scaled one chunk at a time into a scratch
+band per worker; the calling thread makes the bands and hands them out, so no
+band stays resident in a worker thread's heap arena after the analysis. The
 frame-mean series adds each chunk's frame sums in chunk order, so it is the
 same for any thread count; estimate mode and the leakage flag both fit it.
 The estimator's search grid and its projectors depend on K alone and are kept
@@ -24,7 +27,6 @@ import concurrent.futures
 import functools
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -359,33 +361,50 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _ordered_map(fn, items, workers: int) -> list:
+def _ordered_map(fn, items, workers: int, scratch=None) -> list:
     """fn(item) for each item, in item order, shared among at most `workers`
-    threads; with one worker, or one item, it runs here and starts no thread."""
+    threads; with one worker, or one item, it runs here and starts no thread.
+
+    With scratch, each call is fn(item, buffer), with one of the buffers that
+    scratch() makes, one per worker, and no two calls running at once share
+    one. The buffers are made here, in the calling thread: what a worker
+    thread allocates stays resident in its own heap arena after the thread
+    ends.
+    """
     workers = min(workers, len(items))
+    if scratch is None:
+        call = fn
+    else:
+        spare = [scratch() for _ in range(workers)]
+
+        def call(item):
+            # at most `workers` calls run at once, so a buffer is always free
+            buffer = spare.pop()
+            try:
+                return fn(item, buffer)
+            finally:
+                spare.append(buffer)
+
     if workers <= 1:
-        return [fn(item) for item in items]
+        return [call(item) for item in items]
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(call, items))
 
 
 def _map_chunks(stack: FrameStack, body, threads: int) -> list:
     """body(rows, y) for each fixed row chunk, shared among `threads` workers,
     in chunk order. y is frames[:, rows] as float64: a view of samples that
-    are the counts, else the samples over the gain in a buffer per worker."""
+    are the counts, else the samples over the gain in a scratch band of the
+    worker's."""
     k, height, width = stack.frame_count, stack.height, stack.width
     chunks = _row_chunks(height, width)
     band_rows = chunks[0][1] - chunks[0][0]
-    scratch = threading.local()
 
-    def run(chunk: tuple[int, int]):
+    def run(chunk: tuple[int, int], band: np.ndarray):
         rows = slice(*chunk)
-        band = getattr(scratch, "band", None)
-        if band is None:
-            band = scratch.band = np.empty((k, band_rows, width))
         return body(rows, stack._scaled(np.s_[:, rows], band[:, : rows.stop - rows.start]))
 
-    return _ordered_map(run, chunks, threads)
+    return _ordered_map(run, chunks, threads, lambda: np.empty((k, band_rows, width)))
 
 
 def _sums_by_frame(rows: slice, y: np.ndarray) -> list:

@@ -13,11 +13,13 @@ A tuning grid is solved in array passes. The Sellmeier terms that depend on
 temperature alone, and the pump's index, are evaluated once per temperature.
 The period-free part of dk is scanned once per temperature over a 0.5 nm
 signal grid, and every period's first sign change on that row is found by one
-sorted search in the row's running maximum or minimum; a row holding a
-non-finite value is scanned pair by pair instead. At most _ROWS_PER_PASS rows
-(of temperatures, or of periods in the pair-by-pair scans) are held at once,
-so memory does not grow with either side of the grid. One run of Brent's method
-(scipy's brentq, step for step) polishes all bracketed roots together.
+sorted search in the row's running maximum or minimum. A row that is monotone
+in the direction a period needs is its own running extreme and is searched as
+it is; a row holding a non-finite value is scanned pair by pair instead. At
+most _ROWS_PER_PASS rows (of temperatures, or of periods in the pair-by-pair
+scans) are held at once, so memory does not grow with either side of the grid.
+One run of Brent's method (scipy's brentq, step for step) polishes all
+bracketed roots together and hands back dk at each root as its residual.
 """
 
 from __future__ import annotations
@@ -294,22 +296,32 @@ def _first_roots(
     2 pi fl(t - c) is zero only where t == c and otherwise has the sign of t - c, so a
     finite row that starts below a level c first meets it where its running maximum
     reaches c, and one that starts above where its running minimum does: one sorted
-    search per row and level. A bracket ends there, or starts there if the row equals
-    c at that point, which is no root at the last point. Rows holding a non-finite
-    value go to _first_root, _ROWS_PER_PASS levels at a time. As there, a and b mean
-    nothing where nothing is found.
+    search per row and level. A row whose steps are all >= 0 is its own running
+    maximum, and one whose steps are all <= 0 its own running minimum, so such a row
+    is searched as it is; a running extreme is made only for the other rows, and only
+    in a direction some level needs. A bracket ends there, or starts there if the row
+    equals c at that point, which is no root at the last point. Rows holding a
+    non-finite value go to _first_root, _ROWS_PER_PASS levels at a time. As there, a
+    and b mean nothing where nothing is found.
     """
     last = grid.size - 1
-    rise, fall = np.maximum.accumulate(rows, axis=1), -np.minimum.accumulate(rows, axis=1)
-    up, down = np.empty((2, rows.shape[0], levels.size), dtype=np.intp)
-    for t in range(rows.shape[0]):
-        up[t], down[t] = rise[t].searchsorted(levels), fall[t].searchsorted(-levels)
-    j = np.where(levels > rows[:, :1], up, down)
+    finite = np.isfinite(rows).all(axis=1)
+    above = levels > rows[:, :1]
+    # the running minimum's search is the running maximum's on -row and -levels
+    j = np.zeros((2, *above.shape), dtype=np.intp)
+    for d, side in enumerate((above, ~above)):
+        searched = np.flatnonzero(finite & side.any(axis=1))
+        if searched.size:
+            signed, keys = (rows[searched], levels) if d == 0 else (-rows[searched], -levels)
+            sorted_rows = (signed[:, 1:] >= signed[:, :-1]).all(axis=1).tolist()
+            for t, row, ok in zip(searched.tolist(), signed, sorted_rows):
+                j[d, t] = (row if ok else np.maximum.accumulate(row)).searchsorted(keys)
+    j = np.where(above, j[0], j[1])
     k = np.minimum(j, last)
     zero = np.take_along_axis(rows, k, axis=1) == levels
     found = (j < last) | ((j == last) & ~zero)
     a, b = grid[np.where(zero, k, k - 1)], grid[k]
-    for t in np.flatnonzero(~np.isfinite(rows).all(axis=1)):
+    for t in np.flatnonzero(~finite):
         for at in _passes(levels.size):
             level_rows = 2.0 * np.pi * (rows[t] - levels[at, None])
             found[t, at], a[t, at], b[t, at] = _first_root(grid, level_rows)
@@ -321,15 +333,17 @@ def _passes(n: int) -> list[slice]:
     return [slice(i, i + _ROWS_PER_PASS) for i in range(0, n, _ROWS_PER_PASS)]
 
 
-def _brentq(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _brentq(f, a: np.ndarray, b: np.ndarray, froot: np.ndarray | None = None) -> np.ndarray:
     """scipy.optimize.brentq(f, a[j], b[j], xtol=_ROOT_TOL_NM) for every bracket j at once.
 
     Bit for bit and with brentq's errors, given finite f(a) and f(b) of opposite
-    signs; f(x, j) evaluates brackets j, and only brackets still iterating. The
-    NaN error is a _NaNStep naming every bracket whose step met NaN.
+    signs; f(x, j) evaluates brackets j, and only brackets still iterating, with
+    both ends of every bracket in its first call. froot, if given, receives f at
+    each root. The NaN error is a _NaNStep naming every bracket whose step met NaN.
     """
     j, root = np.arange(a.size), np.empty(a.size)
-    xpre, xcur, fpre, fcur = a, b, f(a, j), f(b, j)
+    ends = f(np.concatenate([a, b]), np.concatenate([j, j]))
+    xpre, xcur, fpre, fcur = a, b, ends[: a.size], ends[a.size :]
     xblk = fblk = spre = scur = np.zeros(a.size)
     for _ in range(_ROOT_MAXITER):
         flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
@@ -342,10 +356,13 @@ def _brentq(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         sbis = (xblk - xcur) / 2
         done = (fcur == 0) | (np.abs(sbis) < delta)
         root[j[done]] = xcur[done]
+        if froot is not None:
+            froot[j[done]] = fcur[done]
         if done.all():
             return root
-        state = (j, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
-        j, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (v[~done] for v in state)
+        if done.any():
+            state = (j, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
+            j, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (v[~done] for v in state)
         with np.errstate(all="ignore"):  # the rule not taken may divide by zero
             dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
             interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -375,11 +392,7 @@ def _solve_grid(pump_nm: float, periods: list, temps: list, ds: DispersionSet) -
     fine = np.linspace(max(lo, hi - 2.0), hi, 401)
     temp, inv_period = np.array(temps, dtype=np.float64), 1.0 / np.array(periods, dtype=np.float64)
     by_temp = _temperature_terms(pump_nm, temp, ds)
-    pairs = np.empty(len(cells), dtype=object)
-
-    def dk(signal, c):
-        terms = _mismatch_terms(pump_nm, signal, by_temp[:, c % temp.size], ds)
-        return 2.0 * np.pi * (terms - inv_period[c // temp.size])
+    pairs = [None] * len(cells)
 
     shape = inv_period.size, temp.size
     found, a, b = np.empty(shape, dtype=bool), np.empty(shape), np.empty(shape)
@@ -387,21 +400,26 @@ def _solve_grid(pump_nm: float, periods: list, temps: list, ds: DispersionSet) -
     for at in _passes(temp.size):
         rows = _mismatch_terms(pump_nm, grid, by_temp[:, at, None], ds)
         found[:, at], a[:, at], b[:, at] = _first_roots(grid, rows, inv_period)
-        finite = np.isfinite(rows)
-        low[at] = np.where(finite, rows, np.inf).min(axis=1)
-        high[at] = np.where(finite, rows, -np.inf).max(axis=1)
-    # tangency fallback: refine near the degenerate edge, one fine row per temperature
-    for t in np.flatnonzero(~found.all(axis=0) & (hi == 2.0 * pump_nm)):
-        fine_row = _mismatch_terms(pump_nm, fine, by_temp[:, t], ds)
-        missed = np.flatnonzero(~found[:, t])
-        for p in (missed[at] for at in _passes(missed.size)):
-            fine_rows = 2.0 * np.pi * (fine_row - inv_period[p, None])
-            found[p, t], a[p, t], b[p, t] = _first_root(fine, fine_rows)
-            edge = np.abs(fine_rows[:, -1])
+        # the notes of unmatched cells need their rows' finite extremes
+        noted = np.flatnonzero(~found[:, at].all(axis=0))
+        finite = np.isfinite(rows[noted])
+        low[at.start + noted] = np.where(finite, rows[noted], np.inf).min(axis=1)
+        high[at.start + noted] = np.where(finite, rows[noted], -np.inf).max(axis=1)
+    # tangency fallback: refine near the degenerate edge, in one fine row per
+    # temperature with unmatched cells, made _ROWS_PER_PASS temperatures at a time
+    missing = np.flatnonzero(~found.all(axis=0) & (hi == 2.0 * pump_nm))
+    for at in _passes(missing.size):
+        fine_rows = _mismatch_terms(pump_nm, fine, by_temp[:, missing[at], None], ds)
+        p_all, r_all = np.nonzero(~found[:, missing[at]])
+        for cut in _passes(p_all.size):
+            p, r = p_all[cut], r_all[cut]
+            t = missing[at][r]
+            cell_rows = 2.0 * np.pi * (fine_rows[r] - inv_period[p, None])
+            found[p, t], a[p, t], b[p, t] = _first_root(fine, cell_rows)
+            edge = np.abs(cell_rows[:, -1])
             tangent = ~found[p, t] & (edge <= _DEGENERATE_TOL)
-            pairs[p[tangent] * temp.size + t] = [
-                WavelengthPair(hi, hi, r) for r in edge[tangent].tolist()
-            ]
+            for c, dk_edge in zip((p * temp.size + t)[tangent].tolist(), edge[tangent].tolist()):
+                pairs[c] = WavelengthPair(hi, hi, dk_edge)
     found, a, b = found.ravel(), a.ravel(), b.ravel()
     polish = np.flatnonzero(found & (a < b))
     # a NaN stretch of the Sellmeier form can lie between two finite scan points
@@ -409,19 +427,31 @@ def _solve_grid(pump_nm: float, periods: list, temps: list, ds: DispersionSet) -
     # which are independent, polished again
     gaps = {}
     while True:
+        terms, level = by_temp[:, polish % temp.size], inv_period[polish // temp.size]
+
+        def dk(signal, j):
+            return 2.0 * np.pi * (_mismatch_terms(pump_nm, signal, terms[:, j], ds) - level[j])
+
+        dk_root = np.empty(polish.size)
         try:
-            a[polish] = _brentq(lambda x, j: dk(x, polish[j]), a[polish], b[polish])
+            a[polish] = _brentq(dk, a[polish], b[polish], dk_root)
             break
         except _NaNStep as err:
             for c in polish[err.brackets].tolist():
                 found[c], gaps[c] = False, (a[c], b[c])
             polish = np.delete(polish, err.brackets)
+    # dk is exactly 0 at a root that a scan point hits
+    residual = np.zeros(a.size)
+    residual[polish] = np.abs(dk_root)
     solved = np.flatnonzero(found)
-    roots = zip(a[solved].tolist(), np.abs(dk(a[solved], solved)).tolist())
-    pairs[solved] = [WavelengthPair(s, idler_from_signal(pump_nm, s), r) for s, r in roots]
+    signal = a[solved]
+    idler = 1.0 / (1.0 / pump_nm - 1.0 / signal)  # idler_from_signal's operations
+    solutions = zip(signal.tolist(), idler.tolist(), residual[solved].tolist())
+    for c, solution in zip(solved.tolist(), solutions):
+        pairs[c] = WavelengthPair(*solution)
     points = [TuningPoint(p, t, pair) for (p, t), pair in zip(cells, pairs)]
     # rounding is monotone, so a row's finite extremes give each period's mismatch span
-    for c in [c for c, pt in enumerate(points) if pt.pair is None]:
+    for c in [c for c, pair in enumerate(pairs) if pair is None]:
         t = c % temp.size
         detail = "mismatch is not finite anywhere in the scanned range"
         if c in gaps:

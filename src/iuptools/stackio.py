@@ -354,30 +354,24 @@ def read_stack(manifest_path: str | Path) -> FrameStack:
     # allocated only once a frame has the manifest's geometry
     samples = np.empty((frame_count, height, width), dtype=np.uint16)
     samples[0] = first
-    # one read buffer per worker, one byte longer than frame 0. They are made
-    # here, not by the workers: what a worker thread allocates stays resident
-    # in its own heap arena after the thread ends (buffers made by two workers
-    # raised the peak RSS of a full-frame K=8 acquisition loop by 4 MiB). A
-    # frame is read at an offset that puts samples after frame 0's header on a
-    # 16-byte boundary of the (malloc-aligned) buffer: the byte-order copy from
-    # an odd address took about 0.5 ms more per full frame
+    # one read buffer per worker, one byte longer than frame 0, made by the
+    # calling thread (buffers made by two workers raised the peak RSS of a
+    # full-frame K=8 acquisition loop by 4 MiB). A frame is read at an offset
+    # that puts samples after frame 0's header on a 16-byte boundary of the
+    # (malloc-aligned) buffer: the byte-order copy from an odd address took
+    # about 0.5 ms more per full frame
     pad = -(len(payload) - 2 * width * height) % 16
-    workers = min(_usable_cpus(), frame_count - 1)
-    spare = [memoryview(bytearray(pad + len(payload) + 1))[pad:] for _ in range(workers)]
+    size = pad + len(payload) + 1
     del payload, first
 
-    def load(i: int) -> None:
-        # at most `workers` frames are read at once, so a buffer is always free
-        buffer = spare.pop()
-        try:
-            payload = _payload(manifest_path.parent / names[i], source, "frame", buffer)
-            samples[i] = checked_frame(i, payload)
-        finally:
-            spare.append(buffer)
+    def load(i: int, buffer: memoryview) -> None:
+        payload = _payload(manifest_path.parent / names[i], source, "frame", buffer)
+        samples[i] = checked_frame(i, payload)
 
     # frames 1.. on every usable CPU; _ordered_map raises the error of the
     # first bad frame in frame order
-    _ordered_map(load, range(1, frame_count), workers)
+    frames = range(1, frame_count)
+    _ordered_map(load, frames, _usable_cpus(), lambda: memoryview(bytearray(size))[pad:])
 
     meta = {"gain": gain}
     for key in _STACK_META_KEYS:

@@ -7,8 +7,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from iuptools import parse_key_values, read_stack
-from iuptools.cli import cli_main
+from iuptools import parse_key_values, read_stack, tuning_curve, tuning_table_csv
+from iuptools.cli import _parse_value_list, cli_main
 
 
 def run(*argv):
@@ -317,6 +317,32 @@ class TestTune:
                    "--out", str(out)) == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 3 * 2
+
+    @pytest.mark.parametrize("temps, count", [("20:200:0.1", 1801), ("20:200:0.3", 601)])
+    def test_range_rounding_past_stop_ends_at_stop(self, tmp_path, temps, count):
+        # start + n step lands a few ulps above 200 C, outside the dispersion table
+        start, stop, step = (float(v) for v in temps.split(":"))
+        assert np.arange(start, stop + step / 2.0, step)[-1] > stop
+        values = _parse_value_list(temps)
+        assert len(values) == count and values[-1] == stop
+        assert values[:-1] == np.arange(start, stop + step / 2.0, step)[:-1].tolist()
+        out = tmp_path / "grid.csv"
+        assert run("tune", "--periods", "7.4", "--temps", temps, "--out", str(out)) == 0
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 1 + count and lines[-1].startswith("7.4000,200.00,")
+
+    def test_range_within_stop_is_unchanged(self, tmp_path):
+        # values the old np.arange(start, stop + step / 2, step) kept at or below stop
+        old = {}
+        for text in ("6.9:8.8:0.1", "20:200:10"):
+            start, stop, step = (float(v) for v in text.split(":"))
+            old[text] = [float(v) for v in np.arange(start, stop + step / 2.0, step)]
+            assert max(old[text]) <= stop
+            assert _parse_value_list(text) == old[text]
+        out = tmp_path / "grid.csv"
+        assert run("tune", "--periods", "6.9:8.8:0.1", "--temps", "20:200:10", "--out", str(out)) == 0
+        want = tuning_table_csv(tuning_curve(532.0, old["6.9:8.8:0.1"], old["20:200:10"]))
+        assert out.read_text() == want
 
     def test_no_match_reported(self, capsys):
         assert run("tune", "--period", "5.0", "--temp", "25") == 0

@@ -643,6 +643,23 @@ class TestIntegerStorage:
             if path.name != "fringes.py":
                 assert "._counts" not in path.read_text(encoding="utf-8"), path.name
 
+    @pytest.mark.parametrize("threads", [1, 2, 3, 7])
+    def test_scratch_bands_are_made_by_the_calling_thread(self, monkeypatch, threads):
+        # a band a worker thread allocates stays resident in its heap arena
+        stored, floats = sample_stacks(8, (300, 700), seed=49)
+        want = analyze_stack(floats, threads=1)
+        made, empty = [], np.empty
+
+        def recording_empty(shape, *args, **kwargs):
+            if isinstance(shape, tuple) and len(shape) == 3:
+                made.append(threading.get_ident())
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", recording_empty)
+        assert_same_result(analyze_stack(stored, threads=threads), want)
+        workers = min(threads, len(fringes._row_chunks(300, 700)))
+        assert made == [threading.get_ident()] * workers
+
     def test_scratch_bands_survive_many_switching_workers(self):
         # more workers than cores, switching threads every microsecond: a
         # scratch band shared between two workers would corrupt some chunk

@@ -407,6 +407,55 @@ def search_rows(rng):
     ]
 
 
+def oracle_first_roots(grid, rows, levels):
+    """_first_roots as it was with both running extremes of every row, kept as an oracle."""
+    last = grid.size - 1
+    rise, fall = np.maximum.accumulate(rows, axis=1), -np.minimum.accumulate(rows, axis=1)
+    up, down = np.empty((2, rows.shape[0], levels.size), dtype=np.intp)
+    for t in range(rows.shape[0]):
+        up[t], down[t] = rise[t].searchsorted(levels), fall[t].searchsorted(-levels)
+    j = np.where(levels > rows[:, :1], up, down)
+    k = np.minimum(j, last)
+    zero = np.take_along_axis(rows, k, axis=1) == levels
+    found = (j < last) | ((j == last) & ~zero)
+    a, b = grid[np.where(zero, k, k - 1)], grid[k]
+    for t in np.flatnonzero(~np.isfinite(rows).all(axis=1)):
+        found[t], a[t], b[t] = _first_root(grid, 2.0 * np.pi * (rows[t] - levels[:, None]))
+    return found.T, a.T, b.T
+
+
+def shaped_rows(rng):
+    """Named rows of 40 samples, each searched for levels below, at and above its first
+    point and at every third of its own samples, as (name, row, levels)."""
+    n = 40
+    rising = np.sort(rng.uniform(-1.0, 1.0, n))
+    plateau = rising.copy()
+    plateau[:6] = plateau[0]
+    plateau[15:22] = plateau[15]
+    wave = np.sin(np.linspace(0.0, 3.0 * np.pi, n)) + rng.uniform(-0.2, 0.2)
+    dip = np.concatenate([rising[::-1][: n // 2], rising[n // 2 :]])
+    rising_nan, wave_nan = rising.copy(), wave.copy()
+    rising_nan[20], wave_nan[[7, 30]] = np.nan, np.nan
+    rows = [
+        ("rising", rising),
+        ("falling", rising[::-1]),
+        ("constant", np.full(n, 0.25)),
+        ("plateaus", plateau),
+        ("falling plateaus", plateau[::-1]),
+        ("signed zeros", np.array([-0.0, 0.0, -0.0, *np.linspace(0.1, 1.0, n - 3)])),
+        ("wave", wave),
+        ("dip", dip),
+        ("random", rng.uniform(-1.0, 1.0, n)),
+        ("rising, NaN", rising_nan),
+        ("wave, NaN", wave_nan),
+    ]
+    table = []
+    for name, row in rows:
+        levels = [row[0] - 0.3, row[0], row[0] + 0.3, np.nextafter(row[0], 2.0), *row[::3]]
+        table.append((name, row, np.array([v for v in levels if np.isfinite(v)])))
+    return table
+
+
 class TestFirstRoot:
     @pytest.mark.parametrize("values, want", SYNTHETIC_SAMPLES)
     def test_synthetic_samples(self, values, want):
@@ -448,6 +497,25 @@ class TestFirstRoot:
             assert found[:, t].tolist() == want[0].tolist()
             assert a[want[0], t].tolist() == want[1][want[0]].tolist()
             assert b[want[0], t].tolist() == want[2][want[0]].tolist()
+
+    def test_monotone_rows_match_both_running_extremes(self):
+        table = shaped_rows(np.random.default_rng(47))
+        grid = 600.0 + 0.5 * np.arange(40)
+        for name, row, levels in table:
+            want = oracle_first_roots(grid, row[None], levels)
+            got = _first_roots(grid, row[None], levels)
+            assert got[0].tolist() == want[0].tolist(), name
+            assert got[1][want[0]].tolist() == want[1][want[0]].tolist(), name
+            assert got[2][want[0]].tolist() == want[2][want[0]].tolist(), name
+        # every row at once, each searched in the direction each level needs
+        rows = np.array([row for _, row, _ in table])
+        levels = np.concatenate([levels for _, _, levels in table])
+        want = oracle_first_roots(grid, rows, levels)
+        got = _first_roots(grid, rows, levels)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1][want[0]].tolist() == want[1][want[0]].tolist()
+        assert got[2][want[0]].tolist() == want[2][want[0]].tolist()
+        assert 0 < want[0].sum() < want[0].size
 
     def test_solver_matches_reference_scan(self):
         rng = np.random.default_rng(23)
@@ -550,6 +618,70 @@ class TestArrayBrent:
             _brentq(lambda x, j: np.array([scalar(v) for v in x]), np.array([a]), np.array([b]))
 
 
+class TestPolish:
+    def test_no_bracket_returns_at_once(self):
+        sizes = []
+
+        def f(x, j):
+            sizes.append(x.size)
+            return x - 1.0
+
+        froot = np.empty(0)
+        assert _brentq(f, np.empty(0), np.empty(0), froot).size == 0
+        assert len(sizes) <= 1 and not any(sizes)
+
+    def test_f_at_each_root_is_handed_back(self):
+        rng = np.random.default_rng(59)
+        r, k = rng.uniform(-1.0, 1.0, 200), rng.uniform(0.5, 20.0, 200)
+        a, b = r - rng.uniform(0.01, 3.0, 200), r + rng.uniform(0.01, 3.0, 200)
+
+        def f(x, j):
+            return k[j] * (x - r[j]) ** 3 + 1e-3 * (x - r[j])
+
+        froot = np.full(200, np.nan)
+        root = _brentq(f, a, b, froot)
+        assert froot.tolist() == f(root, np.arange(200)).tolist()
+        assert root.tolist() == _brentq(f, a, b).tolist()
+
+    def test_residual_is_the_mismatch_at_the_root(self):
+        # periods whose 1/Lambda equals a scan point of one row exactly: that row's
+        # first root is the scan point itself, which Brent's method never polishes
+        ds = default_dispersion_set()
+        lo, hi = _signal_scan_bounds(PUMP_NM, ds)
+        grid = np.append(np.arange(lo, hi, 0.5), hi)
+        temps = [20.0, 100.0, 200.0]
+        on_grid = {}
+        for temp in temps:
+            row = _mismatch_terms(PUMP_NM, grid, _temperature_terms(PUMP_NM, temp, ds), ds)
+            for i in (150, 400, 650):
+                if 1.0 / (1.0 / row[i]) == row[i] and row[i] > row[:i].max():
+                    on_grid[(1.0 / row[i], temp)] = grid[i]
+        assert len(on_grid) >= 3
+        periods = [p for p, _ in on_grid] + [5.0, 7.4, 8.05, degenerate_period(100.0)]
+        periods += np.linspace(6.9, 8.8, 12).tolist()
+        kinds = set()
+        for point in tuning_curve(PUMP_NM, periods, temps, ds):
+            if point.pair is None:
+                continue
+            crystal = CrystalState(point.poling_period_um, point.temperature_c, ds)
+            dk = _mismatch_unchecked(PUMP_NM, np.float64(point.pair.signal_nm), crystal)
+            assert point.pair.residual_mismatch == abs(float(dk))
+            cell = (point.poling_period_um, point.temperature_c)
+            if cell in on_grid:
+                assert point.pair.signal_nm == on_grid[cell] and dk == 0.0
+            kinds.add("on grid" if cell in on_grid else "degenerate" if point.pair.degenerate else "polished")
+        assert kinds == {"on grid", "degenerate", "polished"}
+
+    def test_batched_fine_rows_equal_rows_per_temperature(self):
+        ds = default_dispersion_set()
+        lo, hi = _signal_scan_bounds(PUMP_NM, ds)
+        fine = np.linspace(max(lo, hi - 2.0), hi, 401)
+        by_temp = _temperature_terms(PUMP_NM, np.linspace(20.0, 200.0, 37), ds)
+        rows = _mismatch_terms(PUMP_NM, fine, by_temp[:, :, None], ds)
+        for t, row in enumerate(rows):
+            assert row.tolist() == _mismatch_terms(PUMP_NM, fine, by_temp[:, t], ds).tolist()
+
+
 # pumps outside the bundled table's 0.5-4 um window, or no wavelength at all
 BAD_PUMPS_NM = [0.0, np.nan, -532.0, np.inf, 450.0, 4500.0]
 
@@ -590,6 +722,23 @@ class TestTuningCurve:
                 kinds.add((pump_nm, kind))
         assert {kind for _, kind in kinds} == {"none", "degenerate", "pair"}
         assert {pump for pump, kind in kinds if kind == "pair"} == {PUMP_NM, 600.0, 775.0, 1000.0}
+
+    def test_one_period_over_many_temperatures_matches_reference_solve(self):
+        # 2000 temperatures: 32 passes of scan rows for a single level each
+        temps = np.sort(np.append(np.linspace(20.0, 200.0, 1999), 110.0))
+        rng = np.random.default_rng(61)
+        sampled = [0, 1999, int(np.flatnonzero(temps == 110.0)[0]), *rng.choice(2000, 20)]
+        kinds = set()
+        for period in (7.4, 5.5, degenerate_period(110.0)):
+            points = tuning_curve(PUMP_NM, [period], temps)
+            assert [p.temperature_c for p in points] == temps.tolist()
+            for i in sampled:
+                point = points[i]
+                want = reference_solve(PUMP_NM, CrystalState(period, point.temperature_c))
+                assert point.pair == want
+                assert bool(point.note) == (want is None)
+                kinds.add("none" if want is None else "degenerate" if want.degenerate else "pair")
+        assert kinds == {"none", "degenerate", "pair"}
 
     def test_rows_that_are_not_finite_match_reference_solve(self, tmp_path):
         # the second Sellmeier pole at 2 um, inside the idler's 1.06-4 um scan range, with
