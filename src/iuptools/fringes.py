@@ -13,10 +13,12 @@ bins.
 
 Pixels are read in fixed row chunks shared among worker threads. Samples
 that need scaling by the gain are scaled one chunk at a time into a scratch
-band per worker; the calling thread makes the bands and hands them out, so no
-band stays resident in a worker thread's heap arena after the analysis. The
-frame-mean series adds each chunk's frame sums in chunk order, so it is the
-same for any thread count; estimate mode and the leakage flag both fit it.
+band per worker, and each chunk's projection sums and complex amplitude go to
+scratch of the worker's too; the calling thread makes all of it and hands it
+out, so none stays resident in a worker thread's heap arena after the
+analysis. The frame-mean series adds each chunk's frame sums in chunk order,
+so it is the same for any thread count; estimate mode and the leakage flag
+both fit it.
 The estimator's search grid and its projectors depend on K alone and are kept
 for the last few K.
 """
@@ -391,23 +393,28 @@ def _ordered_map(fn, items, workers: int, scratch=None) -> list:
         return list(pool.map(call, items))
 
 
-def _map_chunks(stack: FrameStack, body, threads: int) -> list:
-    """body(rows, y) for each fixed row chunk, shared among `threads` workers,
-    in chunk order. y is frames[:, rows] as float64: a view of samples that
-    are the counts, else the samples over the gain in a scratch band of the
-    worker's."""
+def _map_chunks(stack: FrameStack, body, threads: int, scratch=lambda pixels: None) -> list:
+    """body(rows, y, work) for each fixed row chunk, shared among `threads`
+    workers, in chunk order. y is frames[:, rows] as float64: a view of
+    samples that are the counts, else the samples over the gain in a scratch
+    band of the worker's. work is what scratch(pixels) made for the worker,
+    in the calling thread, for chunks of at most `pixels` pixels."""
     k, height, width = stack.frame_count, stack.height, stack.width
     chunks = _row_chunks(height, width)
     band_rows = chunks[0][1] - chunks[0][0]
 
-    def run(chunk: tuple[int, int], band: np.ndarray):
+    def run(chunk: tuple[int, int], buffers) -> list:
+        band, work = buffers
         rows = slice(*chunk)
-        return body(rows, stack._scaled(np.s_[:, rows], band[:, : rows.stop - rows.start]))
+        return body(rows, stack._scaled(np.s_[:, rows], band[:, : rows.stop - rows.start]), work)
 
-    return _ordered_map(run, chunks, threads, lambda: np.empty((k, band_rows, width)))
+    def make():
+        return np.empty((k, band_rows, width)), scratch(band_rows * width)
+
+    return _ordered_map(run, chunks, threads, make)
 
 
-def _sums_by_frame(rows: slice, y: np.ndarray) -> list:
+def _sums_by_frame(rows: slice, y: np.ndarray, work=None) -> list:
     """Each frame's sum over the pixels of one row chunk."""
     return [y[i].sum() for i in range(y.shape[0])]
 
@@ -501,10 +508,16 @@ def analyze_stack(
     # frame sums while it is in cache
     check_leakage = k >= 4 and opts.frequency_mode != "estimate"
 
-    def extract_rows(rows: slice, y: np.ndarray) -> list | None:
+    def scratch(pixels: int) -> tuple[np.ndarray, np.ndarray]:
+        # a chunk's three sums and its complex amplitude; flat, so that each
+        # chunk's view of them is contiguous, as a new array would be
+        return np.empty(3 * pixels), np.empty(pixels, dtype=complex)
+
+    def extract_rows(rows: slice, y: np.ndarray, work) -> list | None:
+        shape, pixels = y.shape[1:], y[0].size
         # einsum's loop adds each pixel's K products in frame order, where a
         # BLAS product would neither fix that order nor stay off the workers' CPUs
-        a, cr, ci = np.einsum("jk,krw->jrw", proj, y)
+        a, cr, ci = np.einsum("jk,krw->jrw", proj, y, out=work[0][: 3 * pixels].reshape(3, *shape))
         sums = _sums_by_frame(rows, y) if check_leakage else None
         valid = np.greater_equal(a, floor, out=mask[rows])
         # every pixel is finished, then masked ones are set to 0.0: a mask
@@ -515,7 +528,7 @@ def analyze_stack(
             # atan2 can round to -pi; phases lie in (-pi, pi]
             np.add(angles, 2.0 * np.pi, out=angles, where=angles <= -np.pi)
             # the complex magnitude rescales where cr**2 + ci**2 would overflow
-            c = np.empty(a.shape, dtype=complex)
+            c = work[1][:pixels].reshape(shape)
             c.real, c.imag = cr, ci
             amp = np.abs(c, out=cr)
             np.divide(amp, a, out=vis[rows])
@@ -527,7 +540,7 @@ def analyze_stack(
         np.maximum(a, 0.0, out=dc[rows])
         return sums
 
-    chunk_sums = _map_chunks(stack, extract_rows, threads)
+    chunk_sums = _map_chunks(stack, extract_rows, threads, scratch)
 
     leakage = False
     if check_leakage:

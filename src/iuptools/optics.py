@@ -38,6 +38,15 @@ and in row-major order: first every Poisson draw of the frame, then every
 read-noise draw, so a frame's noise does not depend on the chunking or on
 the other frames.
 
+Every scene-sized or sensor-sized array built here is built from row
+chunks written straight into it: the test targets from the chunk's row and
+column coordinates, the illumination, the resampling (from the scene rows
+that the chunk's taps read, each made once) and the blur. A full-frame
+smooth-wing target peaks at its two maps plus about 1 MiB of bands, and
+effective_complex_map at its complex map, one sensor-sized part and under
+2 MiB of bands. No temporary the size of a map is made and freed, so the
+heap does not grow to hold one and keep it resident afterwards.
+
 simulate_stack builds the basis once, then shares the frames among one
 worker thread per CPU the calling thread may run on (its affinity set, or
 os.cpu_count() where the platform has none), at most one per frame. numpy
@@ -122,9 +131,11 @@ class ObjectScene:
             raise ValueError("amplitude_map must be a non-empty 2-D array")
         if self.amplitude_map.shape != self.phase_map.shape:
             raise ValueError("amplitude_map and phase_map must have the same shape")
-        if not np.isfinite(self.amplitude_map).all() or not np.isfinite(self.phase_map).all():
-            raise ValueError("scene maps must be finite")
+        # NaN propagates through both reductions and +-inf shows in one of them
         amin, amax = float(self.amplitude_map.min()), float(self.amplitude_map.max())
+        pmin, pmax = float(self.phase_map.min()), float(self.phase_map.max())
+        if not all(map(math.isfinite, (amin, amax, pmin, pmax))):
+            raise ValueError("scene maps must be finite")
         if amin < 0.0 or amax > 1.0 + 1e-12:
             raise ValueError(f"amplitude values must lie in [0, 1], got [{amin}, {amax}]")
         _check_fields(self, ValueError, positive=("scene_pitch_um",))
@@ -282,31 +293,53 @@ def _linear_taps(count: int, offset: float, step: float, side: int) -> list:
 
 
 def _resample(
-    part: np.ndarray, step: float, origin: tuple[float, float], fill: float, out: np.ndarray
+    rows_of, shape: tuple[int, int], step: float, origin: tuple[float, float], fill: float,
+    out: np.ndarray,
 ) -> None:
-    """Write part sampled at (origin[0] + r * step, origin[1] + c * step) into out.
+    """Write a part of the given shape, sampled at (origin[0] + r * step,
+    origin[1] + c * step), into out. rows_of(lo, hi, dest) writes the part's
+    rows lo..hi-1 into dest.
 
     The arithmetic is scipy.ndimage.affine_transform's with a diagonal matrix,
     order=1 and mode="grid-constant": each value is 0.0 + (v00 wr0) wc0, then
     + (v01 wr0) wc1, + (v10 wr1) wc0 and + (v11 wr1) wc1, in that order, and
-    taps outside part read fill. Row chunks keep every temporary small.
+    taps outside the part read fill. Row chunks keep every temporary small:
+    each chunk asks for the part rows its taps read and no others, and rows
+    that the previous chunk also read are kept, so each row is made once.
     """
     height, width = out.shape
-    row_taps = _linear_taps(height, origin[0], step, part.shape[0])
-    col_taps = _linear_taps(width, origin[1], step, part.shape[1])
+    side = shape[0]
+    row_taps = _linear_taps(height, origin[0], step, side)
+    col_taps = _linear_taps(width, origin[1], step, shape[1])
     chunks = _row_chunks(height, width)
-    n = chunks[0][1] - chunks[0][0]
-    # the scene row of one row tap times its weight, then a fill column
-    line = np.empty((n, part.shape[1] + 1))
-    term = np.empty((n, width))
+    # the part rows [lo, hi) that each chunk's taps read; they never go back
+    spans = []
     for r0, r1 in chunks:
+        taps = np.concatenate([t[r0:r1] for t, _ in row_taps])
+        taps = taps[taps < side]
+        spans.append((int(taps.min()), int(taps.max()) + 1) if taps.size else (0, 0))
+    block = np.empty((max(hi - lo for lo, hi in spans), shape[1]))
+    lo_held = hi_held = 0
+    n = chunks[0][1] - chunks[0][0]
+    # the part row of one row tap times its weight, then a fill column
+    line = np.empty((n, shape[1] + 1))
+    term = np.empty((n, width))
+    for (r0, r1), (lo, hi) in zip(chunks, spans):
         m = r1 - r0
+        if hi > lo:
+            kept = max(min(hi_held, hi) - lo, 0)
+            block[:kept] = block[lo - lo_held : lo - lo_held + kept]
+            rows_of(lo + kept, hi, block[kept : hi - lo])
+            lo_held, hi_held = lo, hi
         acc = out[r0:r1]
         acc[...] = 0.0
         for taps, weights in row_taps:
             rows = taps[r0:r1]
-            np.take(part, rows, axis=0, out=line[:m, :-1], mode="clip")
-            line[:m][rows == part.shape[0]] = fill
+            if hi > lo:
+                np.take(block[: hi - lo], rows - lo, axis=0, out=line[:m, :-1], mode="clip")
+                line[:m][rows == side] = fill
+            else:
+                line[:m, :-1] = fill
             line[:m, -1] = fill
             line[:m] *= weights[r0:r1, None]
             for taps, weights in col_taps:
@@ -409,19 +442,20 @@ def effective_complex_map(scene: ObjectScene, config: OpticalConfig) -> np.ndarr
         config.f_u_mm, config.undetected_wavelength_nm, config.pump_waist_mm
     ) / 2.0 / config.pixel_pitch_um
     shape = (config.sensor_height, config.sensor_width)
-    # Across the scene edge the sensor blends linearly into the fill value.
-    # Each scene-sized product is dropped as soon as it has been resampled.
-    parts = []
-    for quadrature, fill in ((np.cos, 1.0), (np.sin, 0.0)):
-        part = quadrature(scene.phase_map)
-        part *= scene.amplitude_map
-        resampled = np.empty(shape)
-        _resample(part, step, (row0, col0), fill, resampled)
-        parts.append(resampled)
-        del part
+    phase_map, amplitude_map = scene.phase_map, scene.amplitude_map
     t = np.empty(shape, dtype=np.complex128)
-    for part, out in zip(parts, (t.real, t.imag)):
-        _blur(part, sigma_px, out)
+    # one sensor-sized buffer, resampled and blurred once per quadrature
+    resampled = np.empty(shape)
+    # Across the scene edge the sensor blends linearly into the fill value.
+    for quadrature, fill, out in ((np.cos, 1.0, t.real), (np.sin, 0.0, t.imag)):
+
+        def rows_of(lo: int, hi: int, dest: np.ndarray, quadrature=quadrature) -> None:
+            # contiguous, so that the vector loop runs as on the whole map
+            quadrature(np.ascontiguousarray(phase_map[lo:hi]), out=dest)
+            dest *= amplitude_map[lo:hi]
+
+        _resample(rows_of, (sh, sw), step, (row0, col0), fill, resampled)
+        _blur(resampled, sigma_px, out)
     return t
 
 
@@ -430,8 +464,16 @@ def _illumination(config: OpticalConfig) -> np.ndarray:
     rows_um, cols_um = _sensor_coords_um(config)
     short_um = min(config.sensor_height, config.sensor_width) * config.pixel_pitch_um
     w = 0.4 * short_um
-    r2 = rows_um[:, None] ** 2 + cols_um[None, :] ** 2
-    return np.exp(-2.0 * r2 / (w * w))
+    rows2, cols2 = rows_um**2, cols_um**2
+    # exp(-2 r^2 / w^2), one row chunk at a time
+    out = np.empty((config.sensor_height, config.sensor_width))
+    for r0, r1 in _row_chunks(*out.shape):
+        band = out[r0:r1]
+        np.add(rows2[r0:r1, None], cols2, out=band)
+        band *= -2.0
+        band /= w * w
+        np.exp(band, out=band)
+    return out
 
 
 # The last P + iQ map built and the key of what it was built from: an
@@ -597,11 +639,19 @@ def simulate_stack(
     return FrameStack(frames, phases, meta)
 
 
-def _normalized_grid(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    h, w = shape
-    yy = (np.arange(h) - (h - 1) / 2.0) / (min(h, w) / 2.0)
-    xx = (np.arange(w) - (w - 1) / 2.0) / (min(h, w) / 2.0)
-    return np.meshgrid(yy, xx, indexing="ij")
+def _coordinate_bands(y: np.ndarray, x: np.ndarray):
+    """Yield (r0, r1, yy, xx, a, b) for each row chunk of the (y.size, x.size)
+    grid: yy and xx hold the chunk's row and column coordinates, each pixel's
+    own, and a and b are free bands of the same shape. The four are
+    contiguous, so numpy's vector loops run on them as on whole arrays, and
+    are reused from chunk to chunk; a caller may overwrite yy and xx."""
+    chunks = _row_chunks(y.size, x.size)
+    bands = np.empty((4, chunks[0][1] - chunks[0][0], x.size))
+    for r0, r1 in chunks:
+        yy, xx, a, b = bands[:, : r1 - r0]
+        yy[...] = y[r0:r1, None]
+        xx[...] = x
+        yield r0, r1, yy, xx, a, b
 
 
 def make_test_target(kind: str, size, **params) -> ObjectScene:
@@ -625,29 +675,51 @@ def make_test_target(kind: str, size, **params) -> ObjectScene:
         )
     shape = (int(shape[0]), int(shape[1]))
     pitch = float(params.pop("scene_pitch_um", 5.2))
-    yy, xx = _normalized_grid(shape)
+    h, w = shape
+    # the normalised row and column coordinates
+    y = (np.arange(h) - (h - 1) / 2.0) / (min(h, w) / 2.0)
+    x = (np.arange(w) - (w - 1) / 2.0) / (min(h, w) / 2.0)
+    amplitude = np.ones(shape)
+    phase = np.zeros(shape)
 
-    if kind == "uniform":
-        amplitude = np.ones(shape)
-        phase = np.zeros(shape)
-    elif kind == "ring-electrode":
-        r = np.hypot(yy, xx)
-        amplitude = np.ones(shape)
-        amplitude[r < 0.08] = 0.0
-        for i in range(3):
-            lo = 0.18 + 0.20 * i
-            amplitude[(r >= lo) & (r < lo + 0.08)] = 0.0
-        phase = np.zeros(shape)
+    if kind == "ring-electrode":
+        for r0, r1, yy, xx, r, _ in _coordinate_bands(y, x):
+            np.hypot(yy, xx, out=r)
+            band = amplitude[r0:r1]
+            band[r < 0.08] = 0.0
+            for i in range(3):
+                lo = 0.18 + 0.20 * i
+                band[(r >= lo) & (r < lo + 0.08)] = 0.0
     elif kind == "smooth-wing":
-        # membrane with a soft body and periodic vein shading, amplitudes in (0, 1)
-        body = np.exp(-(xx * xx + 2.0 * yy * yy))
-        veins = np.cos(4.0 * np.pi * xx) * np.exp(-yy * yy)
-        amplitude = 0.2 + 0.6 * body + 0.15 * veins
-        phase = 0.3 * np.sin(2.0 * np.pi * xx) * np.exp(-yy * yy)
-    else:  # phase-step
+        # membrane with a soft body and periodic vein shading, amplitudes in (0, 1):
+        # body = exp(-(xx*xx + 2*yy*yy)), veins = cos(4 pi xx) exp(-yy*yy),
+        # amplitude = 0.2 + 0.6 body + 0.15 veins, phase = 0.3 sin(2 pi xx) exp(-yy*yy)
+        for r0, r1, yy, xx, body, g in _coordinate_bands(y, x):
+            np.multiply(xx, xx, out=body)
+            np.multiply(yy, 2.0, out=g)
+            g *= yy
+            body += g
+            np.negative(body, out=body)
+            np.exp(body, out=body)
+            np.negative(yy, out=g)
+            g *= yy
+            np.exp(g, out=g)
+            amp, ph = amplitude[r0:r1], phase[r0:r1]
+            np.multiply(body, 0.6, out=amp)
+            amp += 0.2
+            # the veins, in yy's band once yy has been used
+            np.multiply(xx, 4.0 * np.pi, out=yy)
+            np.cos(yy, out=yy)
+            yy *= g
+            yy *= 0.15
+            amp += yy
+            np.multiply(xx, 2.0 * np.pi, out=ph)
+            np.sin(ph, out=ph)
+            ph *= 0.3
+            ph *= g
+    elif kind == "phase-step":
         step = float(params.pop("step_rad", math.pi / 4.0))
-        amplitude = np.ones(shape)
-        phase = np.where(xx >= 0.0, step, 0.0)
+        phase[...] = np.where(x >= 0.0, step, 0.0)
 
     if params:
         raise ValueError(f"unknown target parameter(s): {sorted(params)}")

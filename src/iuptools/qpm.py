@@ -498,8 +498,15 @@ def tuning_curve(
     temps = sorted(float(t) for t in temperatures_c)
     if not periods or not temps:
         raise ValueError("poling period and temperature grids must be non-empty")
-    for period, temp in [(periods[0], t) for t in temps] + [(p, temps[0]) for p in periods[1:]]:
-        CrystalState(period, temp, ds)  # the first bad value in (period, T) cell order
+    # CrystalState raises for the first bad value in (period, T) cell order:
+    # every value first shows in a cell (periods[0], T) or (period, temps[0])
+    bad_periods = ~(np.array(periods) > 0)
+    t = np.array(temps)
+    bad_temps = ~((t >= ds.temp_min_c) & (t <= ds.temp_max_c))
+    if bad_temps.any() and not bad_periods[0]:
+        CrystalState(periods[0], temps[int(np.argmax(bad_temps))], ds)
+    if bad_periods.any():
+        CrystalState(periods[int(np.argmax(bad_periods))], temps[0], ds)
     _check_window(ds, temps[0], pump=pump_nm)
     return _solve_grid(pump_nm, periods, temps, ds)
 

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fringes import AnalysisResult, FrameStack, _ordered_map, _usable_cpus
+from .fringes import AnalysisResult, FrameStack, _ordered_map, _row_chunks, _usable_cpus
 from .optics import ObjectScene
 
 __all__ = [
@@ -140,11 +140,20 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     return _key_values(Path(path).read_text(encoding="utf-8"), str(path))
 
 
-def _pgm_bytes(samples: np.ndarray) -> bytes:
-    """P5 file of samples, which must hold integers in 0..65535."""
-    h, w = samples.shape
-    header = f"P5\n{w} {h}\n65535\n".encode("ascii")
-    return header + samples.astype(">u2").tobytes()
+def _pgm_file(height: int, width: int) -> tuple[memoryview, np.ndarray]:
+    """A P5 file of the given geometry and a (height, width) view of its
+    big-endian samples, which the caller fills with integers in 0..65535.
+
+    The samples start on a 16-byte boundary of the (malloc-aligned) buffer:
+    numpy's cast of a full frame's counts to an odd address took about 0.9 ms
+    more.
+    """
+    header = f"P5\n{width} {height}\n65535\n".encode("ascii")
+    pad = -len(header) % 16
+    buffer = bytearray(pad + len(header) + 2 * height * width)
+    buffer[pad : pad + len(header)] = header
+    samples = np.frombuffer(buffer, dtype=">u2", offset=pad + len(header))
+    return memoryview(buffer)[pad:], samples.reshape(height, width)
 
 
 def _parse_pgm(payload: bytes, source: str) -> np.ndarray:
@@ -175,9 +184,17 @@ def write_stack(stack: FrameStack, directory: str | Path, gain: float | None = N
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    # one frame of counts at a time, so a stack of 16-bit samples is not expanded
-    frame = np.empty((stack.height, stack.width))
-    max_count = max(float(stack._scaled(i, frame).max()) for i in range(stack.frame_count))
+    # counts one row chunk at a time, so that no frame-sized float64 buffer is
+    # made and a stack of 16-bit samples is not expanded
+    chunks = _row_chunks(stack.height, stack.width)
+    band = np.empty((chunks[0][1] - chunks[0][0], stack.width))
+
+    def counts(i: int, r0: int, r1: int) -> np.ndarray:
+        return stack._scaled(np.s_[i, r0:r1], band[: r1 - r0])
+
+    max_count = max(
+        float(counts(i, r0, r1).max()) for i in range(stack.frame_count) for r0, r1 in chunks
+    )
     if gain is None:
         gain = 65535.0 / max_count if max_count > 0 else 1.0
     if not _usable_gain(gain):
@@ -192,12 +209,14 @@ def write_stack(stack: FrameStack, directory: str | Path, gain: float | None = N
 
     names: list[str] = []
     digests: list[str] = []
-    scaled = np.empty((stack.height, stack.width))
+    # one file buffer, refilled for every frame
+    payload, samples = _pgm_file(stack.height, stack.width)
     for i in range(stack.frame_count):
         name = f"frame_{i:04d}.pgm"
-        np.multiply(stack._scaled(i, frame), gain, out=scaled)
-        np.rint(scaled, out=scaled)
-        payload = _pgm_bytes(scaled)
+        for r0, r1 in chunks:
+            scaled = np.multiply(counts(i, r0, r1), gain, out=band[: r1 - r0])
+            np.rint(scaled, out=scaled)
+            samples[r0:r1] = scaled
         _atomic_write_bytes(directory / name, payload)
         names.append(name)
         digests.append(hashlib.sha256(payload).hexdigest())
@@ -424,9 +443,10 @@ def export_maps(
                 scaled = data * preview_scale
                 sidecar["preview_scale"] = preview_scale
             np.rint(scaled, out=scaled)
-            preview_u16 = np.clip(scaled, 0, 65535, out=scaled).astype(np.uint16)
+            payload, samples = _pgm_file(h, w)
+            samples[...] = np.clip(scaled, 0, 65535, out=scaled)
             preview_path = directory / f"{name}.pgm"
-            _atomic_write_bytes(preview_path, _pgm_bytes(preview_u16))
+            _atomic_write_bytes(preview_path, payload)
             written[f"{name}_preview"] = preview_path
         written[name] = directory / f"{name}.f32"
         _write_f32(written[name], data)
@@ -439,7 +459,7 @@ def export_maps(
         "height": result.visibility_map.shape[0],
         "fringe_frequency": float(result.fringe_frequency),
         "leakage_flag": bool(result.leakage_flag),
-        "masked_pixels": int((~result.mask).sum()),
+        "masked_pixels": result.mask.size - np.count_nonzero(result.mask),
         "frequency_mode": result.options.frequency_mode,
         "min_dc_threshold": float(result.options.min_dc_threshold),
     }

@@ -645,20 +645,30 @@ class TestIntegerStorage:
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 7])
     def test_scratch_bands_are_made_by_the_calling_thread(self, monkeypatch, threads):
-        # a band a worker thread allocates stays resident in its heap arena
+        # a buffer a worker thread allocates stays resident in its heap arena:
+        # the scaled bands, the einsum sums and the complex amplitudes all
+        # come from the calling thread
         stored, floats = sample_stacks(8, (300, 700), seed=49)
         want = analyze_stack(floats, threads=1)
-        made, empty = [], np.empty
+        made, einsums, empty, einsum = [], [], np.empty, np.einsum
 
         def recording_empty(shape, *args, **kwargs):
-            if isinstance(shape, tuple) and len(shape) == 3:
-                made.append(threading.get_ident())
+            made.append((threading.get_ident(), np.ndim(shape) and len(shape)))
             return empty(shape, *args, **kwargs)
 
+        def recording_einsum(*args, out=None, **kwargs):
+            einsums.append(out is not None)
+            return einsum(*args, out=out, **kwargs)
+
         monkeypatch.setattr(np, "empty", recording_empty)
+        monkeypatch.setattr(np, "einsum", recording_einsum)
         assert_same_result(analyze_stack(stored, threads=threads), want)
         workers = min(threads, len(fringes._row_chunks(300, 700)))
-        assert made == [threading.get_ident()] * workers
+        caller = threading.get_ident()
+        assert [ident for ident, _ in made] == [caller] * len(made)
+        assert [ndim for _, ndim in made].count(3) == workers
+        # one projection per chunk, into scratch; the leakage fit's own are not
+        assert einsums.count(True) == len(fringes._row_chunks(300, 700))
 
     def test_scratch_bands_survive_many_switching_workers(self):
         # more workers than cores, switching threads every microsecond: a

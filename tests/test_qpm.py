@@ -23,6 +23,7 @@ from iuptools import (
     tuning_curve,
     tuning_table_csv,
 )
+from iuptools import qpm
 from iuptools.qpm import (
     _brentq,
     _first_root,
@@ -694,6 +695,45 @@ class TestTuningCurve:
             tuning_curve(pump_nm, [7.4], [25.0])
         with pytest.raises(ValueError, match=shown):
             solve_signal_idler(pump_nm, CrystalState(7.4, 25.0))
+
+    @pytest.mark.parametrize(
+        "periods, temps",
+        [
+            ([7.4], [10.0]),
+            ([0.0, 7.4], [25.0]),
+            ([7.4, -1.0], [10.0, 25.0]),
+            ([7.4, 8.0], [25.0, 300.0, 10.0]),
+            ([7.4, 8.0, -2.0, 0.0], [25.0, 30.0]),
+            ([7.4, np.nan], [25.0]),
+            ([np.nan, 7.4], [25.0, 300.0]),
+            ([7.4], [25.0, np.nan, 300.0]),
+            ([8.0, 7.4, -np.inf], [np.inf, 25.0]),
+        ],
+    )
+    def test_grid_check_names_the_first_bad_cell(self, periods, temps):
+        # the error of the first cell, in (period, T) order, that CrystalState refuses
+        ps, ts = sorted(map(float, periods)), sorted(map(float, temps))
+        for cell in [(ps[0], t) for t in ts] + [(p, ts[0]) for p in ps[1:]]:
+            try:
+                CrystalState(*cell)
+            except ValueError as err:
+                want = str(err)
+                break
+        with pytest.raises(ValueError) as caught:
+            tuning_curve(PUMP_NM, periods, temps)
+        assert str(caught.value) == want
+
+    def test_grid_check_constructs_no_crystal_state(self, monkeypatch):
+        made, real = [], qpm.CrystalState
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qpm, "CrystalState", counting)
+        points = tuning_curve(PUMP_NM, [7.4], np.linspace(20.0, 200.0, 10_000))
+        assert len(points) == 10_000
+        assert made == []
 
     def test_pump_in_the_window_without_a_signal_range_is_noted(self):
         # 2.1 um: every idler of a signal between the pump and 4 um lies past 4 um

@@ -5,8 +5,10 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import os
+import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +39,53 @@ def small_config(**kw):
     kw.setdefault("sensor_width", 40)
     kw.setdefault("sensor_height", 32)
     return OpticalConfig(**kw)
+
+
+MiB = 2**20
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of one call of fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def full_array_target(kind, shape, step_rad=math.pi / 4.0):
+    """The (amplitude, phase) maps of make_test_target, built from whole-size
+    coordinate grids."""
+    h, w = shape
+    yy = (np.arange(h) - (h - 1) / 2.0) / (min(h, w) / 2.0)
+    xx = (np.arange(w) - (w - 1) / 2.0) / (min(h, w) / 2.0)
+    yy, xx = np.meshgrid(yy, xx, indexing="ij")
+    if kind == "ring-electrode":
+        r = np.hypot(yy, xx)
+        amplitude = np.ones(shape)
+        amplitude[r < 0.08] = 0.0
+        for i in range(3):
+            lo = 0.18 + 0.20 * i
+            amplitude[(r >= lo) & (r < lo + 0.08)] = 0.0
+        return amplitude, np.zeros(shape)
+    if kind == "smooth-wing":
+        body = np.exp(-(xx * xx + 2.0 * yy * yy))
+        veins = np.cos(4.0 * np.pi * xx) * np.exp(-yy * yy)
+        amplitude = 0.2 + 0.6 * body + 0.15 * veins
+        return amplitude, 0.3 * np.sin(2.0 * np.pi * xx) * np.exp(-yy * yy)
+    if kind == "phase-step":
+        return np.ones(shape), np.where(xx >= 0.0, step_rad, 0.0)
+    return np.ones(shape), np.zeros(shape)
+
+
+def full_array_illumination(config):
+    """optics._illumination from whole-size arrays."""
+    rows_um = (np.arange(config.sensor_height) - (config.sensor_height - 1) / 2.0) * config.pixel_pitch_um
+    cols_um = (np.arange(config.sensor_width) - (config.sensor_width - 1) / 2.0) * config.pixel_pitch_um
+    w = 0.4 * min(config.sensor_height, config.sensor_width) * config.pixel_pitch_um
+    r2 = rows_um[:, None] ** 2 + cols_um[None, :] ** 2
+    return np.exp(-2.0 * r2 / (w * w))
 
 
 class TestFormulaHelpers:
@@ -79,6 +128,18 @@ class TestSceneAndConfig:
             ObjectScene(np.ones((4, 4)), np.zeros((3, 4)))
         with pytest.raises(ValueError, match="scene maps must be finite"):
             ObjectScene(np.ones((4, 4)), np.full((4, 4), np.nan))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["amplitude_map", "phase_map"])
+    def test_non_finite_scene_maps_refused(self, field, value):
+        maps = {"amplitude_map": np.full((3, 5), 0.5), "phase_map": np.zeros((3, 5))}
+        maps[field][1, 2] = value
+        with pytest.raises(ValueError, match="^scene maps must be finite$"):
+            ObjectScene(**maps)
+        # before the amplitude range is checked
+        maps["amplitude_map"][0, 0] = 1.5
+        with pytest.raises(ValueError, match="^scene maps must be finite$"):
+            ObjectScene(**maps)
 
     def test_complex_map(self):
         scene = ObjectScene(np.full((2, 2), 0.5), np.full((2, 2), np.pi / 2))
@@ -216,6 +277,27 @@ class TestTargets:
         assert make_test_target("uniform", np.int64(5)).amplitude_map.shape == (5, 5)
         scene = make_test_target("uniform", (np.int32(6), np.uint8(7)))
         assert scene.amplitude_map.shape == (6, 7)
+
+    @pytest.mark.parametrize(
+        "shape", [(1344, 1680), (48, 48), (37, 101), (256, 300), (1, 7), (999, 1001)]
+    )
+    @pytest.mark.parametrize("kind", optics.TARGET_KINDS)
+    def test_maps_equal_full_array_formulas(self, kind, shape):
+        scene = make_test_target(kind, shape)
+        amplitude, phase = full_array_target(kind, shape)
+        assert scene.amplitude_map.tobytes() == amplitude.tobytes()
+        assert scene.phase_map.tobytes() == phase.tobytes()
+
+    def test_phase_step_value_equals_full_array_formula(self):
+        scene = make_test_target("phase-step", (37, 101), step_rad=-2.5)
+        assert scene.phase_map.tobytes() == full_array_target("phase-step", (37, 101), -2.5)[1].tobytes()
+
+    @pytest.mark.parametrize("kind", optics.TARGET_KINDS)
+    def test_full_frame_memory_is_the_maps_and_a_band_budget(self, kind):
+        # the two maps, plus 2 MiB for the row bands; whole-size coordinate
+        # grids would add 34 MiB
+        peak = traced_peak(lambda: make_test_target(kind, (1344, 1680)))
+        assert peak <= 2 * 1344 * 1680 * 8 + 2 * MiB
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -514,7 +596,9 @@ class TestScipyEquivalence:
                 order=1, mode="grid-constant", cval=fill,
             )
             got = np.empty(shape)
-            optics._resample(part, step, origin, fill, got)
+            optics._resample(
+                lambda lo, hi, dest: np.copyto(dest, part[lo:hi]), part.shape, step, origin, fill, got
+            )
             assert got.tobytes() == want.tobytes(), (case, part.shape, shape, step, origin, fill)
             # every 10th case has radius 0; sigma up to 6 gives radii past the side
             sigma = 0.1 if case % 10 == 0 else float(rng.uniform(0.05, 6.0))
@@ -539,6 +623,52 @@ class TestScipyEquivalence:
         cfg = OpticalConfig()
         got = effective_complex_map(scene, cfg)
         assert got.tobytes() == scipy_complex_map(scene, cfg).tobytes()
+
+    @pytest.mark.parametrize(
+        "make_scene, cfg_kw",
+        [
+            # 3x upsampled: each scene row is read by several row chunks
+            (lambda: make_test_target("smooth-wing", (300, 420)),
+             {"sensor_width": 640, "sensor_height": 512, "f_c_mm": 200.0}),
+            # 5x downsampled: row chunks read rows far apart
+            (lambda: make_test_target("ring-electrode", (1400, 1800)),
+             {"sensor_width": 333, "sensor_height": 257, "f_c_mm": 20.0}),
+            # a scene smaller than the field of view
+            (lambda: make_test_target("phase-step", (120, 90)),
+             {"sensor_width": 320, "sensor_height": 256}),
+            # a scene that most row chunks do not see
+            (lambda: make_test_target("smooth-wing", (30, 40), scene_pitch_um=1.0), {}),
+            # Fortran-ordered and strided maps
+            (lambda: ObjectScene(
+                np.asfortranarray(np.random.default_rng(3).uniform(0.0, 1.0, (90, 110))),
+                np.asfortranarray(np.random.default_rng(4).uniform(-3.0, 3.0, (90, 110))),
+            ), {"sensor_width": 64, "sensor_height": 80}),
+            (lambda: ObjectScene(
+                np.random.default_rng(5).uniform(0.0, 1.0, (180, 220))[::2, ::2],
+                np.random.default_rng(6).uniform(-3.0, 3.0, (180, 220))[::2, ::2],
+            ), {"sensor_width": 64, "sensor_height": 80}),
+        ],
+        ids=["upsampled", "downsampled", "small-scene", "tiny-scene", "fortran", "strided"],
+    )
+    def test_scene_and_sensor_pairs_match_scipy(self, make_scene, cfg_kw):
+        scene, cfg = make_scene(), OpticalConfig(**cfg_kw)
+        got = effective_complex_map(scene, cfg)
+        assert got.tobytes() == scipy_complex_map(scene, cfg).tobytes()
+
+    def test_full_frame_memory_is_the_map_one_part_and_a_band_budget(self):
+        # the complex map, one sensor-sized part that is resampled and blurred
+        # per quadrature, and 2 MiB for the row bands: neither a scene-sized
+        # product nor a second part
+        scene = make_test_target("smooth-wing", (1344, 1680))
+        peak = traced_peak(lambda: effective_complex_map(scene, OpticalConfig()))
+        assert peak <= 1024 * 1280 * (16 + 8) + 2 * MiB
+
+
+class TestIllumination:
+    @pytest.mark.parametrize("shape", [(1024, 1280), (256, 320), (17, 33)])
+    def test_equals_full_array_formula(self, shape):
+        cfg = OpticalConfig(sensor_height=shape[0], sensor_width=shape[1])
+        assert optics._illumination(cfg).tobytes() == full_array_illumination(cfg).tobytes()
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import hashlib
 import os
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,22 @@ class TestKeyValueFormat:
                 assert got == want and type(got) is type(want), (name, key)
 
 
+def full_frame_pgm_files(stack, gain=None):
+    """write_stack's frame files as {name: bytes} and its gain, from whole
+    frames: the gain maps the largest count to 65535 unless given, and each
+    frame is rint(counts * gain) as big-endian uint16 after a P5 header."""
+    frames = stack.frames
+    if gain is None:
+        peak = float(frames.max())
+        gain = 65535.0 / peak if peak > 0 else 1.0
+    header = f"P5\n{stack.width} {stack.height}\n65535\n".encode("ascii")
+    files = {
+        f"frame_{i:04d}.pgm": header + np.rint(frame * gain).astype(">u2").tobytes()
+        for i, frame in enumerate(frames)
+    }
+    return files, gain
+
+
 class TestStackRoundTrip:
     def test_counts_survive_within_quantization(self, tmp_path):
         stack = sample_stack(noise=NoiseModel(shot_noise=True, rng_seed=3))
@@ -208,6 +225,39 @@ class TestStackRoundTrip:
         back = read_stack(tmp_path / "s")
         assert back.meta["gain"] == 16.0
         assert np.abs(back.frames - stack.frames).max() <= 0.5 / 16.0 + 1e-12
+
+    @pytest.mark.parametrize("case", ["autoscaled", "gain", "rewritten"])
+    def test_files_equal_full_frame_formula(self, tmp_path, case):
+        # 3 row chunks per frame, the last one short
+        rng = np.random.default_rng(17)
+        stack = FrameStack(rng.uniform(0.0, 4000.0, (3, 100, 700)), [0.0, 2.1, 4.2])
+        gain = 7.3 if case == "gain" else None
+        if case == "rewritten":
+            write_stack(stack, tmp_path / "first")
+            stack = read_stack(tmp_path / "first")
+        manifest = write_stack(stack, tmp_path / "s", gain=gain)
+        files, want_gain = full_frame_pgm_files(stack, gain)
+        assert parse_key_values(manifest.read_text())["gain"] == format(want_gain, ".17g")
+        for name, payload in files.items():
+            assert (tmp_path / "s" / name).read_bytes() == payload, name
+
+    @pytest.mark.parametrize("stored", [False, True], ids=["float", "read"])
+    def test_full_frame_memory_is_one_file_and_a_band_budget(self, tmp_path, stored):
+        # K=8 full frames: one frame's file, plus 1 MiB for a row band of
+        # counts; a frame-sized float64 buffer alone would be 10 MiB
+        frames = np.random.default_rng(2).uniform(0.0, 2000.0, (8, 1024, 1280))
+        stack = FrameStack(frames, np.arange(8.0))
+        if stored:
+            write_stack(stack, tmp_path / "first")
+            del stack, frames
+            stack = read_stack(tmp_path / "first")
+        tracemalloc.start()
+        try:
+            write_stack(stack, tmp_path / "s")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 1024 * 1280 + 1 * 2**20
 
     def test_gain_overflow_is_loud(self, tmp_path):
         stack = sample_stack()
@@ -584,7 +634,7 @@ class TestParallelRead:
             elif damage == "missing":
                 path.unlink()
             elif damage == "geometry":
-                replace_frame(directory, i, stackio._pgm_bytes(np.zeros((217, width))))
+                replace_frame(directory, i, bytes(stackio._pgm_file(217, width)[0]))
             else:
                 replace_frame(directory, i, b"P6" + path.read_bytes()[2:])
         error, message = wanted[damage]
@@ -631,7 +681,15 @@ class TestMapExport:
     def test_previews_written_on_request(self, tmp_path):
         res = analyze_stack(sample_stack(k=4))
         export_maps(res, tmp_path / "m", preview=True)
-        for name in ("visibility", "contrast", "phase", "dc"):
+        header = b"P5\n20 16\n65535\n"
+        for name, data in (("visibility", res.visibility_map), ("phase", res.phase_map)):
+            if name == "visibility":
+                scaled = np.clip(data, 0.0, 1.0) * 65535.0
+            else:
+                scaled = (data + np.pi) / (2.0 * np.pi) * 65535.0
+            want = np.clip(np.rint(scaled), 0, 65535).astype(">u2").tobytes()
+            assert (tmp_path / "m" / f"{name}.pgm").read_bytes() == header + want
+        for name in ("contrast", "dc"):
             assert (tmp_path / "m" / f"{name}.pgm").exists()
 
 
