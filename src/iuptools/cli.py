@@ -25,6 +25,7 @@ from .stackio import (
     _CONVERTERS,
     _atomic_write_text,
     _field,
+    _key_values,
     export_maps,
     read_config_file,
     read_scene,
@@ -56,11 +57,12 @@ def _load_settings(
     settings = read_config_file(config_path) if config_path else {}
     sources = dict.fromkeys(settings, config_path)
     for item in overrides or []:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ValueError(f"--set expects key=value, got {item!r}")
-        settings[key.strip()] = value.strip()
-        sources[key.strip()] = "--set"
+        # read as config-file text, which must give exactly one key
+        parsed = _key_values(item, "--set")
+        if len(parsed) != 1:
+            raise ValueError(f"--set: expected one 'key = value', got {item!r}")
+        ((key, value),) = parsed.items()
+        settings[key], sources[key] = value, "--set"
     return settings, sources
 
 

@@ -414,9 +414,17 @@ def _map_chunks(stack: FrameStack, body, threads: int, scratch=lambda pixels: No
     return _ordered_map(run, chunks, threads, make)
 
 
-def _sums_by_frame(rows: slice, y: np.ndarray, work=None) -> list:
-    """Each frame's sum over the pixels of one row chunk."""
-    return [y[i].sum() for i in range(y.shape[0])]
+def _sums_by_frame(rows: slice, y: np.ndarray, work=None) -> np.ndarray:
+    """Each frame's sum over the pixels of one row chunk, y[i].sum() for every i.
+
+    Where each frame's pixels are contiguous, as in a scratch band or a
+    C-ordered stack, one reduction over the rows of y.reshape(k, -1) adds them
+    in y[i].sum()'s order. Other layouts are summed frame by frame: the
+    reshape would copy them into another order of addition.
+    """
+    if y[0].flags.c_contiguous:
+        return y.reshape(y.shape[0], -1).sum(axis=1)
+    return np.array([frame.sum() for frame in y])
 
 
 def _frame_means(chunk_sums: list, stack: FrameStack) -> np.ndarray:
@@ -513,7 +521,7 @@ def analyze_stack(
         # chunk's view of them is contiguous, as a new array would be
         return np.empty(3 * pixels), np.empty(pixels, dtype=complex)
 
-    def extract_rows(rows: slice, y: np.ndarray, work) -> list | None:
+    def extract_rows(rows: slice, y: np.ndarray, work) -> np.ndarray | None:
         shape, pixels = y.shape[1:], y[0].size
         # einsum's loop adds each pixel's K products in frame order, where a
         # BLAS product would neither fix that order nor stay off the workers' CPUs

@@ -20,13 +20,19 @@ most _ROWS_PER_PASS rows (of temperatures, or of periods in the pair-by-pair
 scans) are held at once, so memory does not grow with either side of the grid.
 One run of Brent's method (scipy's brentq, step for step) polishes all
 bracketed roots together and hands back dk at each root as its residual.
+The results are built in bulk, with no per-cell call of the frozen
+dataclasses' __init__: each WavelengthPair and TuningPoint gets its fields
+written into its __dict__, and equals the one its constructor makes.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import deque
 from dataclasses import dataclass, field, fields
 from importlib import resources
+from itertools import repeat
+from operator import attrgetter, setitem
 from pathlib import Path
 
 import numpy as np
@@ -342,57 +348,89 @@ def _brentq(f, a: np.ndarray, b: np.ndarray, froot: np.ndarray | None = None) ->
     each root. The NaN error is a _NaNStep naming every bracket whose step met NaN.
     """
     j, root = np.arange(a.size), np.empty(a.size)
+    if not a.size:
+        return root
     ends = f(np.concatenate([a, b]), np.concatenate([j, j]))
     xpre, xcur, fpre, fcur = a, b, ends[: a.size], ends[a.size :]
-    xblk = fblk = spre = scur = np.zeros(a.size)
+    # f(a) and f(b) differ in sign, so brentq's first step makes a the block end
+    xblk, fblk = xpre, fpre
+    spre = scur = xcur - xpre
     for _ in range(_ROOT_MAXITER):
-        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
-        step = xcur - xpre
-        xblk, fblk, spre, scur = np.where(flip, [xpre, fpre, step, step], [xblk, fblk, spre, scur])
+        # where swap, the current and block ends trade places and pre is the old current
         swap = np.abs(fblk) < np.abs(fcur)
-        xpre, xcur, xblk = np.where(swap, [xcur, xblk, xcur], [xpre, xcur, xblk])
-        fpre, fcur, fblk = np.where(swap, [fcur, fblk, fcur], [fpre, fcur, fblk])
+        xpre, xcur, xblk = (
+            np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+        )
+        fpre, fcur, fblk = (
+            np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+        )
         delta = (_ROOT_TOL_NM + _ROOT_RTOL * np.abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         done = (fcur == 0) | (np.abs(sbis) < delta)
-        root[j[done]] = xcur[done]
-        if froot is not None:
-            froot[j[done]] = fcur[done]
-        if done.all():
-            return root
-        if done.any():
+        finished = np.count_nonzero(done)
+        if finished:
+            root[j[done]] = xcur[done]
+            if froot is not None:
+                froot[j[done]] = fcur[done]
+            if finished == done.size:
+                return root
+            keep = np.flatnonzero(~done)
             state = (j, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
-            j, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (v[~done] for v in state)
+            j, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (v[keep] for v in state)
+        dx, df = xpre - xcur, fpre - fcur
         with np.errstate(all="ignore"):  # the rule not taken may divide by zero
-            dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
-            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre, dblk = df / dx, (fblk - fcur) / (xblk - xcur)
+            # brentq's -fcur (xcur - xpre) / (fcur - fpre): negation is exact
+            interpolate = -(fcur * dx / df)
             extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
         stry = np.where(xpre == xblk, interpolate, extrapolate)
-        bound = np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)
-        short = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) & (2 * np.abs(stry) < bound)
-        spre, scur = np.where(short, [scur, stry], sbis)
+        aspre = np.abs(spre)
+        bound = np.minimum(aspre, 3 * np.abs(sbis) - delta)
+        short = (aspre > delta) & (np.abs(fcur) < np.abs(fpre)) & (2 * np.abs(stry) < bound)
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
         xpre, fpre = xcur, fcur
-        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        # sbis is not 0 here, so its sign picks +-delta as brentq's sbis > 0 does
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.copysign(delta, sbis))
         fcur = f(xcur, j)
         if np.isnan(fcur).any():
             bad = xcur[np.isnan(fcur)][0]
             message = f"The function value at x={bad} is NaN; solver cannot continue."
             raise _NaNStep(message, j[np.isnan(fcur)])
+        # brentq's flip where fpre and fcur differ in sign: fpre is not 0 (that
+        # bracket has finished), and where fcur is 0 the flip changes nothing used
+        flip = np.signbit(fpre) != np.signbit(fcur)
+        step = xcur - xpre
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
     raise RuntimeError(f"Failed to converge after {_ROOT_MAXITER} iterations.")
+
+
+def _instances(cls, *columns) -> list:
+    """[cls(*row) for row in zip(*columns)], for a dataclass whose __init__ only sets its fields.
+
+    A frozen dataclass's __init__ sets each field through object.__setattr__,
+    one call per field and instance; here each column is written into the new
+    instances' __dict__s in one pass of map. The instances are the ones
+    __init__ makes, field for field and in field order, so they compare, hash,
+    print, pickle and replace alike and stay frozen.
+    """
+    made = list(map(object.__new__, repeat(cls, len(columns[0]))))
+    dicts = list(map(attrgetter("__dict__"), made))
+    for f, column in zip(fields(cls), columns):
+        deque(map(setitem, dicts, repeat(f.name), column), maxlen=0)
+    return made
 
 
 def _solve_grid(pump_nm: float, periods: list, temps: list, ds: DispersionSet) -> list[TuningPoint]:
     """Solve every cell of a checked pump, period and temperature grid, in (period, T) order."""
-    cells = [(p, t) for p in periods for t in temps]
     try:
         lo, hi = _signal_scan_bounds(pump_nm, ds)
     except PhaseMatchError as err:
-        return [TuningPoint(p, t, None, str(err)) for p, t in cells]
+        return [TuningPoint(p, t, None, str(err)) for p in periods for t in temps]
     grid = np.append(np.arange(lo, hi, _SCAN_STEP_NM), hi)
     fine = np.linspace(max(lo, hi - 2.0), hi, 401)
     temp, inv_period = np.array(temps, dtype=np.float64), 1.0 / np.array(periods, dtype=np.float64)
     by_temp = _temperature_terms(pump_nm, temp, ds)
-    pairs = [None] * len(cells)
 
     shape = inv_period.size, temp.size
     found, a, b = np.empty(shape, dtype=bool), np.empty(shape), np.empty(shape)
@@ -406,7 +444,9 @@ def _solve_grid(pump_nm: float, periods: list, temps: list, ds: DispersionSet) -
         low[at.start + noted] = np.where(finite, rows[noted], np.inf).min(axis=1)
         high[at.start + noted] = np.where(finite, rows[noted], -np.inf).max(axis=1)
     # tangency fallback: refine near the degenerate edge, in one fine row per
-    # temperature with unmatched cells, made _ROWS_PER_PASS temperatures at a time
+    # temperature with unmatched cells, made _ROWS_PER_PASS temperatures at a time;
+    # a cell tangent to zero at the edge is solved there, with signal = idler = hi
+    residual, tangent = np.zeros(shape), np.zeros(shape, dtype=bool)
     missing = np.flatnonzero(~found.all(axis=0) & (hi == 2.0 * pump_nm))
     for at in _passes(missing.size):
         fine_rows = _mismatch_terms(pump_nm, fine, by_temp[:, missing[at], None], ds)
@@ -417,10 +457,11 @@ def _solve_grid(pump_nm: float, periods: list, temps: list, ds: DispersionSet) -
             cell_rows = 2.0 * np.pi * (fine_rows[r] - inv_period[p, None])
             found[p, t], a[p, t], b[p, t] = _first_root(fine, cell_rows)
             edge = np.abs(cell_rows[:, -1])
-            tangent = ~found[p, t] & (edge <= _DEGENERATE_TOL)
-            for c, dk_edge in zip((p * temp.size + t)[tangent].tolist(), edge[tangent].tolist()):
-                pairs[c] = WavelengthPair(hi, hi, dk_edge)
-    found, a, b = found.ravel(), a.ravel(), b.ravel()
+            on_edge = ~found[p, t] & (edge <= _DEGENERATE_TOL)
+            p, t = p[on_edge], t[on_edge]
+            found[p, t], tangent[p, t], a[p, t], b[p, t] = True, True, hi, hi
+            residual[p, t] = edge[on_edge]
+    found, a, b, residual = found.ravel(), a.ravel(), b.ravel(), residual.ravel()
     polish = np.flatnonzero(found & (a < b))
     # a NaN stretch of the Sellmeier form can lie between two finite scan points
     # of opposite sign; cells whose step lands in one are dropped and the rest,
@@ -441,18 +482,18 @@ def _solve_grid(pump_nm: float, periods: list, temps: list, ds: DispersionSet) -
                 found[c], gaps[c] = False, (a[c], b[c])
             polish = np.delete(polish, err.brackets)
     # dk is exactly 0 at a root that a scan point hits
-    residual = np.zeros(a.size)
     residual[polish] = np.abs(dk_root)
     solved = np.flatnonzero(found)
     signal = a[solved]
     idler = 1.0 / (1.0 / pump_nm - 1.0 / signal)  # idler_from_signal's operations
-    solutions = zip(signal.tolist(), idler.tolist(), residual[solved].tolist())
-    for c, solution in zip(solved.tolist(), solutions):
-        pairs[c] = WavelengthPair(*solution)
-    points = [TuningPoint(p, t, pair) for (p, t), pair in zip(cells, pairs)]
-    # rounding is monotone, so a row's finite extremes give each period's mismatch span
-    for c in [c for c, pair in enumerate(pairs) if pair is None]:
-        t = c % temp.size
+    idler[tangent.ravel()[solved]] = hi
+    pairs = _instances(WavelengthPair, signal.tolist(), idler.tolist(), residual[solved].tolist())
+    # each cell's pair, or None and a note saying why there is none; rounding is
+    # monotone, so a row's finite extremes give each period's mismatch span
+    pair_of, note_of = [None] * found.size, [""] * found.size
+    deque(map(setitem, repeat(pair_of), solved.tolist(), pairs), maxlen=0)
+    for c in np.flatnonzero(~found).tolist():
+        period, t = periods[c // temp.size], c % temp.size
         detail = "mismatch is not finite anywhere in the scanned range"
         if c in gaps:
             detail = "mismatch is not finite between signal {:.6g} and {:.6g} nm".format(*gaps[c])
@@ -460,9 +501,10 @@ def _solve_grid(pump_nm: float, periods: list, temps: list, ds: DispersionSet) -
             shown = 2.0 * np.pi * (np.array([low[t], high[t]]) - inv_period[c // temp.size])
             detail = f"mismatch spans [{shown[0]:.6g}, {shown[1]:.6g}] 1/um "
             detail += f"over signal {lo:.1f}..{hi:.1f} nm"
-        note = f"no phase matching for pump {pump_nm} nm at poling period {cells[c][0]} um"
-        points[c] = TuningPoint(*cells[c], None, f"{note}, {cells[c][1]} C ({detail})")
-    return points
+        note = f"no phase matching for pump {pump_nm} nm at poling period {period} um"
+        note_of[c] = f"{note}, {temps[t]} C ({detail})"
+    cell_periods, cell_temps = np.repeat(periods, len(temps)), np.tile(temps, len(periods))
+    return _instances(TuningPoint, cell_periods.tolist(), cell_temps.tolist(), pair_of, note_of)
 
 
 def solve_signal_idler(pump_nm: float, crystal: CrystalState) -> WavelengthPair:

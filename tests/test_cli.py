@@ -116,6 +116,24 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "--set" in err and "shot_noise" in err
 
+    @pytest.mark.parametrize("item", ["=5", "#x=1", "", "mean_counts=900\nshot_noise=true"])
+    def test_set_item_without_exactly_one_key_fails(self, tmp_path, scene_dir, capsys, item):
+        # an empty key, a comment, nothing, or two lines: each --set sets one key
+        code = run("simulate", "--scene", str(scene_dir), "--set", item,
+                   "--out", str(tmp_path / "x"))
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --set: ")
+        assert repr(item) in lines[0]
+        assert not (tmp_path / "x").exists()
+
+    def test_last_set_of_a_key_wins(self, tmp_path, scene_dir):
+        out = tmp_path / "x"
+        assert run("simulate", "--scene", str(scene_dir), "--frames", "4", "--seed", "2",
+                   "--set", "mean_counts=5", "--set", " mean_counts = 900 ",
+                   "--out", str(out)) == 0
+        assert read_stack(out).frames.max() > 1000.0
+
     def test_junk_config_line_names_file_and_line(self, tmp_path, scene_dir, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("sensor_width = 60\nthis is junk\n")

@@ -552,6 +552,26 @@ class TestIntegerStorage:
                 want = stack.frames.mean(axis=(1, 2))
                 np.testing.assert_allclose(frame_means(stack, threads), want, rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "band"])
+    def test_frame_sums_add_as_each_frame_sum_does(self, layout):
+        rng = np.random.default_rng(17)
+        frames = rng.gamma(2.0, 800.0, (6, 70, 413)) * rng.uniform(0.5, 2.0, (6, 1, 1))
+        if layout == "F":
+            frames = np.asfortranarray(frames)
+        elif layout == "strided":
+            padded = np.zeros((6, 140, 3 * 413))
+            padded[:, ::2, ::3] = frames
+            frames = padded[:, ::2, ::3]
+        elif layout == "band":
+            # a short last chunk in a worker's scratch band
+            band = np.empty((6, 64, 413))
+            band[:, :23] = frames[:, :23]
+            frames = band[:, :23]
+        for rows in (slice(0, 32), slice(64, 70), slice(None)):
+            y = frames[:, rows]
+            want = [y[i].sum() for i in range(6)]
+            assert _sums_by_frame(rows, y).tolist() == want
+
     def test_repr_keeps_the_samples(self):
         stored, floats = sample_stacks(4, (6, 7))
         assert "(4, 6, 7)" in repr(stored) and "uint16" in repr(stored)

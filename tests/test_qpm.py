@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import re
 import tracemalloc
 
@@ -13,6 +15,7 @@ from iuptools import (
     CrystalState,
     PhaseMatchError,
     StackFormatError,
+    TuningPoint,
     WavelengthPair,
     default_dispersion_set,
     idler_from_signal,
@@ -681,6 +684,45 @@ class TestPolish:
         rows = _mismatch_terms(PUMP_NM, fine, by_temp[:, :, None], ds)
         for t, row in enumerate(rows):
             assert row.tolist() == _mismatch_terms(PUMP_NM, fine, by_temp[:, t], ds).tolist()
+
+
+class TestResultObjects:
+    def assert_same_object(self, got, want):
+        assert type(got) is type(want)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert list(vars(got).items()) == list(vars(want).items())
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        assert dataclasses.replace(got) == want
+        assert pickle.dumps(got) == pickle.dumps(want)
+        assert pickle.loads(pickle.dumps(got)) == want
+        for f in dataclasses.fields(got):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(got, f.name, getattr(got, f.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(got, f.name)
+
+    def test_results_equal_ones_built_by_their_constructors(self):
+        # matched, unmatched (5.0 um) and tangent (the degenerate period at 100 C) cells
+        periods = [5.0, 7.4, degenerate_period(100.0)]
+        points = tuning_curve(PUMP_NM, periods, [20.0, 100.0, 200.0])
+        kinds = set()
+        for point in points:
+            pair = point.pair
+            built_pair = None
+            if pair is not None:
+                # from Python floats, so that a numpy scalar in a result shows in its repr
+                values = pair.signal_nm, pair.idler_nm, pair.residual_mismatch
+                built_pair = WavelengthPair(*map(float, values))
+                self.assert_same_object(pair, built_pair)
+                assert dataclasses.replace(pair, residual_mismatch=0.0) == dataclasses.replace(
+                    built_pair, residual_mismatch=0.0
+                )
+            # a matched cell's note is the field's default
+            args = float(point.poling_period_um), float(point.temperature_c), built_pair
+            built = TuningPoint(*args, point.note) if point.note else TuningPoint(*args)
+            self.assert_same_object(point, built)
+            kinds.add("none" if pair is None else "degenerate" if pair.degenerate else "pair")
+        assert kinds == {"none", "degenerate", "pair"}
 
 
 # pumps outside the bundled table's 0.5-4 um window, or no wavelength at all
