@@ -103,7 +103,7 @@ def _check_fields(settings, error: type[ValueError], positive=(), non_negative=(
     or in non_negative and not >= 0."""
     for f in fields(settings):
         value = getattr(settings, f.name)
-        if f.type == "int" and not isinstance(value, (int, np.integer)):
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
             raise error(f"{f.name} must be an integer, got {value!r}")
         # a truthy string such as "false" would otherwise switch the field on
         if f.type == "bool" and not isinstance(value, (bool, np.bool_)):

@@ -149,8 +149,8 @@ class CrystalState:
     dispersion_set: DispersionSet = field(default_factory=default_dispersion_set)
 
     def __post_init__(self) -> None:
-        if not self.poling_period_um > 0:
-            raise ValueError("poling_period_um must be > 0")
+        if not 0 < self.poling_period_um < np.inf:
+            raise ValueError("poling_period_um must be finite and > 0")
         _check_window(self.dispersion_set, self.temperature_c)
 
 
@@ -542,7 +542,7 @@ def tuning_curve(
         raise ValueError("poling period and temperature grids must be non-empty")
     # CrystalState raises for the first bad value in (period, T) cell order:
     # every value first shows in a cell (periods[0], T) or (period, temps[0])
-    bad_periods = ~(np.array(periods) > 0)
+    bad_periods = ~(np.isfinite(periods) & (np.array(periods) > 0))
     t = np.array(temps)
     bad_temps = ~((t >= ds.temp_min_c) & (t <= ds.temp_max_c))
     if bad_temps.any() and not bad_periods[0]:

@@ -2,10 +2,10 @@
 
 Frames are stored as binary 16-bit PGM (P5, maxval 65535, big-endian samples)
 with one linear gain for the whole stack recorded in a line-oriented UTF-8
-manifest ("key = value", arrays comma-separated). Maps export as raw
-little-endian float32 with a text sidecar per map. Every file is written to a
-uniquely named ".partial" path first and moved into place, so interrupted or
-concurrent writes never leave a partial final-named file behind.
+manifest ("key = value", arrays comma-separated). Scenes and analysis maps are
+raw little-endian float32 images with one manifest each. Every file is written
+to a uniquely named ".partial" path first and moved into place, so interrupted
+or concurrent writes never leave a partial final-named file behind.
 
 read_stack checks frame 0, then shares the other frames among one worker
 thread per CPU the calling thread may run on; each worker reads, hashes and
@@ -47,7 +47,7 @@ __all__ = [
 
 STACK_FORMAT_VERSION = 1
 SCENE_FORMAT_VERSION = 2
-MAPS_FORMAT_VERSION = 1
+MAPS_FORMAT_VERSION = 2
 STACK_MANIFEST = "stack.manifest"
 SCENE_MANIFEST = "scene.manifest"
 MAPS_MANIFEST = "maps.manifest"
@@ -310,7 +310,7 @@ def _read_manifest(
         raise StackFormatError(f"{filename} not found: {path}")
     source = str(path)
     values = _key_values(path.read_text(encoding="utf-8"), source)
-    version = _field(values, "format_version", source, int)
+    version = _field(values, "format_version", source, _positive_int)
     if version > supported:
         raise UnsupportedVersionError(
             f"{source}: format_version {version} is newer than supported ({supported})"
@@ -409,11 +409,13 @@ def export_maps(
     directory: str | Path,
     preview: bool = False,
 ) -> dict[str, Path]:
-    """Write the four analysis maps (plus mask) as raw float32 with sidecars.
+    """Write the four analysis maps (plus mask) as raw float32 and one manifest.
 
     preview=True also writes 16-bit PGM previews: visibility maps 0..1 to
     0..65535 (clipped), phase maps -pi..pi to 0..65535, contrast and dc are
-    auto-scaled with the scale recorded in the sidecar.
+    auto-scaled, their scales recorded in the manifest as contrast_preview_scale
+    and dc_preview_scale. The manifest is written last. Format 1's ".f32.txt"
+    sidecars in a reused directory stay: format_version says which files count.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -424,34 +426,6 @@ def export_maps(
         "dc": result.dc_map,
         "mask": result.mask,
     }
-    written: dict[str, Path] = {}
-    for name, data in maps.items():
-        h, w = data.shape
-        sidecar = {"width": w, "height": h, "dtype": "float32-le", "scale": 1}
-        if preview and name != "mask":
-            # each preview is scaled, rounded and clipped in one float64 buffer
-            if name == "visibility":
-                scaled = np.clip(data, 0.0, 1.0)
-                scaled *= 65535.0
-            elif name == "phase":
-                scaled = data + np.pi
-                scaled /= 2.0 * np.pi
-                scaled *= 65535.0
-            else:
-                peak = float(data.max())
-                preview_scale = 65535.0 / peak if peak > 0 else 1.0
-                scaled = data * preview_scale
-                sidecar["preview_scale"] = preview_scale
-            np.rint(scaled, out=scaled)
-            payload, samples = _pgm_file(h, w)
-            samples[...] = np.clip(scaled, 0, 65535, out=scaled)
-            preview_path = directory / f"{name}.pgm"
-            _atomic_write_bytes(preview_path, payload)
-            written[f"{name}_preview"] = preview_path
-        written[name] = directory / f"{name}.f32"
-        _write_f32(written[name], data)
-        _write_key_values(directory / f"{name}.f32.txt", sidecar)
-
     provenance = {
         "format_version": MAPS_FORMAT_VERSION,
         "toolkit_version": __version__,
@@ -465,6 +439,31 @@ def export_maps(
     }
     if result.options.fixed_frequency is not None:
         provenance["fixed_frequency"] = float(result.options.fixed_frequency)
+    written: dict[str, Path] = {}
+    for name, data in maps.items():
+        if preview and name != "mask":
+            # each preview is scaled, rounded and clipped in one float64 buffer
+            if name == "visibility":
+                scaled = np.clip(data, 0.0, 1.0)
+                scaled *= 65535.0
+            elif name == "phase":
+                scaled = data + np.pi
+                scaled /= 2.0 * np.pi
+                scaled *= 65535.0
+            else:
+                peak = float(data.max())
+                preview_scale = 65535.0 / peak if peak > 0 else 1.0
+                scaled = data * preview_scale
+                provenance[f"{name}_preview_scale"] = preview_scale
+            np.rint(scaled, out=scaled)
+            payload, samples = _pgm_file(*data.shape)
+            samples[...] = np.clip(scaled, 0, 65535, out=scaled)
+            preview_path = directory / f"{name}.pgm"
+            _atomic_write_bytes(preview_path, payload)
+            written[f"{name}_preview"] = preview_path
+        written[name] = directory / f"{name}.f32"
+        _write_f32(written[name], data)
+
     manifest = directory / MAPS_MANIFEST
     _write_key_values(manifest, provenance)
     written["manifest"] = manifest

@@ -231,8 +231,9 @@ class TestAnalyze:
         stdout = capsys.readouterr().out
         assert "8 frames" in stdout
         names = {p.name for p in out.iterdir()}
-        assert {"visibility.f32", "contrast.f32", "phase.f32", "dc.f32",
-                "mask.f32", "maps.manifest"} <= names
+        assert names == {"visibility.f32", "contrast.f32", "phase.f32", "dc.f32",
+                         "mask.f32", "maps.manifest"}
+        assert parse_key_values((out / "maps.manifest").read_text())["format_version"] == "2"
 
     def test_worker_count_does_not_change_output(self, tmp_path, stack_dir):
         outs = []
@@ -287,7 +288,12 @@ class TestAnalyze:
         out = tmp_path / "prev"
         assert run("analyze", "--stack", str(stack_dir), "--preview",
                    "--out", str(out)) == 0
-        assert (out / "visibility.pgm").exists()
+        maps = ("visibility", "contrast", "phase", "dc")
+        want = {f"{m}.f32" for m in (*maps, "mask")} | {f"{m}.pgm" for m in maps}
+        assert {p.name for p in out.iterdir()} == want | {"maps.manifest"}
+        manifest = parse_key_values((out / "maps.manifest").read_text())
+        scales = [key for key in manifest if key.endswith("_preview_scale")]
+        assert scales == ["contrast_preview_scale", "dc_preview_scale"]
 
     def test_missing_stack_fails(self, tmp_path, capsys):
         code = run("analyze", "--stack", str(tmp_path / "ghost"),
@@ -374,6 +380,15 @@ class TestTune:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "validity window" in err[0]
         assert f"pump {float(pump)} nm" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [("--periods", "inf"), ("--periods", "7.4,inf"),
+                                      ("--period", "inf")])
+    def test_infinite_period_fails_in_one_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "grid.csv"
+        assert run("tune", *argv, "--temps", "25", "--out", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: poling_period_um must be finite and > 0"]
         assert not out.exists()
 
     def test_missing_arguments(self, capsys):

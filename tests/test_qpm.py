@@ -366,6 +366,11 @@ class TestSolver:
         with pytest.raises(ValueError):
             CrystalState(7.4, 500.0)
 
+    @pytest.mark.parametrize("period", [np.inf, -np.inf, np.nan, 0.0, -7.4])
+    def test_poling_period_must_be_finite_and_positive(self, period):
+        with pytest.raises(ValueError, match="^poling_period_um must be finite and > 0$"):
+            CrystalState(period, 25.0)
+
     def test_degenerate_point_resolves(self):
         # pick the poling period that phase-matches signal = idler = 2*pump
         ds = default_dispersion_set()
@@ -750,6 +755,8 @@ class TestTuningCurve:
             ([np.nan, 7.4], [25.0, 300.0]),
             ([7.4], [25.0, np.nan, 300.0]),
             ([8.0, 7.4, -np.inf], [np.inf, 25.0]),
+            ([7.4, np.inf], [25.0]),
+            ([np.inf, 7.4], [25.0, 300.0]),
         ],
     )
     def test_grid_check_names_the_first_bad_cell(self, periods, temps):

@@ -200,8 +200,13 @@ class TestSceneAndConfig:
             (lambda: OpticalConfig(sensor_height=np.float64(32.0)), "sensor_height"),
             (lambda: NoiseModel(rng_seed=1.5), "rng_seed"),
             (lambda: ScanPlan.equal_steps(2.5, 1558.0), "frame_count"),
+            # bool is an int, but no size or seed
+            (lambda: OpticalConfig(sensor_width=True), "sensor_width"),
+            (lambda: OpticalConfig(sensor_height=True), "sensor_height"),
+            (lambda: NoiseModel(rng_seed=False), "rng_seed"),
         ],
-        ids=["sensor_width", "sensor_height", "rng_seed", "frame_count"],
+        ids=["sensor_width", "sensor_height", "rng_seed", "frame_count",
+             "sensor_width-bool", "sensor_height-bool", "rng_seed-bool"],
     )
     def test_non_integer_count_refused_by_name(self, make, field):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):

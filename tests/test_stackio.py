@@ -124,10 +124,8 @@ class TestKeyValueFormat:
         meta_sha = ["8f530d2b9372dd813c160dec10c3026c9aa1c3d0e3094f11fb0290143b73ed7c",
                     "4de9ce4a507516e5192249e71ae350e6a6ff8c5ba90924c4d96a91661bd3618d"]
         zero_sha = ["52219f655e7ff502409f71e7f1376d828cc31571c4def7f04e0eab2f070ef727"] * 2
-        sidecar = "width = 2\nheight = 1\ndtype = float32-le\nscale = 1\n"
-        sidecar_values = {"width": 2, "height": 1, "dtype": "float32-le", "scale": 1}
-        maps_head = f"format_version = 1\ntoolkit_version = {__version__}\nwidth = 2\nheight = 1\n"
-        maps_values = {"format_version": 1, "toolkit_version": __version__, "width": 2, "height": 1}
+        maps_head = f"format_version = 2\ntoolkit_version = {__version__}\nwidth = 2\nheight = 1\n"
+        maps_values = {"format_version": 2, "toolkit_version": __version__, "width": 2, "height": 1}
         files = {  # whole text, then each key's value as it must read back
             "meta/stack.manifest": (
                 "format_version = 1\nwidth = 3\nheight = 1\nframe_count = 2\n"
@@ -161,16 +159,12 @@ class TestKeyValueFormat:
             "fixed/maps.manifest": (
                 maps_head + "fringe_frequency = 1.25\nleakage_flag = true\nmasked_pixels = 1\n"
                 "frequency_mode = fixed\nmin_dc_threshold = 1.0000000000000001e-09\n"
-                "fixed_frequency = 1e+20\n",
+                "fixed_frequency = 1e+20\ncontrast_preview_scale = 87380\n"
+                "dc_preview_scale = 9362.1428571428569\n",
                 {**maps_values, "fringe_frequency": 1.25, "leakage_flag": True,
                  "masked_pixels": 1, "frequency_mode": "fixed", "min_dc_threshold": 1e-9,
-                 "fixed_frequency": 1e20},
-            ),
-            "one/dc.f32.txt": (sidecar, sidecar_values),
-            "fixed/visibility.f32.txt": (sidecar, sidecar_values),
-            "fixed/dc.f32.txt": (
-                sidecar + "preview_scale = 9362.1428571428569\n",
-                {**sidecar_values, "preview_scale": 65535.0 / 7.0},
+                 "fixed_frequency": 1e20, "contrast_preview_scale": 65535.0 / 0.75,
+                 "dc_preview_scale": 65535.0 / 7.0},
             ),
         }
         for name, (text, typed) in files.items():
@@ -430,6 +424,22 @@ class TestStackValidation:
         with pytest.raises(UnsupportedVersionError):
             read_stack(tmp_path / "s")
 
+    @pytest.mark.parametrize("version", ["0", "-7"])
+    @pytest.mark.parametrize("kind", ["stack", "scene"])
+    def test_non_positive_version_refused(self, tmp_path, kind, version):
+        if kind == "stack":
+            manifest, read = write_stack(sample_stack(), tmp_path / "s"), read_stack
+        else:
+            manifest = write_scene(make_test_target("uniform", (4, 5)), tmp_path / "s")
+            read = read_scene
+        values = parse_key_values(manifest.read_text())
+        values["format_version"] = version
+        manifest.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        with pytest.raises(StackFormatError) as caught:
+            read(tmp_path / "s")
+        assert type(caught.value) is StackFormatError
+        assert str(caught.value) == f"{manifest}: key 'format_version' has invalid value '{version}'"
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(StackFormatError):
             read_stack(tmp_path / "nothing-here")
@@ -651,16 +661,37 @@ class TestMapExport:
         res = analyze_stack(sample_stack(k=8))
         out = tmp_path / "maps"
         export_maps(res, out)
+        _, values, source = stackio._read_manifest(
+            out, stackio.MAPS_MANIFEST, stackio.MAPS_FORMAT_VERSION
+        )
+        h = stackio._field(values, "height", source, stackio._positive_int)
+        w = stackio._field(values, "width", source, stackio._positive_int)
         for name, want in (
             ("visibility", res.visibility_map),
             ("contrast", res.contrast_map),
             ("phase", res.phase_map),
             ("dc", res.dc_map),
         ):
-            sidecar = parse_key_values((out / f"{name}.f32.txt").read_text())
-            h, w = int(sidecar["height"]), int(sidecar["width"])
             raw = np.fromfile(out / f"{name}.f32", dtype="<f4").reshape(h, w)
-            assert np.allclose(raw, want.astype(np.float32))
+            assert raw.shape == want.shape
+            assert raw.tobytes() == want.astype("<f4").tobytes()
+
+    @pytest.mark.parametrize("preview", [False, True])
+    def test_bundle_is_maps_previews_and_one_manifest(self, tmp_path, preview):
+        res = analyze_stack(sample_stack(k=4))
+        written = export_maps(res, tmp_path / "m", preview=preview)
+        raw = {f"{name}.f32" for name in ("visibility", "contrast", "phase", "dc", "mask")}
+        previews = {f"{name}.pgm" for name in ("visibility", "contrast", "phase", "dc")}
+        want = raw | {"maps.manifest"} | (previews if preview else set())
+        assert {p.name for p in (tmp_path / "m").iterdir()} == want
+        assert {p.name for p in written.values()} == want
+        manifest = parse_key_values((tmp_path / "m" / "maps.manifest").read_text())
+        assert manifest["format_version"] == "2"
+        scales = [key for key in manifest if key.endswith("_preview_scale")]
+        assert scales == (["contrast_preview_scale", "dc_preview_scale"] if preview else [])
+        for key in scales:
+            data = res.contrast_map if key.startswith("contrast") else res.dc_map
+            assert manifest[key] == stackio._text_value(65535.0 / float(data.max()))
 
     def test_mask_channel_exported(self, tmp_path):
         res = analyze_stack(sample_stack(k=4))
