@@ -14,7 +14,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .fringes import FrameStack, analyze_stack
+from .fringes import FrameStack, _check_counts, analyze_stack
 
 __all__ = ["BenchRow", "BenchReport", "run_bench"]
 
@@ -76,18 +76,15 @@ def run_bench(
     threads: int = 1,
 ) -> BenchReport:
     """Time analyze_stack for each frame count; mean and sample std over runs."""
-    if runs < 2:
-        raise ValueError("runs must be >= 2 so a standard deviation exists")
-    if width < 1 or height < 1:
-        raise ValueError("geometry must be positive")
+    # two runs at least, so that a standard deviation exists
+    _check_counts(low=2, runs=runs)
+    _check_counts(low=1, width=width, height=height)
     counts = list(frame_counts)
     if not counts:
         raise ValueError("frame_counts must be non-empty")
     for k in counts:
-        if not isinstance(k, (int, np.integer)):
-            raise ValueError(f"frame count {k!r} is not an integer")
-        if k < 3:
-            raise ValueError(f"frame count {k} is below the 3-frame extraction minimum")
+        message = f"frame count {k!r} is not an integer >= 3, the extraction minimum"
+        _check_counts(low=3, message=message, frame_count=k)
 
     rows = []
     for k in counts:

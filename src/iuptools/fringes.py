@@ -21,6 +21,13 @@ so it is the same for any thread count; estimate mode and the leakage flag
 both fit it.
 The estimator's search grid and its projectors depend on K alone and are kept
 for the last few K.
+
+The package's count and quantity arguments are checked by two rules defined
+here, each raising the caller's error class and naming the argument: a count
+(_check_counts) is an int or numpy integer, never a bool, within given bounds;
+a quantity (_check_quantities) is a finite real number, never a bool, > 0 or
+>= 0 where asked. _check_fields applies them to a settings dataclass by field
+type.
 """
 
 from __future__ import annotations
@@ -28,8 +35,9 @@ from __future__ import annotations
 import concurrent.futures
 import functools
 import math
+import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -161,10 +169,9 @@ class FrameStack:
 
     def truncated(self, n: int) -> "FrameStack":
         """Return a stack holding only the first n frames, in the same storage."""
-        if not 1 <= n <= self.frame_count:
-            raise ValueError(
-                f"cannot keep {n} frame(s) of a {self.frame_count}-frame stack"
-            )
+        k = self.frame_count
+        message = f"cannot keep n={n!r} frame(s) of a {k}-frame stack"
+        _check_counts(low=1, high=k, message=message, n=n)
         samples, gain = self._counts
         phases, meta = self.scan_phases[:n].copy(), dict(self.meta)
         return FrameStack._from_samples(samples[:n].copy(), gain, phases, meta)
@@ -195,13 +202,10 @@ class ExtractionOptions:
                 f"unknown frequency_mode {self.frequency_mode!r}; expected one of {FREQUENCY_MODES}"
             )
         if self.frequency_mode == "fixed":
-            if self.fixed_frequency is None or not (self.fixed_frequency > 0):
-                raise OptionsError("fixed frequency_mode requires fixed_frequency > 0")
+            _check_quantities(OptionsError, positive=True, fixed_frequency=self.fixed_frequency)
         elif self.fixed_frequency is not None:
             raise OptionsError(f"fixed_frequency is for fixed mode, not {self.frequency_mode}")
-        # written so that NaN fails too
-        if not self.min_dc_threshold >= 0:
-            raise OptionsError("min_dc_threshold must be >= 0")
+        _check_quantities(OptionsError, non_negative=True, min_dc_threshold=self.min_dc_threshold)
 
 
 @dataclass
@@ -233,8 +237,7 @@ def dft_component(series, m: int) -> complex:
     if y.ndim != 1 or y.size == 0:
         raise ValueError("series must be a non-empty 1-D sequence")
     k = y.size
-    if not 0 <= m < k:
-        raise ValueError(f"harmonic index m={m} outside 0..{k - 1}")
+    _check_counts(low=0, high=k - 1, m=m)
     angles = -2j * np.pi * m * np.arange(k) / k
     return complex(np.sum(y * np.exp(angles)))
 
@@ -295,15 +298,13 @@ def visibility(F0: float, F1: float) -> float:
     """Fringe visibility 2 F1 / F0 from raw DC and fundamental magnitudes."""
     if not F0 > 0:
         raise ValueError("visibility undefined for F0 <= 0 (pixel should be masked)")
-    if F1 < 0:
-        raise ValueError("F1 is a magnitude and must be >= 0")
+    _check_quantities(non_negative=True, F1=F1)
     return 2.0 * F1 / F0
 
 
 def contrast(F1: float, K: int) -> float:
     """Peak-to-trough fringe swing 4 F1 / K in counts."""
-    if K < 3:
-        raise ValueError("contrast needs at least 3 frames")
+    _check_counts(low=3, K=K)
     return 4.0 * F1 / K
 
 
@@ -353,6 +354,51 @@ _CHUNK_PIXELS = 1 << 15
 def _row_chunks(height: int, width: int) -> list[tuple[int, int]]:
     rows = max(1, _CHUNK_PIXELS // width)
     return [(r0, min(r0 + rows, height)) for r0 in range(0, height, rows)]
+
+
+def _check_counts(error=ValueError, /, *, low=None, high=None, message=None, **counts) -> None:
+    """The count rule: each of counts is an int or numpy integer, never a bool, in
+    low..high where given (high only with low); else error names the first that
+    is not, in keyword order, or says message."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not (
+            (low is None or low <= value) and (high is None or value <= high)
+        ):
+            bounds = "" if low is None else f" >= {low}" if high is None else f" in {low}..{high}"
+            raise error(message or f"{name} must be an integer{bounds}, got {value!r}")
+
+
+def _check_quantities(
+    error=ValueError, /, *, positive=False, non_negative=False, message=None, **quantities
+) -> None:
+    """The quantity rule: each of quantities is a finite real number, never a bool,
+    > 0 where positive and >= 0 where non_negative; else error names the first
+    that is not, in keyword order, or says message."""
+    for name, value in quantities.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise error(message or f"{name} must be a real number, got {value!r}")
+        # written so that NaN fails too
+        if not -math.inf < value < math.inf:
+            raise error(message or f"{name} must be finite, got {value!r}")
+        if (positive and not value > 0) or (non_negative and not value >= 0):
+            raise error(message or f"{name} must be {'> 0' if positive else '>= 0'}, got {value!r}")
+
+
+def _check_fields(settings, error: type[ValueError], positive=(), non_negative=()) -> None:
+    """Raise error naming the first field of the dataclass settings, in field
+    order, that breaks the count rule (an int field) or the quantity rule (a
+    float field), with > 0 (an int >= 1) where named in positive and >= 0
+    where named in non_negative, or is a bool field holding no bool."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        pos, non_neg = f.name in positive, f.name in non_negative
+        if f.type == "int":
+            _check_counts(error, low=1 if pos else 0 if non_neg else None, **{f.name: value})
+        elif f.type == "float":
+            _check_quantities(error, positive=pos, non_negative=non_neg, **{f.name: value})
+        # a truthy string such as "false" would otherwise switch the field on
+        elif f.type == "bool" and not isinstance(value, (bool, np.bool_)):
+            raise error(f"{f.name} must be a bool, got {value!r}")
 
 
 def _usable_cpus() -> int:
@@ -482,8 +528,7 @@ def analyze_stack(
     mode and the leakage flag fit the frame-mean series of
     estimate_fringe_frequency; the flag's sums are taken in the projection pass.
     """
-    if not (isinstance(threads, (int, np.integer)) and threads >= 1):
-        raise OptionsError(f"threads must be an integer >= 1, got {threads!r}")
+    _check_counts(OptionsError, low=1, threads=threads)
     opts = options if options is not None else ExtractionOptions()
     k = stack.frame_count
     if k < 3:

@@ -55,6 +55,8 @@ run at once. A frame is written by one worker, into its own slice of the
 stack, from its own noise stream, so the stack's bytes are the same for any
 worker count and any order in which the frames finish. With one usable CPU
 the frames are rendered in turn and no thread is started.
+
+Settings and arguments are checked by the count and quantity rules in fringes.
 """
 
 from __future__ import annotations
@@ -62,11 +64,12 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fringes import FrameStack, _ordered_map, _row_chunks, _usable_cpus
+from .fringes import FrameStack, _check_counts, _check_fields, _check_quantities, _ordered_map
+from .fringes import _row_chunks, _usable_cpus
 
 __all__ = [
     "ObjectScene",
@@ -94,26 +97,6 @@ class ConfigurationError(ValueError):
 
 # numpy's Poisson sampler refuses a larger lam
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
-
-
-def _check_fields(settings, error: type[ValueError], positive=(), non_negative=()) -> None:
-    """Raise error naming the first field of the dataclass settings, in field
-    order, that is an int field holding no integer, a bool field holding no
-    bool, a float field that is NaN or inf, or named in positive and not > 0
-    or in non_negative and not >= 0."""
-    for f in fields(settings):
-        value = getattr(settings, f.name)
-        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
-            raise error(f"{f.name} must be an integer, got {value!r}")
-        # a truthy string such as "false" would otherwise switch the field on
-        if f.type == "bool" and not isinstance(value, (bool, np.bool_)):
-            raise error(f"{f.name} must be a bool, got {value!r}")
-        if f.type == "float" and not math.isfinite(value):
-            raise error(f"{f.name} must be finite, got {value!r}")
-        if f.name in positive and not value > 0:
-            raise error(f"{f.name} must be > 0")
-        if f.name in non_negative and not value >= 0:
-            raise error(f"{f.name} must be >= 0")
 
 
 @dataclass
@@ -170,10 +153,9 @@ class OpticalConfig:
     def __post_init__(self) -> None:
         _check_fields(self, ConfigurationError, positive=(
             "pump_wavelength_nm", "detected_wavelength_nm", "undetected_wavelength_nm", "f_u_mm",
-            "f_c_mm", "pump_waist_mm", "coherence_length_mm", "pixel_pitch_um", "mean_counts",
+            "f_c_mm", "pump_waist_mm", "coherence_length_mm", "sensor_width", "sensor_height",
+            "pixel_pitch_um", "mean_counts",
         ))
-        if self.sensor_width < 1 or self.sensor_height < 1:
-            raise ConfigurationError("sensor dimensions must be >= 1 pixel")
         if not 0.0 <= self.system_visibility <= 1.0:
             raise ConfigurationError("system_visibility must lie in [0, 1]")
         if self.loss_coupling not in LOSS_COUPLINGS:
@@ -214,8 +196,8 @@ class ScanPlan:
         cls, frame_count: int, idler_wavelength_nm: float, exposure_ms: float = 200.0
     ) -> "ScanPlan":
         """K equal mirror steps spanning one fringe oscillation (endpoint excluded)."""
-        if not (isinstance(frame_count, (int, np.integer)) and frame_count >= 1):
-            raise ValueError(f"frame_count must be an integer >= 1, got {frame_count!r}")
+        _check_counts(low=1, frame_count=frame_count)
+        _check_quantities(positive=True, idler_wavelength_nm=idler_wavelength_nm)
         positions = np.arange(frame_count) * (idler_wavelength_nm / (2.0 * frame_count))
         return cls(positions, exposure_ms)
 
@@ -240,30 +222,31 @@ def fringe_phase_from_mirror(
     """Fringe phase 4 pi d / lambda_u of a displacement d, or of each in an array;
     the mirror path is travelled twice, so the fringe period is half the idler
     wavelength in displacement."""
-    if not idler_wavelength_nm > 0:
-        raise ValueError("idler_wavelength_nm must be > 0")
+    _check_quantities(positive=True, idler_wavelength_nm=idler_wavelength_nm)
     return 4.0 * math.pi * displacement_nm / idler_wavelength_nm
 
 
 def coherence_envelope(path_mismatch_mm: float, coherence_length_mm: float) -> float:
     """Gaussian interference envelope with FWHM equal to the coherence length."""
-    if not coherence_length_mm > 0:
-        raise ValueError("coherence_length_mm must be > 0")
+    _check_quantities(path_mismatch_mm=path_mismatch_mm)
+    _check_quantities(positive=True, coherence_length_mm=coherence_length_mm)
     x = path_mismatch_mm / coherence_length_mm
     return math.exp(-4.0 * math.log(2.0) * x * x)
 
 
 def psf_width(f_u_mm: float, lambda_u_nm: float, pump_waist_mm: float) -> float:
     """Probe-arm resolution f_u * lambda_u / (sqrt(2) pi w_p), in micrometres."""
-    if not (f_u_mm > 0 and lambda_u_nm > 0 and pump_waist_mm > 0):
-        raise ValueError("psf_width arguments must be > 0")
+    _check_quantities(
+        positive=True, f_u_mm=f_u_mm, lambda_u_nm=lambda_u_nm, pump_waist_mm=pump_waist_mm
+    )
     return f_u_mm * lambda_u_nm / (math.sqrt(2.0) * math.pi * pump_waist_mm * 1e3)
 
 
 def magnification(f_c_mm: float, f_u_mm: float, lambda_d_nm: float, lambda_u_nm: float) -> float:
     """Scene-to-sensor magnification (f_c lambda_d) / (f_u lambda_u)."""
-    if not (f_c_mm > 0 and f_u_mm > 0 and lambda_d_nm > 0 and lambda_u_nm > 0):
-        raise ValueError("magnification arguments must be > 0")
+    _check_quantities(
+        positive=True, f_c_mm=f_c_mm, f_u_mm=f_u_mm, lambda_d_nm=lambda_d_nm, lambda_u_nm=lambda_u_nm
+    )
     return (f_c_mm * lambda_d_nm) / (f_u_mm * lambda_u_nm)
 
 
@@ -586,12 +569,8 @@ def render_frame(
     frame_index keys the frame's noise stream, as the frame's position in a
     stack does in simulate_stack.
     """
-    if not math.isfinite(scan_phase):
-        raise ValueError(f"scan_phase must be finite, got {scan_phase!r}")
-    if not (isinstance(frame_index, (int, np.integer)) and 0 <= frame_index < 2**64):
-        raise ValueError(
-            f"frame_index must be a non-negative integer below 2**64, got {frame_index!r}"
-        )
+    _check_quantities(scan_phase=scan_phase)
+    _check_counts(low=0, high=2**64 - 1, frame_index=frame_index)
     noise = noise if noise is not None else NoiseModel()
     frame = np.empty((config.sensor_height, config.sensor_width))
     _render_into(frame, _fringe_basis(scene, config, noise), scan_phase, noise, frame_index)
@@ -664,15 +643,14 @@ def make_test_target(kind: str, size, **params) -> ObjectScene:
     """
     if kind not in TARGET_KINDS:
         raise ValueError(f"unknown target kind {kind!r}; expected one of {TARGET_KINDS}")
-    pair = (size, size) if isinstance(size, (int, np.integer)) else size
+    message = f"size must be a positive integer or a (height, width) pair of them, got {size!r}"
     try:
-        shape = tuple(pair)
+        shape = tuple(size)
     except TypeError:
-        shape = ()
-    if not (len(shape) == 2 and all(isinstance(n, (int, np.integer)) and n >= 1 for n in shape)):
-        raise ValueError(
-            f"size must be a positive integer or a (height, width) pair of them, got {size!r}"
-        )
+        shape = (size, size)
+    if len(shape) != 2:
+        raise ValueError(message)
+    _check_counts(low=1, message=message, height=shape[0], width=shape[1])
     shape = (int(shape[0]), int(shape[1]))
     pitch = float(params.pop("scene_pitch_um", 5.2))
     h, w = shape

@@ -37,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fringes import _check_quantities
 from .stackio import _field, _key_values
 
 __all__ = [
@@ -149,8 +150,8 @@ class CrystalState:
     dispersion_set: DispersionSet = field(default_factory=default_dispersion_set)
 
     def __post_init__(self) -> None:
-        if not 0 < self.poling_period_um < np.inf:
-            raise ValueError("poling_period_um must be finite and > 0")
+        message = "poling_period_um must be finite and > 0"
+        _check_quantities(positive=True, message=message, poling_period_um=self.poling_period_um)
         _check_window(self.dispersion_set, self.temperature_c)
 
 
@@ -179,7 +180,8 @@ class TuningPoint:
 
 def idler_from_signal(pump_nm: float, signal_nm: float) -> float:
     """Energy-conservation partner wavelength 1/(1/pump - 1/signal)."""
-    if not 0 < pump_nm < signal_nm:
+    _check_quantities(positive=True, pump_nm=pump_nm, signal_nm=signal_nm)
+    if not pump_nm < signal_nm:
         raise ValueError(
             f"signal ({signal_nm} nm) must exceed the pump ({pump_nm} nm); "
             "both photons carry less energy than the pump"

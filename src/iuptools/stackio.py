@@ -156,6 +156,18 @@ def _pgm_file(height: int, width: int) -> tuple[memoryview, np.ndarray]:
     return memoryview(buffer)[pad:], samples.reshape(height, width)
 
 
+def _store_rounded(samples: np.ndarray, band: np.ndarray, rows_of, scale: float) -> None:
+    """Fill the (height, width) samples of a _pgm_file one row chunk at a time:
+    rows_of(r0, r1, out) returns rows r0..r1-1 of the values, in out (as many
+    rows of band) or elsewhere, and each value times scale is rounded to the
+    nearest integer, clipped to 0..65535 and stored."""
+    for r0, r1 in _row_chunks(*samples.shape):
+        out = band[: r1 - r0]
+        values = np.multiply(rows_of(r0, r1, out), scale, out=out)
+        np.rint(values, out=values)
+        samples[r0:r1] = np.clip(values, 0, 65535, out=values)
+
+
 def _parse_pgm(payload: bytes, source: str) -> np.ndarray:
     match = _PGM_HEADER.match(payload)
     if match is None:
@@ -213,10 +225,7 @@ def write_stack(stack: FrameStack, directory: str | Path, gain: float | None = N
     payload, samples = _pgm_file(stack.height, stack.width)
     for i in range(stack.frame_count):
         name = f"frame_{i:04d}.pgm"
-        for r0, r1 in chunks:
-            scaled = np.multiply(counts(i, r0, r1), gain, out=band[: r1 - r0])
-            np.rint(scaled, out=scaled)
-            samples[r0:r1] = scaled
+        _store_rounded(samples, band, lambda r0, r1, _: counts(i, r0, r1), gain)
         _atomic_write_bytes(directory / name, payload)
         names.append(name)
         digests.append(hashlib.sha256(payload).hexdigest())
@@ -440,24 +449,26 @@ def export_maps(
     if result.options.fixed_frequency is not None:
         provenance["fixed_frequency"] = float(result.options.fixed_frequency)
     written: dict[str, Path] = {}
+    if preview:
+        # one file buffer and one row band, refilled for every preview
+        height, width = result.mask.shape
+        payload, samples = _pgm_file(height, width)
+        band = np.empty((_row_chunks(height, width)[0][1], width))
     for name, data in maps.items():
         if preview and name != "mask":
-            # each preview is scaled, rounded and clipped in one float64 buffer
-            if name == "visibility":
-                scaled = np.clip(data, 0.0, 1.0)
-                scaled *= 65535.0
-            elif name == "phase":
-                scaled = data + np.pi
-                scaled /= 2.0 * np.pi
-                scaled *= 65535.0
-            else:
+            scale = 65535.0
+            if name in ("contrast", "dc"):
                 peak = float(data.max())
-                preview_scale = 65535.0 / peak if peak > 0 else 1.0
-                scaled = data * preview_scale
-                provenance[f"{name}_preview_scale"] = preview_scale
-            np.rint(scaled, out=scaled)
-            payload, samples = _pgm_file(*data.shape)
-            samples[...] = np.clip(scaled, 0, 65535, out=scaled)
+                scale = 65535.0 / peak if peak > 0 else 1.0
+                provenance[f"{name}_preview_scale"] = scale
+
+            # visibility is clipped to 0..1 by the clip to 0..65535 after the scale
+            def rows_of(r0: int, r1: int, out: np.ndarray) -> np.ndarray:
+                if name != "phase":
+                    return data[r0:r1]
+                return np.divide(np.add(data[r0:r1], np.pi, out=out), 2.0 * np.pi, out=out)
+
+            _store_rounded(samples, band, rows_of, scale)
             preview_path = directory / f"{name}.pgm"
             _atomic_write_bytes(preview_path, payload)
             written[f"{name}_preview"] = preview_path

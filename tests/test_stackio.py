@@ -723,6 +723,46 @@ class TestMapExport:
         for name in ("contrast", "dc"):
             assert (tmp_path / "m" / f"{name}.pgm").exists()
 
+    @staticmethod
+    def full_frame_result(height=1024, width=1280) -> AnalysisResult:
+        """Maps with visibility outside [0, 1], phases on both edges of
+        (-pi, pi], and masked pixels."""
+        rng = np.random.default_rng(9)
+        vis = rng.uniform(-0.2, 1.3, (height, width))
+        vis[0, :3] = -0.0, 1.0, 1.0 + 1e-12
+        ph = rng.uniform(-np.pi, np.pi, (height, width))
+        ph[0, :2] = np.pi, np.nextafter(-np.pi, 0.0)
+        mask = rng.uniform(size=(height, width)) > 0.1
+        con, dc = rng.uniform(0.0, 900.0, (2, height, width))
+        return AnalysisResult(vis, con, ph, dc, mask, 1.0, False, ExtractionOptions())
+
+    def test_previews_equal_whole_map_formulas(self, tmp_path):
+        # 3 row chunks per map, the last one short
+        res = self.full_frame_result(100, 700)
+        export_maps(res, tmp_path / "m", preview=True)
+        header = b"P5\n700 100\n65535\n"
+        scales = {name: 65535.0 / float(data.max())
+                  for name, data in (("contrast", res.contrast_map), ("dc", res.dc_map))}
+        for name, scaled in (
+            ("visibility", np.clip(res.visibility_map, 0.0, 1.0) * 65535.0),
+            ("phase", (res.phase_map + np.pi) / (2.0 * np.pi) * 65535.0),
+            ("contrast", res.contrast_map * scales["contrast"]),
+            ("dc", res.dc_map * scales["dc"]),
+        ):
+            want = np.clip(np.rint(scaled), 0, 65535).astype(">u2").tobytes()
+            assert (tmp_path / "m" / f"{name}.pgm").read_bytes() == header + want, name
+
+    def test_full_frame_preview_memory_is_one_file_one_map_and_a_band(self, tmp_path):
+        # a sensor-sized float64 buffer per preview alone would be 10 MiB
+        res = self.full_frame_result()
+        tracemalloc.start()
+        try:
+            export_maps(res, tmp_path / "m", preview=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 1024 * 1280 + 4 * 1024 * 1280 + 1 * 2**20
+
 
 class TestSceneFiles:
     def test_round_trip(self, tmp_path):
