@@ -296,6 +296,7 @@ def single_bin_amplitude(series, f: float) -> complex:
 
 def visibility(F0: float, F1: float) -> float:
     """Fringe visibility 2 F1 / F0 from raw DC and fundamental magnitudes."""
+    _check_quantities(F0=F0)
     if not F0 > 0:
         raise ValueError("visibility undefined for F0 <= 0 (pixel should be masked)")
     _check_quantities(non_negative=True, F1=F1)
@@ -304,6 +305,7 @@ def visibility(F0: float, F1: float) -> float:
 
 def contrast(F1: float, K: int) -> float:
     """Peak-to-trough fringe swing 4 F1 / K in counts."""
+    _check_quantities(non_negative=True, F1=F1)
     _check_counts(low=3, K=K)
     return 4.0 * F1 / K
 

@@ -15,11 +15,14 @@ The period-free part of dk is scanned once per temperature over a 0.5 nm
 signal grid, and every period's first sign change on that row is found by one
 sorted search in the row's running maximum or minimum. A row that is monotone
 in the direction a period needs is its own running extreme and is searched as
-it is; a row holding a non-finite value is scanned pair by pair instead. At
-most _ROWS_PER_PASS rows (of temperatures, or of periods in the pair-by-pair
-scans) are held at once, so memory does not grow with either side of the grid.
-One run of Brent's method (scipy's brentq, step for step) polishes all
-bracketed roots together and hands back dk at each root as its residual.
+it is; a row holding a non-finite value is scanned pair by pair instead. Cells
+left unmatched where the scan ends at degeneracy get the same search on a finer
+row over the last 2 nm (the tangency scan). At most _ROWS_PER_PASS rows (of
+temperatures, or of periods in the pair-by-pair scans) are held at once, so
+memory does not grow with either side of the grid. One run of Brent's method
+(scipy's brentq, step for step) polishes all bracketed roots together and hands
+back dk at each root as its residual; a bracket whose step meets NaN ends there
+with no root, and its cell with a note, instead of raising.
 The results are built in bulk, with no per-cell call of the frozen
 dataclasses' __init__: each WavelengthPair and TuningPoint gets its fields
 written into its __dict__, and equals the one its constructor makes.
@@ -67,14 +70,6 @@ _ROWS_PER_PASS = 64  # scan rows held at once: bounds the grid solve's memory by
 
 class PhaseMatchError(RuntimeError):
     """No quasi-phase-matched solution in the scanned signal range."""
-
-
-class _NaNStep(ValueError):
-    """brentq's NaN error, naming the brackets (indices into a and b) whose step met NaN."""
-
-    def __init__(self, message: str, brackets: np.ndarray):
-        super().__init__(message)
-        self.brackets = brackets
 
 
 @dataclass(frozen=True)
@@ -243,24 +238,18 @@ def _mismatch_terms(pump_nm: float, signal, terms: np.ndarray, ds: DispersionSet
         return terms[0] - n_s * (1000.0 / signal) - n_i * (1000.0 / idler)
 
 
-def _mismatch_unchecked(pump_nm: float, signal: np.ndarray, crystal: CrystalState) -> np.ndarray:
-    ds = crystal.dispersion_set
-    by_temp = _temperature_terms(pump_nm, crystal.temperature_c, ds)
-    terms = _mismatch_terms(pump_nm, signal, by_temp, ds)
-    return 2.0 * np.pi * (terms - 1.0 / crystal.poling_period_um)
-
-
 def qpm_mismatch(pump_nm: float, signal_nm, crystal: CrystalState):
     """Signed collinear first-order QPM mismatch in 1/um.
 
     The idler follows from energy conservation; signal_nm may be an array.
     Raises for wavelengths outside the dispersion set's validity window.
     """
-    signal = np.asarray(signal_nm, dtype=np.float64)
-    _check_window(crystal.dispersion_set, crystal.temperature_c, pump=pump_nm, signal=signal)
+    ds, signal = crystal.dispersion_set, np.asarray(signal_nm, dtype=np.float64)
+    _check_window(ds, crystal.temperature_c, pump=pump_nm, signal=signal)
     idler = 1.0 / (1.0 / pump_nm - 1.0 / signal)
-    _check_window(crystal.dispersion_set, crystal.temperature_c, idler=idler)
-    dk = _mismatch_unchecked(pump_nm, signal, crystal)
+    _check_window(ds, crystal.temperature_c, idler=idler)
+    terms = _temperature_terms(pump_nm, crystal.temperature_c, ds)
+    dk = 2.0 * np.pi * (_mismatch_terms(pump_nm, signal, terms, ds) - 1.0 / crystal.poling_period_um)
     return float(dk) if np.isscalar(signal_nm) else dk
 
 
@@ -344,10 +333,12 @@ def _passes(n: int) -> list[slice]:
 def _brentq(f, a: np.ndarray, b: np.ndarray, froot: np.ndarray | None = None) -> np.ndarray:
     """scipy.optimize.brentq(f, a[j], b[j], xtol=_ROOT_TOL_NM) for every bracket j at once.
 
-    Bit for bit and with brentq's errors, given finite f(a) and f(b) of opposite
-    signs; f(x, j) evaluates brackets j, and only brackets still iterating, with
-    both ends of every bracket in its first call. froot, if given, receives f at
-    each root. The NaN error is a _NaNStep naming every bracket whose step met NaN.
+    Bit for bit and with brentq's convergence error, given finite f(a) and f(b) of
+    opposite signs, except that a bracket whose step meets NaN ends with a NaN root
+    where brentq raises; the other brackets go on as they would without it. f(x, j)
+    evaluates brackets j, and only brackets still iterating, with both ends of every
+    bracket in its first call. froot, if given, receives f at each root (NaN at a NaN
+    root).
     """
     j, root = np.arange(a.size), np.empty(a.size)
     if not a.size:
@@ -368,10 +359,11 @@ def _brentq(f, a: np.ndarray, b: np.ndarray, froot: np.ndarray | None = None) ->
         )
         delta = (_ROOT_TOL_NM + _ROOT_RTOL * np.abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        done = (fcur == 0) | (np.abs(sbis) < delta)
+        nan = np.isnan(fcur)
+        done = (fcur == 0) | (np.abs(sbis) < delta) | nan
         finished = np.count_nonzero(done)
         if finished:
-            root[j[done]] = xcur[done]
+            root[j[done]] = np.where(nan, np.nan, xcur)[done]
             if froot is not None:
                 froot[j[done]] = fcur[done]
             if finished == done.size:
@@ -394,12 +386,8 @@ def _brentq(f, a: np.ndarray, b: np.ndarray, froot: np.ndarray | None = None) ->
         # sbis is not 0 here, so its sign picks +-delta as brentq's sbis > 0 does
         xcur = xcur + np.where(np.abs(scur) > delta, scur, np.copysign(delta, sbis))
         fcur = f(xcur, j)
-        if np.isnan(fcur).any():
-            bad = xcur[np.isnan(fcur)][0]
-            message = f"The function value at x={bad} is NaN; solver cannot continue."
-            raise _NaNStep(message, j[np.isnan(fcur)])
         # brentq's flip where fpre and fcur differ in sign: fpre is not 0 (that
-        # bracket has finished), and where fcur is 0 the flip changes nothing used
+        # bracket has finished), and where fcur is 0 or NaN the flip changes nothing used
         flip = np.signbit(fpre) != np.signbit(fcur)
         step = xcur - xpre
         xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
@@ -446,47 +434,39 @@ def _solve_grid(pump_nm: float, periods: list, temps: list, ds: DispersionSet) -
         low[at.start + noted] = np.where(finite, rows[noted], np.inf).min(axis=1)
         high[at.start + noted] = np.where(finite, rows[noted], -np.inf).max(axis=1)
     # tangency fallback: refine near the degenerate edge, in one fine row per
-    # temperature with unmatched cells, made _ROWS_PER_PASS temperatures at a time;
-    # a cell tangent to zero at the edge is solved there, with signal = idler = hi
+    # temperature with unmatched cells, searched as the pre-scan's rows are and made
+    # _ROWS_PER_PASS temperatures at a time; only unmatched cells take the result,
+    # and one tangent to zero at the edge is solved there, with signal = idler = hi
     residual, tangent = np.zeros(shape), np.zeros(shape, dtype=bool)
     missing = np.flatnonzero(~found.all(axis=0) & (hi == 2.0 * pump_nm))
     for at in _passes(missing.size):
-        fine_rows = _mismatch_terms(pump_nm, fine, by_temp[:, missing[at], None], ds)
-        p_all, r_all = np.nonzero(~found[:, missing[at]])
-        for cut in _passes(p_all.size):
-            p, r = p_all[cut], r_all[cut]
-            t = missing[at][r]
-            cell_rows = 2.0 * np.pi * (fine_rows[r] - inv_period[p, None])
-            found[p, t], a[p, t], b[p, t] = _first_root(fine, cell_rows)
-            edge = np.abs(cell_rows[:, -1])
-            on_edge = ~found[p, t] & (edge <= _DEGENERATE_TOL)
-            p, t = p[on_edge], t[on_edge]
-            found[p, t], tangent[p, t], a[p, t], b[p, t] = True, True, hi, hi
-            residual[p, t] = edge[on_edge]
+        t = missing[at]
+        fine_rows = _mismatch_terms(pump_nm, fine, by_temp[:, t, None], ds)
+        hit, fine_a, fine_b = _first_roots(fine, fine_rows, inv_period)
+        edge = np.abs(2.0 * np.pi * (fine_rows[:, -1] - inv_period[:, None]))
+        unmatched = ~found[:, t]
+        on_edge = unmatched & ~hit & (edge <= _DEGENERATE_TOL)
+        found[:, t] |= hit | on_edge
+        tangent[:, t], residual[:, t] = on_edge, np.where(on_edge, edge, 0.0)
+        a[:, t] = np.where(on_edge, hi, np.where(unmatched, fine_a, a[:, t]))
+        b[:, t] = np.where(on_edge, hi, np.where(unmatched, fine_b, b[:, t]))
     found, a, b, residual = found.ravel(), a.ravel(), b.ravel(), residual.ravel()
     polish = np.flatnonzero(found & (a < b))
-    # a NaN stretch of the Sellmeier form can lie between two finite scan points
-    # of opposite sign; cells whose step lands in one are dropped and the rest,
-    # which are independent, polished again
-    gaps = {}
-    while True:
-        terms, level = by_temp[:, polish % temp.size], inv_period[polish // temp.size]
+    terms, level = by_temp[:, polish % temp.size], inv_period[polish // temp.size]
 
-        def dk(signal, j):
-            return 2.0 * np.pi * (_mismatch_terms(pump_nm, signal, terms[:, j], ds) - level[j])
+    def dk(signal, j):
+        return 2.0 * np.pi * (_mismatch_terms(pump_nm, signal, terms[:, j], ds) - level[j])
 
-        dk_root = np.empty(polish.size)
-        try:
-            a[polish] = _brentq(dk, a[polish], b[polish], dk_root)
-            break
-        except _NaNStep as err:
-            for c in polish[err.brackets].tolist():
-                found[c], gaps[c] = False, (a[c], b[c])
-            polish = np.delete(polish, err.brackets)
+    dk_root, root = np.empty(polish.size), a.copy()
+    root[polish] = _brentq(dk, a[polish], b[polish], dk_root)
     # dk is exactly 0 at a root that a scan point hits
     residual[polish] = np.abs(dk_root)
+    # a NaN stretch of the Sellmeier form can lie between two finite scan points
+    # of opposite sign; a cell whose step lands in one has no root
+    gap = np.isnan(root)
+    found &= ~gap
     solved = np.flatnonzero(found)
-    signal = a[solved]
+    signal = root[solved]
     idler = 1.0 / (1.0 / pump_nm - 1.0 / signal)  # idler_from_signal's operations
     idler[tangent.ravel()[solved]] = hi
     pairs = _instances(WavelengthPair, signal.tolist(), idler.tolist(), residual[solved].tolist())
@@ -497,8 +477,8 @@ def _solve_grid(pump_nm: float, periods: list, temps: list, ds: DispersionSet) -
     for c in np.flatnonzero(~found).tolist():
         period, t = periods[c // temp.size], c % temp.size
         detail = "mismatch is not finite anywhere in the scanned range"
-        if c in gaps:
-            detail = "mismatch is not finite between signal {:.6g} and {:.6g} nm".format(*gaps[c])
+        if gap[c]:
+            detail = f"mismatch is not finite between signal {a[c]:.6g} and {b[c]:.6g} nm"
         elif low[t] < np.inf:
             shown = 2.0 * np.pi * (np.array([low[t], high[t]]) - inv_period[c // temp.size])
             detail = f"mismatch spans [{shown[0]:.6g}, {shown[1]:.6g}] 1/um "

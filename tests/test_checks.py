@@ -101,7 +101,9 @@ SITES = [
      ValueError, "frame count", 3, "count", 3),
     ("dft_component:m", lambda v: dft_component([2.0, 1.0, 0.0, 1.0, 3.0], v),
      ValueError, "m", 1, "count", 0),
+    ("contrast:F1", lambda v: contrast(v, 4), ValueError, "F1", 2.0, "quantity", ">= 0"),
     ("contrast:K", lambda v: contrast(2.0, v), ValueError, "K", 4, "count", 3),
+    ("visibility:F0", lambda v: visibility(v, 1.5), ValueError, "F0", 4.0, "quantity", "> 0"),
     ("visibility:F1", lambda v: visibility(4.0, v), ValueError, "F1", 1.5, "quantity", ">= 0"),
     ("idler_from_signal:pump_nm", lambda v: idler_from_signal(v, 808.0),
      ValueError, "pump_nm", 532.0, "quantity", "> 0"),

@@ -32,7 +32,6 @@ from iuptools.qpm import (
     _first_root,
     _first_roots,
     _mismatch_terms,
-    _mismatch_unchecked,
     _signal_scan_bounds,
     _temperature_terms,
 )
@@ -48,11 +47,11 @@ def reference_solve(pump_nm, crystal):
     """The solver as two explicit scans over grid points, kept as an oracle."""
     lo, hi = _signal_scan_bounds(pump_nm, crystal.dispersion_set)
     grid = np.append(np.arange(lo, hi, 0.5), hi)
-    values = _mismatch_unchecked(pump_nm, grid, crystal)
+    values = qpm_mismatch(pump_nm, grid, crystal)
     finite = np.isfinite(values)
 
     def pair_at(signal_nm):
-        residual = abs(float(_mismatch_unchecked(pump_nm, np.float64(signal_nm), crystal)))
+        residual = abs(float(qpm_mismatch(pump_nm, np.float64(signal_nm), crystal)))
         return WavelengthPair(signal_nm, idler_from_signal(pump_nm, signal_nm), residual)
 
     bracket = None
@@ -66,7 +65,7 @@ def reference_solve(pump_nm, crystal):
             break
     if bracket is None and hi == 2.0 * pump_nm:
         fine = np.linspace(max(lo, hi - 2.0), hi, 401)
-        fine_vals = _mismatch_unchecked(pump_nm, fine, crystal)
+        fine_vals = qpm_mismatch(pump_nm, fine, crystal)
         ok = np.isfinite(fine_vals)
         for i in range(fine.size - 1):
             if ok[i] and ok[i + 1] and fine_vals[i] * fine_vals[i + 1] < 0.0:
@@ -78,7 +77,7 @@ def reference_solve(pump_nm, crystal):
         return None
 
     def mismatch(signal_nm):
-        return float(_mismatch_unchecked(pump_nm, np.float64(signal_nm), crystal))
+        return float(qpm_mismatch(pump_nm, np.float64(signal_nm), crystal))
 
     return pair_at(float(brentq(mismatch, *bracket, xtol=1e-7)))
 
@@ -349,7 +348,7 @@ class TestSolver:
             except PhaseMatchError:
                 continue
             grid = pair.signal_nm + np.arange(-2000, 2001) * 0.001
-            vals = _mismatch_unchecked(PUMP_NM, grid, crystal)
+            vals = qpm_mismatch(PUMP_NM, grid, crystal)
             sign = np.sign(vals)
             flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
             assert flips.size >= 1
@@ -566,7 +565,7 @@ def seeded_brackets(rng, pump_nm, n):
     cells = []
     for grid, part in ((coarse, slice(0, n)), (fine, slice(n, 2 * n))):
         p, t = periods[part], temps[part]
-        rows = [_mismatch_unchecked(pump_nm, grid, CrystalState(*cell)) for cell in zip(p, t)]
+        rows = [qpm_mismatch(pump_nm, grid, CrystalState(*cell)) for cell in zip(p, t)]
         found, a, b = _first_root(grid, np.array(rows))
         keep = found & (a < b)
         cells.append((p[keep], t[keep], a[keep], b[keep]))
@@ -590,7 +589,7 @@ class TestArrayBrent:
                 crystal = CrystalState(period, temp)
 
                 def mismatch(x):
-                    return float(_mismatch_unchecked(pump_nm, np.float64(x), crystal))
+                    return float(qpm_mismatch(pump_nm, np.float64(x), crystal))
 
                 assert got[i] == brentq(mismatch, a[i], b[i], xtol=1e-7)
             total += a.size
@@ -615,16 +614,41 @@ class TestArrayBrent:
 
     @pytest.mark.parametrize(
         "scalar, a, b",
-        [
-            (lambda x: np.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0),  # NaN at the first step
-            (lambda x: 1.0 if x > 0.5 else -1.0, -1e30, 1e30),  # no convergence in 100 steps
-        ],
+        [(lambda x: 1.0 if x > 0.5 else -1.0, -1e30, 1e30)],  # no convergence in 100 steps
     )
     def test_errors_match_scipy_brentq(self, scalar, a, b):
-        with pytest.raises((ValueError, RuntimeError)) as want:
+        with pytest.raises(RuntimeError) as want:
             brentq(scalar, a, b, xtol=1e-7)
-        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        with pytest.raises(RuntimeError, match=f"^{re.escape(str(want.value))}$"):
             _brentq(lambda x, j: np.array([scalar(v) for v in x]), np.array([a]), np.array([b]))
+
+    def test_a_step_that_meets_nan_ends_its_bracket_alone(self):
+        # a NaN stretch 0.05 wide within 0.55 of each root, which some brackets' steps
+        # land in (brentq raises there) and others step over or never reach
+        rng = np.random.default_rng(67)
+        n = 300
+        r, k = rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 20.0, n)
+        hole = rng.uniform(-0.55, 0.5, n)
+        a, b = r - rng.uniform(0.6, 3.0, n), r + rng.uniform(0.6, 3.0, n)
+
+        def g(x, j):
+            d = x - r[j]
+            cubic = k[j] * d * d * d + 1e-3 * d
+            return np.where((d > hole[j]) & (d < hole[j] + 0.05), np.nan, cubic)
+
+        froot = np.empty(n)
+        got = _brentq(g, a, b, froot)
+        met_nan = 0
+        for i in range(n):
+            try:
+                want = brentq(lambda x: float(g(np.float64(x), i)), a[i], b[i], xtol=1e-7)
+            except ValueError as err:
+                assert "is NaN; solver cannot continue" in str(err)
+                assert np.isnan(got[i]) and np.isnan(froot[i])
+                met_nan += 1
+            else:
+                assert got[i] == want and froot[i] == g(want, i)
+        assert 0 < met_nan < n
 
 
 class TestPolish:
@@ -673,7 +697,7 @@ class TestPolish:
             if point.pair is None:
                 continue
             crystal = CrystalState(point.poling_period_um, point.temperature_c, ds)
-            dk = _mismatch_unchecked(PUMP_NM, np.float64(point.pair.signal_nm), crystal)
+            dk = qpm_mismatch(PUMP_NM, np.float64(point.pair.signal_nm), crystal)
             assert point.pair.residual_mismatch == abs(float(dk))
             cell = (point.poling_period_um, point.temperature_c)
             if cell in on_grid:
@@ -837,7 +861,7 @@ class TestTuningCurve:
         temps = np.arange(20.0, 200.5, 10.0)
         lo, hi = _signal_scan_bounds(PUMP_NM, ds)
         grid = np.append(np.arange(lo, hi, 0.5), hi)
-        rows = [_mismatch_unchecked(PUMP_NM, grid, CrystalState(7.0, t, ds)) for t in temps]
+        rows = [qpm_mismatch(PUMP_NM, grid, CrystalState(7.0, t, ds)) for t in temps]
         holds_nan = [bool(np.isnan(row).any()) for row in rows]
         assert any(holds_nan) and not all(holds_nan)
         kinds = set()
@@ -849,6 +873,23 @@ class TestTuningCurve:
             row_holds_nan = holds_nan[int(np.flatnonzero(temps == point.temperature_c)[0])]
             kinds.add(("none" if want is None else "pair", row_holds_nan))
         assert kinds == {("none", True), ("pair", True), ("none", False), ("pair", False)}
+
+    def test_tangency_rows_that_are_not_finite_match_reference_solve(self, tmp_path):
+        # the second Sellmeier pole at the degenerate 1.064 um: every fine row of the
+        # tangency scan holds NaN or an infinity beside it and goes through _first_root
+        ds = table_with(tmp_path, a4=-1e-5, a5=1.064, b4=0.0)
+        temps = np.arange(20.0, 200.5, 10.0)
+        lo, hi = _signal_scan_bounds(PUMP_NM, ds)
+        fine = np.linspace(max(lo, hi - 2.0), hi, 401)
+        for t in temps:
+            assert not np.isfinite(qpm_mismatch(PUMP_NM, fine, CrystalState(7.0, t, ds))).all()
+        kinds = set()
+        for point in tuning_curve(PUMP_NM, np.linspace(4.0, 14.0, 21), temps, ds):
+            want = reference_solve(PUMP_NM, CrystalState(point.poling_period_um, point.temperature_c, ds))
+            assert point.pair == want
+            assert bool(point.note) == (want is None)
+            kinds.add("none" if want is None else "pair")
+        assert kinds == {"none", "pair"}
 
     def test_a_nan_stretch_inside_a_bracket_fails_its_cell_alone(self, tmp_path):
         # the second Sellmeier pole at 1.9648 um puts a stretch of n^2 < 0 strictly
@@ -896,7 +937,7 @@ class TestTuningCurve:
             ds = table_with(tmp_path, a1=4.55, a4=-5.821011, a5=2.0, b4=1e-4)
             periods, temps = np.linspace(4.0, 14.0, 2000), [20.0]
             lo, hi = _signal_scan_bounds(PUMP_NM, ds)
-            row = _mismatch_unchecked(PUMP_NM, np.linspace(lo, hi, 902), CrystalState(7.0, 20.0, ds))
+            row = qpm_mismatch(PUMP_NM, np.linspace(lo, hi, 902), CrystalState(7.0, 20.0, ds))
             assert np.isnan(row).any()
         elif case == "tangency fallback":
             periods, temps = np.linspace(5.0, 6.0, 3000), [25.0]
