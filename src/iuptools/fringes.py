@@ -282,6 +282,7 @@ def single_bin_amplitude(series, f: float) -> complex:
     A + Re[c exp(i 2 pi f k / K)]. At integer f (with K > 2f) this equals
     (2/K) X_f, so angle(c) is the generating fringe phase.
     """
+    _check_quantities(f=f)
     y = np.asarray(series, dtype=np.float64)
     if y.ndim != 1:
         raise ValueError("series must be 1-D")

@@ -38,11 +38,13 @@ and in row-major order: first every Poisson draw of the frame, then every
 read-noise draw, so a frame's noise does not depend on the chunking or on
 the other frames.
 
-Every scene-sized or sensor-sized array built here is built from row
-chunks written straight into it: the test targets from the chunk's row and
-column coordinates, the illumination, the resampling (from the scene rows
-that the chunk's taps read, each made once) and the blur. A full-frame
-smooth-wing target peaks at its two maps plus about 1 MiB of bands, and
+Every scene-sized or sensor-sized array built here is written straight into
+its own map. The smooth-wing target and the illumination are made over the
+whole map from 1-D row and column factors; only the smooth-wing body,
+exp(-(x^2 + 2 y^2)), is computed per pixel, in the amplitude map. The
+ring-electrode target (its radius and masks), the resampling (each chunk
+makes the scene rows its taps read) and the blur work in row chunks. A
+full-frame smooth-wing target peaks at its two maps and its factors, and
 effective_complex_map at its complex map, one sensor-sized part and under
 2 MiB of bands. No temporary the size of a map is made and freed, so the
 heap does not grow to hold one and keep it resident afterwards.
@@ -287,42 +289,33 @@ def _resample(
     order=1 and mode="grid-constant": each value is 0.0 + (v00 wr0) wc0, then
     + (v01 wr0) wc1, + (v10 wr1) wc0 and + (v11 wr1) wc1, in that order, and
     taps outside the part read fill. Row chunks keep every temporary small:
-    each chunk asks for the part rows its taps read and no others, and rows
-    that the previous chunk also read are kept, so each row is made once.
+    each chunk makes the part rows its taps read, and no others, into a
+    block of its own, so a row that two chunks read is made twice.
     """
     height, width = out.shape
     side = shape[0]
     row_taps = _linear_taps(height, origin[0], step, side)
     col_taps = _linear_taps(width, origin[1], step, shape[1])
     chunks = _row_chunks(height, width)
-    # the part rows [lo, hi) that each chunk's taps read; they never go back
-    spans = []
-    for r0, r1 in chunks:
-        taps = np.concatenate([t[r0:r1] for t, _ in row_taps])
-        taps = taps[taps < side]
-        spans.append((int(taps.min()), int(taps.max()) + 1) if taps.size else (0, 0))
-    block = np.empty((max(hi - lo for lo, hi in spans), shape[1]))
-    lo_held = hi_held = 0
     n = chunks[0][1] - chunks[0][0]
     # the part row of one row tap times its weight, then a fill column
     line = np.empty((n, shape[1] + 1))
     term = np.empty((n, width))
-    for (r0, r1), (lo, hi) in zip(chunks, spans):
+    for r0, r1 in chunks:
         m = r1 - r0
-        if hi > lo:
-            kept = max(min(hi_held, hi) - lo, 0)
-            block[:kept] = block[lo - lo_held : lo - lo_held + kept]
-            rows_of(lo + kept, hi, block[kept : hi - lo])
-            lo_held, hi_held = lo, hi
+        # the part rows [lo, hi) that the chunk's taps read; a chunk that
+        # reads none makes row 0, which every tap then reads as fill
+        taps = np.concatenate([t[r0:r1] for t, _ in row_taps])
+        taps = taps[taps < side]
+        lo, hi = (int(taps.min()), int(taps.max()) + 1) if taps.size else (0, 1)
+        block = np.empty((hi - lo, shape[1]))
+        rows_of(lo, hi, block)
         acc = out[r0:r1]
         acc[...] = 0.0
         for taps, weights in row_taps:
             rows = taps[r0:r1]
-            if hi > lo:
-                np.take(block[: hi - lo], rows - lo, axis=0, out=line[:m, :-1], mode="clip")
-                line[:m][rows == side] = fill
-            else:
-                line[:m, :-1] = fill
+            np.take(block, rows - lo, axis=0, out=line[:m, :-1], mode="clip")
+            line[:m][rows == side] = fill
             line[:m, -1] = fill
             line[:m] *= weights[r0:r1, None]
             for taps, weights in col_taps:
@@ -447,15 +440,11 @@ def _illumination(config: OpticalConfig) -> np.ndarray:
     rows_um, cols_um = _sensor_coords_um(config)
     short_um = min(config.sensor_height, config.sensor_width) * config.pixel_pitch_um
     w = 0.4 * short_um
-    rows2, cols2 = rows_um**2, cols_um**2
-    # exp(-2 r^2 / w^2), one row chunk at a time
-    out = np.empty((config.sensor_height, config.sensor_width))
-    for r0, r1 in _row_chunks(*out.shape):
-        band = out[r0:r1]
-        np.add(rows2[r0:r1, None], cols2, out=band)
-        band *= -2.0
-        band /= w * w
-        np.exp(band, out=band)
+    # exp(-2 r^2 / w^2), written in place in the output
+    out = np.add.outer(rows_um**2, cols_um**2)
+    out *= -2.0
+    out /= w * w
+    np.exp(out, out=out)
     return out
 
 
@@ -618,21 +607,6 @@ def simulate_stack(
     return FrameStack(frames, phases, meta)
 
 
-def _coordinate_bands(y: np.ndarray, x: np.ndarray):
-    """Yield (r0, r1, yy, xx, a, b) for each row chunk of the (y.size, x.size)
-    grid: yy and xx hold the chunk's row and column coordinates, each pixel's
-    own, and a and b are free bands of the same shape. The four are
-    contiguous, so numpy's vector loops run on them as on whole arrays, and
-    are reused from chunk to chunk; a caller may overwrite yy and xx."""
-    chunks = _row_chunks(y.size, x.size)
-    bands = np.empty((4, chunks[0][1] - chunks[0][0], x.size))
-    for r0, r1 in chunks:
-        yy, xx, a, b = bands[:, : r1 - r0]
-        yy[...] = y[r0:r1, None]
-        xx[...] = x
-        yield r0, r1, yy, xx, a, b
-
-
 def make_test_target(kind: str, size, **params) -> ObjectScene:
     """Deterministic parametric scenes for closed-loop testing.
 
@@ -652,7 +626,8 @@ def make_test_target(kind: str, size, **params) -> ObjectScene:
         raise ValueError(message)
     _check_counts(low=1, message=message, height=shape[0], width=shape[1])
     shape = (int(shape[0]), int(shape[1]))
-    pitch = float(params.pop("scene_pitch_um", 5.2))
+    pitch = params.pop("scene_pitch_um", 5.2)
+    _check_quantities(positive=True, scene_pitch_um=pitch)
     h, w = shape
     # the normalised row and column coordinates
     y = (np.arange(h) - (h - 1) / 2.0) / (min(h, w) / 2.0)
@@ -661,8 +636,9 @@ def make_test_target(kind: str, size, **params) -> ObjectScene:
     phase = np.zeros(shape)
 
     if kind == "ring-electrode":
-        for r0, r1, yy, xx, r, _ in _coordinate_bands(y, x):
-            np.hypot(yy, xx, out=r)
+        # in row bands, so that the radius and its masks stay small
+        for r0, r1 in _row_chunks(h, w):
+            r = np.hypot(y[r0:r1, None], x)
             band = amplitude[r0:r1]
             band[r < 0.08] = 0.0
             for i in range(3):
@@ -671,34 +647,24 @@ def make_test_target(kind: str, size, **params) -> ObjectScene:
     elif kind == "smooth-wing":
         # membrane with a soft body and periodic vein shading, amplitudes in (0, 1):
         # body = exp(-(xx*xx + 2*yy*yy)), veins = cos(4 pi xx) exp(-yy*yy),
-        # amplitude = 0.2 + 0.6 body + 0.15 veins, phase = 0.3 sin(2 pi xx) exp(-yy*yy)
-        for r0, r1, yy, xx, body, g in _coordinate_bands(y, x):
-            np.multiply(xx, xx, out=body)
-            np.multiply(yy, 2.0, out=g)
-            g *= yy
-            body += g
-            np.negative(body, out=body)
-            np.exp(body, out=body)
-            np.negative(yy, out=g)
-            g *= yy
-            np.exp(g, out=g)
-            amp, ph = amplitude[r0:r1], phase[r0:r1]
-            np.multiply(body, 0.6, out=amp)
-            amp += 0.2
-            # the veins, in yy's band once yy has been used
-            np.multiply(xx, 4.0 * np.pi, out=yy)
-            np.cos(yy, out=yy)
-            yy *= g
-            yy *= 0.15
-            amp += yy
-            np.multiply(xx, 2.0 * np.pi, out=ph)
-            np.sin(ph, out=ph)
-            ph *= 0.3
-            ph *= g
+        # amplitude = 0.2 + 0.6 body + 0.15 veins, phase = 0.3 sin(2 pi xx) exp(-yy*yy);
+        # only the body is not a row factor times a column factor
+        fade = np.exp(-y * y)
+        # 0.15 veins, held in phase until the amplitude has taken it
+        np.multiply(np.cos(4.0 * np.pi * x), fade[:, None], out=phase)
+        phase *= 0.15
+        np.add(x * x, (2.0 * y * y)[:, None], out=amplitude)
+        np.negative(amplitude, out=amplitude)
+        np.exp(amplitude, out=amplitude)
+        amplitude *= 0.6
+        amplitude += 0.2
+        amplitude += phase
+        np.multiply(0.3 * np.sin(2.0 * np.pi * x), fade[:, None], out=phase)
     elif kind == "phase-step":
-        step = float(params.pop("step_rad", math.pi / 4.0))
-        phase[...] = np.where(x >= 0.0, step, 0.0)
+        step = params.pop("step_rad", math.pi / 4.0)
+        _check_quantities(step_rad=step)
+        phase[...] = np.where(x >= 0.0, float(step), 0.0)
 
     if params:
         raise ValueError(f"unknown target parameter(s): {sorted(params)}")
-    return ObjectScene(amplitude, phase, scene_pitch_um=pitch)
+    return ObjectScene(amplitude, phase, scene_pitch_um=float(pitch))

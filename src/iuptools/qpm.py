@@ -147,6 +147,7 @@ class CrystalState:
     def __post_init__(self) -> None:
         message = "poling_period_um must be finite and > 0"
         _check_quantities(positive=True, message=message, poling_period_um=self.poling_period_um)
+        _check_quantities(temperature_c=self.temperature_c)
         _check_window(self.dispersion_set, self.temperature_c)
 
 

@@ -20,6 +20,7 @@ from iuptools.fringes import (
     analyze_stack,
     contrast,
     dft_component,
+    single_bin_amplitude,
     visibility,
 )
 from iuptools.optics import (
@@ -34,13 +35,14 @@ from iuptools.optics import (
     psf_width,
     render_frame,
 )
-from iuptools.qpm import idler_from_signal
+from iuptools.qpm import CrystalState, idler_from_signal
 
 SCENE = make_test_target("smooth-wing", (12, 14), scene_pitch_um=5.2)
 CONFIG = OpticalConfig(sensor_width=10, sensor_height=8)
 SHOT = NoiseModel(shot_noise=True, read_noise_sigma=2.0, rng_seed=5)
 PHASES = 2.0 * np.pi * np.arange(4) / 4
 RAMP = np.linspace(0.0, 1.0, 6)[None, :] + np.linspace(0.0, 0.5, 5)[:, None]
+SERIES = 100.0 + 40.0 * np.cos(2.0 * np.pi * 1.25 * np.arange(6) / 6 + 0.4)
 STACK = FrameStack(100.0 * (1.0 + 0.5 * np.cos(PHASES[:, None, None] + RAMP)), PHASES)
 
 # (site, call with the value, error class, the name the error gives, good value, rule, bound):
@@ -58,6 +60,10 @@ SITES = [
      ValueError, "size", 6, "count", 1),
     ("make_test_target:size-pair", lambda v: make_test_target("ring-electrode", (7, v)),
      ValueError, "size", 9, "count", 1),
+    ("make_test_target:scene_pitch_um", lambda v: make_test_target("uniform", 4, scene_pitch_um=v),
+     ValueError, "scene_pitch_um", 5.2, "quantity", "> 0"),
+    ("make_test_target:step_rad", lambda v: make_test_target("phase-step", (4, 6), step_rad=v),
+     ValueError, "step_rad", 0.3, "quantity", None),
     ("fringe_phase_from_mirror:idler_wavelength_nm", lambda v: fringe_phase_from_mirror(123.0, v),
      ValueError, "idler_wavelength_nm", 1558.0, "quantity", "> 0"),
     ("coherence_envelope:path_mismatch_mm", lambda v: coherence_envelope(v, 0.1),
@@ -101,10 +107,14 @@ SITES = [
      ValueError, "frame count", 3, "count", 3),
     ("dft_component:m", lambda v: dft_component([2.0, 1.0, 0.0, 1.0, 3.0], v),
      ValueError, "m", 1, "count", 0),
+    ("single_bin_amplitude:f", lambda v: single_bin_amplitude(SERIES, v),
+     ValueError, "f must", 1.25, "quantity", None),
     ("contrast:F1", lambda v: contrast(v, 4), ValueError, "F1", 2.0, "quantity", ">= 0"),
     ("contrast:K", lambda v: contrast(2.0, v), ValueError, "K", 4, "count", 3),
     ("visibility:F0", lambda v: visibility(v, 1.5), ValueError, "F0", 4.0, "quantity", "> 0"),
     ("visibility:F1", lambda v: visibility(4.0, v), ValueError, "F1", 1.5, "quantity", ">= 0"),
+    ("CrystalState:temperature_c", lambda v: CrystalState(7.4, v),
+     ValueError, "temperature_c", 25.0, "quantity", None),
     ("idler_from_signal:pump_nm", lambda v: idler_from_signal(v, 808.0),
      ValueError, "pump_nm", 532.0, "quantity", "> 0"),
     ("idler_from_signal:signal_nm", lambda v: idler_from_signal(532.0, v),

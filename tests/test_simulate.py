@@ -297,6 +297,11 @@ class TestTargets:
         scene = make_test_target("phase-step", (37, 101), step_rad=-2.5)
         assert scene.phase_map.tobytes() == full_array_target("phase-step", (37, 101), -2.5)[1].tobytes()
 
+    def test_integer_step_and_pitch_accepted_as_floats(self):
+        scene = make_test_target("phase-step", (3, 4), step_rad=np.int64(2), scene_pitch_um=3)
+        assert scene.phase_map.tobytes() == full_array_target("phase-step", (3, 4), 2.0)[1].tobytes()
+        assert type(scene.scene_pitch_um) is float and scene.scene_pitch_um == 3.0
+
     @pytest.mark.parametrize("kind", optics.TARGET_KINDS)
     def test_full_frame_memory_is_the_maps_and_a_band_budget(self, kind):
         # the two maps, plus 2 MiB for the row bands; whole-size coordinate
@@ -674,6 +679,12 @@ class TestIllumination:
     def test_equals_full_array_formula(self, shape):
         cfg = OpticalConfig(sensor_height=shape[0], sensor_width=shape[1])
         assert optics._illumination(cfg).tobytes() == full_array_illumination(cfg).tobytes()
+
+    def test_full_sensor_memory_is_the_output_and_under_1_mib(self):
+        # written in place in its output: a whole-array exp(-2 r^2 / w^2)
+        # would add about 20 MiB of temporaries
+        peak = traced_peak(lambda: optics._illumination(OpticalConfig()))
+        assert peak < 1024 * 1280 * 8 + MiB
 
 
 @pytest.fixture
