@@ -27,7 +27,8 @@ here, each raising the caller's error class and naming the argument: a count
 (_check_counts) is an int or numpy integer, never a bool, within given bounds;
 a quantity (_check_quantities) is a finite real number, never a bool, > 0 or
 >= 0 where asked. _check_fields applies them to a settings dataclass by field
-type.
+type, and _check_reals applies the quantity rule's type half to numbers and
+array-likes before they are converted to float.
 """
 
 from __future__ import annotations
@@ -385,6 +386,23 @@ def _check_quantities(
             raise error(message or f"{name} must be finite, got {value!r}")
         if (positive and not value > 0) or (non_negative and not value >= 0):
             raise error(message or f"{name} must be {'> 0' if positive else '>= 0'}, got {value!r}")
+
+
+def _check_reals(**values) -> None:
+    """The quantity rule's type half for numbers and array-likes of them: raise
+    ValueError naming the first of values that is, or holds, a bool or no real
+    number, by its index in an array. Whether a number is finite and in range is
+    left to the caller's checks."""
+    for name, value in values.items():
+        if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+            continue
+        cells = np.asarray(value, dtype=object)
+        # one test per type held, then a search for the first value of a refused type
+        types = set(map(type, cells.flat))
+        refused = {k for k in types if issubclass(k, bool) or not issubclass(k, numbers.Real)}
+        if refused:
+            at, v = next((at, v) for at, v in np.ndenumerate(cells) if type(v) in refused)
+            raise ValueError(f"{name}{list(at) if at else ''} must be a real number, got {v!r}")
 
 
 def _check_fields(settings, error: type[ValueError], positive=(), non_negative=()) -> None:

@@ -15,11 +15,11 @@ The period-free part of dk is scanned once per temperature over a 0.5 nm
 signal grid, and every period's first sign change on that row is found by one
 sorted search in the row's running maximum or minimum. A row that is monotone
 in the direction a period needs is its own running extreme and is searched as
-it is; a row holding a non-finite value is scanned pair by pair instead. Cells
-left unmatched where the scan ends at degeneracy get the same search on a finer
-row over the last 2 nm (the tangency scan). At most _ROWS_PER_PASS rows (of
-temperatures, or of periods in the pair-by-pair scans) are held at once, so
-memory does not grow with either side of the grid. One run of Brent's method
+it is; a row holding a non-finite value is scanned pair by pair instead. A cell
+left unmatched where the scan ends at degeneracy, where dk is tangent to zero,
+is solved there when |dk| <= 1e-6 1/um at that point. At most _ROWS_PER_PASS
+rows (of temperatures, or of periods in the pair-by-pair scan) are held at once,
+so memory does not grow with either side of the grid. One run of Brent's method
 (scipy's brentq, step for step) polishes all bracketed roots together and hands
 back dk at each root as its residual; a bracket whose step meets NaN ends there
 with no root, and its cell with a note, instead of raising.
@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fringes import _check_quantities
+from .fringes import _check_quantities, _check_reals
 from .stackio import _field, _key_values
 
 __all__ = [
@@ -213,6 +213,7 @@ def refractive_index(wavelength_nm, temperature_c: float, dispersion_set: Disper
     Accepts scalar or array wavelengths (nm). Raises for values outside the
     set's declared validity window.
     """
+    _check_reals(wavelength_nm=wavelength_nm, temperature_c=temperature_c)
     ds = dispersion_set if dispersion_set is not None else default_dispersion_set()
     _check_window(ds, temperature_c, wavelength=wavelength_nm)
     lam_um = np.asarray(wavelength_nm, dtype=np.float64) / 1000.0
@@ -245,6 +246,7 @@ def qpm_mismatch(pump_nm: float, signal_nm, crystal: CrystalState):
     The idler follows from energy conservation; signal_nm may be an array.
     Raises for wavelengths outside the dispersion set's validity window.
     """
+    _check_reals(pump_nm=pump_nm, signal_nm=signal_nm)
     ds, signal = crystal.dispersion_set, np.asarray(signal_nm, dtype=np.float64)
     _check_window(ds, crystal.temperature_c, pump=pump_nm, signal=signal)
     idler = 1.0 / (1.0 / pump_nm - 1.0 / signal)
@@ -259,11 +261,10 @@ def _signal_scan_bounds(pump_nm: float, ds: DispersionSet) -> tuple[float, float
     # scanning past it puts the Sellmeier form under its poles and yields NaN
     lam_min_nm = ds.lambda_min_um * 1000.0
     lam_max_nm = ds.lambda_max_um * 1000.0
-    degenerate = 2.0 * pump_nm
     lo = max(lam_min_nm, pump_nm * 1.01)
     if 1.0 / pump_nm > 1.0 / lam_max_nm:
         lo = max(lo, 1.0 / (1.0 / pump_nm - 1.0 / lam_max_nm))
-    hi = min(degenerate, lam_max_nm)
+    hi = min(2.0 * pump_nm, lam_max_nm)
     if not lo < hi:
         raise PhaseMatchError(
             f"no scannable signal range for pump {pump_nm} nm inside dispersion "
@@ -419,38 +420,27 @@ def _solve_grid(pump_nm: float, periods: list, temps: list, ds: DispersionSet) -
     except PhaseMatchError as err:
         return [TuningPoint(p, t, None, str(err)) for p in periods for t in temps]
     grid = np.append(np.arange(lo, hi, _SCAN_STEP_NM), hi)
-    fine = np.linspace(max(lo, hi - 2.0), hi, 401)
     temp, inv_period = np.array(temps, dtype=np.float64), 1.0 / np.array(periods, dtype=np.float64)
     by_temp = _temperature_terms(pump_nm, temp, ds)
 
     shape = inv_period.size, temp.size
     found, a, b = np.empty(shape, dtype=bool), np.empty(shape), np.empty(shape)
-    low, high = np.empty(temp.size), np.empty(temp.size)
+    low, high, last = np.empty(temp.size), np.empty(temp.size), np.empty(temp.size)
     for at in _passes(temp.size):
         rows = _mismatch_terms(pump_nm, grid, by_temp[:, at, None], ds)
         found[:, at], a[:, at], b[:, at] = _first_roots(grid, rows, inv_period)
+        last[at] = rows[:, -1]
         # the notes of unmatched cells need their rows' finite extremes
         noted = np.flatnonzero(~found[:, at].all(axis=0))
         finite = np.isfinite(rows[noted])
         low[at.start + noted] = np.where(finite, rows[noted], np.inf).min(axis=1)
         high[at.start + noted] = np.where(finite, rows[noted], -np.inf).max(axis=1)
-    # tangency fallback: refine near the degenerate edge, in one fine row per
-    # temperature with unmatched cells, searched as the pre-scan's rows are and made
-    # _ROWS_PER_PASS temperatures at a time; only unmatched cells take the result,
-    # and one tangent to zero at the edge is solved there, with signal = idler = hi
-    residual, tangent = np.zeros(shape), np.zeros(shape, dtype=bool)
-    missing = np.flatnonzero(~found.all(axis=0) & (hi == 2.0 * pump_nm))
-    for at in _passes(missing.size):
-        t = missing[at]
-        fine_rows = _mismatch_terms(pump_nm, fine, by_temp[:, t, None], ds)
-        hit, fine_a, fine_b = _first_roots(fine, fine_rows, inv_period)
-        edge = np.abs(2.0 * np.pi * (fine_rows[:, -1] - inv_period[:, None]))
-        unmatched = ~found[:, t]
-        on_edge = unmatched & ~hit & (edge <= _DEGENERATE_TOL)
-        found[:, t] |= hit | on_edge
-        tangent[:, t], residual[:, t] = on_edge, np.where(on_edge, edge, 0.0)
-        a[:, t] = np.where(on_edge, hi, np.where(unmatched, fine_a, a[:, t]))
-        b[:, t] = np.where(on_edge, hi, np.where(unmatched, fine_b, b[:, t]))
+    # dk is tangent to zero at degeneracy, so an unmatched cell whose scan ends there
+    # is solved there, with signal = idler = hi, when |dk| at hi is within _DEGENERATE_TOL
+    edge = np.abs(2.0 * np.pi * (last - inv_period[:, None]))
+    tangent = ~found & (hi == 2.0 * pump_nm) & (edge <= _DEGENERATE_TOL)
+    found |= tangent
+    a[tangent], b[tangent], residual = hi, hi, np.where(tangent, edge, 0.0)
     found, a, b, residual = found.ravel(), a.ravel(), b.ravel(), residual.ravel()
     polish = np.flatnonzero(found & (a < b))
     terms, level = by_temp[:, polish % temp.size], inv_period[polish // temp.size]
@@ -500,9 +490,8 @@ def solve_signal_idler(pump_nm: float, crystal: CrystalState) -> WavelengthPair:
     when no sign change exists the degenerate point itself is checked before
     giving up. This is the 1x1 case of tuning_curve's grid solve.
     """
-    _check_window(crystal.dispersion_set, crystal.temperature_c, pump=pump_nm)
     cell = [crystal.poling_period_um], [crystal.temperature_c]
-    (point,) = _solve_grid(pump_nm, *cell, crystal.dispersion_set)
+    (point,) = tuning_curve(pump_nm, *cell, crystal.dispersion_set)
     if point.pair is None:
         raise PhaseMatchError(point.note)
     return point.pair
@@ -519,8 +508,9 @@ def tuning_curve(
     Cells without a solution carry pair=None and a note instead of raising.
     """
     ds = dispersion_set if dispersion_set is not None else default_dispersion_set()
-    periods = sorted(float(p) for p in poling_periods_um)
-    temps = sorted(float(t) for t in temperatures_c)
+    periods, temps = list(poling_periods_um), list(temperatures_c)
+    _check_reals(pump_nm=pump_nm, poling_periods_um=periods, temperatures_c=temps)
+    periods, temps = sorted(map(float, periods)), sorted(map(float, temps))
     if not periods or not temps:
         raise ValueError("poling period and temperature grids must be non-empty")
     # CrystalState raises for the first bad value in (period, T) cell order:

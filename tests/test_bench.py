@@ -30,6 +30,11 @@ class TestRunBench:
         with pytest.raises(ValueError):
             run_bench(width=48, height=32, frame_counts=(2,), runs=2)
 
+    @pytest.mark.parametrize("frame_counts", [[], ()])
+    def test_no_frame_count_is_refused(self, frame_counts):
+        with pytest.raises(ValueError, match="^frame_counts must be non-empty$"):
+            run_bench(8, 6, frame_counts, 2)
+
     @pytest.mark.parametrize("k", [3.7, 3.0, "4"])
     def test_non_integer_frame_count_refused_by_value(self, k):
         with pytest.raises(ValueError, match=f"frame count {k!r} is not an integer"):

@@ -35,7 +35,14 @@ from iuptools.optics import (
     psf_width,
     render_frame,
 )
-from iuptools.qpm import CrystalState, idler_from_signal
+from iuptools.qpm import (
+    CrystalState,
+    idler_from_signal,
+    qpm_mismatch,
+    refractive_index,
+    solve_signal_idler,
+    tuning_curve,
+)
 
 SCENE = make_test_target("smooth-wing", (12, 14), scene_pitch_um=5.2)
 CONFIG = OpticalConfig(sensor_width=10, sensor_height=8)
@@ -44,6 +51,7 @@ PHASES = 2.0 * np.pi * np.arange(4) / 4
 RAMP = np.linspace(0.0, 1.0, 6)[None, :] + np.linspace(0.0, 0.5, 5)[:, None]
 SERIES = 100.0 + 40.0 * np.cos(2.0 * np.pi * 1.25 * np.arange(6) / 6 + 0.4)
 STACK = FrameStack(100.0 * (1.0 + 0.5 * np.cos(PHASES[:, None, None] + RAMP)), PHASES)
+CRYSTAL = CrystalState(7.4, 25.0)
 
 # (site, call with the value, error class, the name the error gives, good value, rule, bound):
 # a count's bound is its least value; a quantity's is "> 0", ">= 0" or None
@@ -119,6 +127,18 @@ SITES = [
      ValueError, "pump_nm", 532.0, "quantity", "> 0"),
     ("idler_from_signal:signal_nm", lambda v: idler_from_signal(532.0, v),
      ValueError, "signal_nm", 808.0, "quantity", "> 0"),
+    ("tuning_curve:poling_periods_um", lambda v: tuning_curve(532.0, [v], [25.0]),
+     ValueError, "poling_period", 7.4, "quantity", "> 0"),
+    ("tuning_curve:temperatures_c", lambda v: tuning_curve(532.0, [7.4], [v]),
+     ValueError, "temperature", 25.0, "quantity", None),
+    ("refractive_index:wavelength_nm", lambda v: refractive_index(v, 25.0),
+     ValueError, "wavelength", 1550.0, "quantity", "> 0"),
+    ("refractive_index:temperature_c", lambda v: refractive_index(1550.0, v),
+     ValueError, "temperature", 25.0, "quantity", None),
+    ("qpm_mismatch:pump_nm", lambda v: qpm_mismatch(v, 800.0, CRYSTAL),
+     ValueError, "pump", 532.0, "quantity", "> 0"),
+    ("solve_signal_idler:pump_nm", lambda v: solve_signal_idler(v, CRYSTAL),
+     ValueError, "pump", 532.0, "quantity", "> 0"),
 ]
 
 NOT_NUMBERS = [True, np.True_, "3", np.nan, np.inf, -np.inf]

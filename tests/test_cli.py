@@ -406,6 +406,21 @@ class TestTune:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert option in err[0] and repr(text) in err[0]
 
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (("--periods", "7.3:7.8", "--temps", "25"),
+             "error: --periods: range must be start:stop:step, got '7.3:7.8'"),
+            (("--periods", "7.4", "--temps", "20:200:0"), "error: --temps: range step must be > 0"),
+            (("--periods", "7.4", "--temps", "20:200:-10"), "error: --temps: range step must be > 0"),
+        ],
+    )
+    def test_malformed_range_fails_in_one_line(self, tmp_path, capsys, argv, shown):
+        out = tmp_path / "grid.csv"
+        assert run("tune", *argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [shown]
+        assert not out.exists()
+
 
 class TestBench:
     def test_table_output(self, capsys):

@@ -154,6 +154,11 @@ class TestSingleBinAmplitude:
         with pytest.raises(NyquistError):
             single_bin_amplitude([1.0, 2.0], 0.5)
 
+    @pytest.mark.parametrize("series", [np.ones((2, 4)), np.ones((1, 8)), 3.0])
+    def test_series_that_is_not_1d_rejected(self, series):
+        with pytest.raises(ValueError, match="^series must be 1-D$"):
+            single_bin_amplitude(series, 1.0)
+
 
 class TestScalarMaps:
     def test_visibility_from_full_modulation(self):
@@ -189,6 +194,10 @@ class TestScalarMaps:
 
     def test_phase_negative_axis_maps_to_pi(self):
         assert phase(-1.0 + 0.0j) == pytest.approx(np.pi)
+
+    def test_phase_below_the_negative_axis_maps_to_pi(self):
+        # atan2(-0.0, -1.0) is -pi, outside the half-open range
+        assert phase(complex(-1.0, -0.0)) == np.pi
 
     def test_phase_zero_amplitude_rejected(self):
         with pytest.raises(ValueError):

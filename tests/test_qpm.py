@@ -44,7 +44,7 @@ MATCHING_PERIODS_UM = {
 
 
 def reference_solve(pump_nm, crystal):
-    """The solver as two explicit scans over grid points, kept as an oracle."""
+    """The solver as one explicit scan over grid points, kept as an oracle."""
     lo, hi = _signal_scan_bounds(pump_nm, crystal.dispersion_set)
     grid = np.append(np.arange(lo, hi, 0.5), hi)
     values = qpm_mismatch(pump_nm, grid, crystal)
@@ -63,16 +63,8 @@ def reference_solve(pump_nm, crystal):
         if values[i] * values[i + 1] < 0.0:
             bracket = (float(grid[i]), float(grid[i + 1]))
             break
-    if bracket is None and hi == 2.0 * pump_nm:
-        fine = np.linspace(max(lo, hi - 2.0), hi, 401)
-        fine_vals = qpm_mismatch(pump_nm, fine, crystal)
-        ok = np.isfinite(fine_vals)
-        for i in range(fine.size - 1):
-            if ok[i] and ok[i + 1] and fine_vals[i] * fine_vals[i + 1] < 0.0:
-                bracket = (float(fine[i]), float(fine[i + 1]))
-                break
-        if bracket is None and ok[-1] and abs(float(fine_vals[-1])) <= 1e-6:
-            return WavelengthPair(hi, hi, abs(float(fine_vals[-1])))
+    if bracket is None and hi == 2.0 * pump_nm and abs(float(values[-1])) <= 1e-6:
+        return WavelengthPair(hi, hi, abs(float(values[-1])))
     if bracket is None:
         return None
 
@@ -796,6 +788,44 @@ class TestTuningCurve:
             tuning_curve(PUMP_NM, periods, temps)
         assert str(caught.value) == want
 
+    @pytest.mark.parametrize(
+        "call, name, value",
+        [
+            (lambda c: tuning_curve(532, [True], [25.0]), "poling_periods_um[0]", True),
+            (lambda c: tuning_curve(532, ["7.4"], [25.0]), "poling_periods_um[0]", "7.4"),
+            (lambda c: tuning_curve(532, [7.4], ["25"]), "temperatures_c[0]", "25"),
+            (lambda c: refractive_index("1550", 25.0), "wavelength_nm", "1550"),
+            (lambda c: qpm_mismatch(532.0, "800", c), "signal_nm", "800"),
+            (lambda c: refractive_index(1550.0, "25"), "temperature_c", "25"),
+            (lambda c: qpm_mismatch("532", 800.0, c), "pump_nm", "532"),
+            (lambda c: solve_signal_idler("532", c), "pump_nm", "532"),
+        ],
+        ids=[
+            "tuning_curve-bool-period", "tuning_curve-str-period", "tuning_curve-str-temperature",
+            "refractive_index-str-wavelength", "qpm_mismatch-str-signal",
+            "refractive_index-str-temperature", "qpm_mismatch-str-pump",
+            "solve_signal_idler-str-pump",
+        ],
+    )
+    def test_a_value_that_is_no_number_is_refused_by_name(self, call, name, value):
+        shown = f"{name} must be a real number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(shown)}$"):
+            call(CrystalState(7.4, 25.0))
+
+    def test_a_bool_among_numbers_is_refused_at_its_index(self):
+        shown = f"poling_periods_um[1] must be a real number, got {np.True_!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(shown)}$"):
+            tuning_curve(PUMP_NM, [7.4, np.True_], [25.0])
+        shown = "wavelength_nm[1, 0] must be a real number, got True"
+        with pytest.raises(ValueError, match=f"^{re.escape(shown)}$"):
+            refractive_index(np.array([[1064.0, 900.0], [True, 1000.0]], dtype=object), 25.0)
+
+    @pytest.mark.parametrize("periods, temps", [([], [25.0]), ([7.4], []), ((), ())])
+    def test_an_empty_grid_is_refused(self, periods, temps):
+        shown = "^poling period and temperature grids must be non-empty$"
+        with pytest.raises(ValueError, match=shown):
+            tuning_curve(PUMP_NM, periods, temps)
+
     def test_grid_check_constructs_no_crystal_state(self, monkeypatch):
         made, real = [], qpm.CrystalState
 
@@ -890,6 +920,32 @@ class TestTuningCurve:
             assert bool(point.note) == (want is None)
             kinds.add("none" if want is None else "pair")
         assert kinds == {"none", "pair"}
+
+    def test_a_pair_beside_a_pole_at_degeneracy_is_unmatched(self, tmp_path):
+        # a sign change between points of a finer row next to the pole is no longer
+        # searched for: the cell is unmatched, as its 0.5 nm scan row shows
+        ds = table_with(tmp_path, a4=-1e-5, a5=1.064, b4=0.0)
+        (point,) = tuning_curve(PUMP_NM, [7.0], [140.0], ds)
+        assert point.pair is None
+        assert "(mismatch spans [" in point.note and "over signal 613.6..1064.0 nm)" in point.note
+        assert reference_solve(PUMP_NM, CrystalState(7.0, 140.0, ds)) is None
+
+    @pytest.mark.parametrize("rows", [64, 2])
+    def test_one_bracket_search_per_pass_of_temperatures(self, monkeypatch, rows):
+        calls, real = [], qpm._first_roots
+
+        def counting(grid, scan_rows, levels):
+            calls.append(scan_rows.shape[0])
+            return real(grid, scan_rows, levels)
+
+        monkeypatch.setattr(qpm, "_first_roots", counting)
+        monkeypatch.setattr(qpm, "_ROWS_PER_PASS", rows)
+        temps = [20.0, 60.0, 100.0, 150.0, 200.0]
+        points = tuning_curve(PUMP_NM, [5.0, 7.4, degenerate_period(100.0)], temps)
+        pairs = [p.pair for p in points]
+        kinds = {"none" if p is None else "degenerate" if p.degenerate else "pair" for p in pairs}
+        assert kinds == {"none", "degenerate", "pair"}
+        assert calls == [min(rows, len(temps) - i) for i in range(0, len(temps), rows)]
 
     def test_a_nan_stretch_inside_a_bracket_fails_its_cell_alone(self, tmp_path):
         # the second Sellmeier pole at 1.9648 um puts a stretch of n^2 < 0 strictly

@@ -129,6 +129,11 @@ class TestSceneAndConfig:
         with pytest.raises(ValueError, match="scene maps must be finite"):
             ObjectScene(np.ones((4, 4)), np.full((4, 4), np.nan))
 
+    @pytest.mark.parametrize("shape", [(3,), (0, 3), (2, 2, 2)])
+    def test_scene_maps_that_are_not_2d_or_empty_refused(self, shape):
+        with pytest.raises(ValueError, match="^amplitude_map must be a non-empty 2-D array$"):
+            ObjectScene(np.ones(shape), np.ones(shape))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", ["amplitude_map", "phase_map"])
     def test_non_finite_scene_maps_refused(self, field, value):
