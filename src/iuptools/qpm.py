@@ -19,7 +19,9 @@ it is; a row holding a non-finite value is scanned pair by pair instead. A cell
 left unmatched where the scan ends at degeneracy, where dk is tangent to zero,
 is solved there when |dk| <= 1e-6 1/um at that point. At most _ROWS_PER_PASS
 rows (of temperatures, or of periods in the pair-by-pair scan) are held at once,
-so memory does not grow with either side of the grid. One run of Brent's method
+so memory does not grow with either side of the grid. A pass's rows are evaluated
+in place, in arrays made once per grid, in the operation order of _mismatch_terms,
+so they are its values bit for bit, NaN included. One run of Brent's method
 (scipy's brentq, step for step) polishes all bracketed roots together and hands
 back dk at each root as its residual; a bracket whose step meets NaN ends there
 with no root, and its cell with a note, instead of raising.
@@ -104,6 +106,20 @@ class DispersionSet:
         a5, a6 = self.a[4:]
         lam2 = np.square(wavelength_um)
         return c1 + c2 / (lam2 - c3) + c4 / (lam2 - a5 * a5) - a6 * lam2
+
+    def _index_squared_into(self, wavelength_um, thermal, out, pole):
+        """_index_squared step for step, written into out, with pole (an array of out's
+        shape) for the second pole term; returns out."""
+        c1, c2, c3, c4 = thermal
+        a5, a6 = self.a[4:]
+        lam2 = np.square(wavelength_um)
+        np.subtract(lam2, c3, out=out)
+        np.divide(c2, out, out=out)
+        np.add(c1, out, out=out)
+        np.divide(c4, lam2 - a5 * a5, out=pole)
+        out += pole
+        out -= a6 * lam2
+        return out
 
 
 def load_dispersion_set(path: str | Path) -> DispersionSet:
@@ -240,6 +256,24 @@ def _mismatch_terms(pump_nm: float, signal, terms: np.ndarray, ds: DispersionSet
         return terms[0] - n_s * (1000.0 / signal) - n_i * (1000.0 / idler)
 
 
+def _scan_rows(
+    pump_nm: float, grid: np.ndarray, terms: np.ndarray, ds: DispersionSet, rows, held, pole
+) -> np.ndarray:
+    """_mismatch_terms(pump_nm, grid, terms[:, :, None], ds) step for step, NaN included,
+    written into rows; held and pole (arrays of rows' shape) take the idler's index and
+    the second pole terms, so a pass of scan rows makes no array of its size."""
+    idler = 1.0 / (1.0 / pump_nm - 1.0 / grid)
+    thermal = terms[1:, :, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        np.sqrt(ds._index_squared_into(grid / 1000.0, thermal, rows, pole), out=rows)
+        rows *= 1000.0 / grid
+        np.subtract(terms[0, :, None], rows, out=rows)
+        np.sqrt(ds._index_squared_into(idler / 1000.0, thermal, held, pole), out=held)
+        held *= 1000.0 / idler
+        rows -= held
+    return rows
+
+
 def qpm_mismatch(pump_nm: float, signal_nm, crystal: CrystalState):
     """Signed collinear first-order QPM mismatch in 1/um.
 
@@ -311,7 +345,9 @@ def _first_roots(
     for d, side in enumerate((above, ~above)):
         searched = np.flatnonzero(finite & side.any(axis=1))
         if searched.size:
-            signed, keys = (rows[searched], levels) if d == 0 else (-rows[searched], -levels)
+            # every row is searched in the usual case, and is then read where it is
+            signed = rows if searched.size == len(rows) else rows[searched]
+            signed, keys = (signed, levels) if d == 0 else (-signed, -levels)
             sorted_rows = (signed[:, 1:] >= signed[:, :-1]).all(axis=1).tolist()
             for t, row, ok in zip(searched.tolist(), signed, sorted_rows):
                 j[d, t] = (row if ok else np.maximum.accumulate(row)).searchsorted(keys)
@@ -426,8 +462,10 @@ def _solve_grid(pump_nm: float, periods: list, temps: list, ds: DispersionSet) -
     shape = inv_period.size, temp.size
     found, a, b = np.empty(shape, dtype=bool), np.empty(shape), np.empty(shape)
     low, high, last = np.empty(temp.size), np.empty(temp.size), np.empty(temp.size)
+    # one pass's scan rows and the two arrays they are evaluated with, made once
+    buffers = np.empty((3, min(temp.size, _ROWS_PER_PASS), grid.size))
     for at in _passes(temp.size):
-        rows = _mismatch_terms(pump_nm, grid, by_temp[:, at, None], ds)
+        rows = _scan_rows(pump_nm, grid, by_temp[:, at], ds, *buffers[:, : temp[at].size])
         found[:, at], a[:, at], b[:, at] = _first_roots(grid, rows, inv_period)
         last[at] = rows[:, -1]
         # the notes of unmatched cells need their rows' finite extremes
@@ -505,9 +543,19 @@ def tuning_curve(
 ) -> list[TuningPoint]:
     """Solve every (poling period, temperature) grid cell, ordered by (period, T).
 
-    Cells without a solution carry pair=None and a note instead of raising.
+    Each grid is a 1-D sequence of numbers; a scalar or a nested grid is refused
+    by name. Cells without a solution carry pair=None and a note instead of raising.
     """
     ds = dispersion_set if dispersion_set is not None else default_dispersion_set()
+    # list() of a scalar, or float() of a row, would raise a bare TypeError below
+    for name, grid in (("poling_periods_um", poling_periods_um), ("temperatures_c", temperatures_c)):
+        try:
+            flat = np.ndim(grid) == 1
+        except ValueError:  # sequences nested to uneven depths
+            flat = False
+        if not flat:
+            shown = f"an array of shape {grid.shape}" if isinstance(grid, np.ndarray) else repr(grid)
+            raise ValueError(f"{name} must be a 1-D sequence of numbers, got {shown}")
     periods, temps = list(poling_periods_um), list(temperatures_c)
     _check_reals(pump_nm=pump_nm, poling_periods_um=periods, temperatures_c=temps)
     periods, temps = sorted(map(float, periods)), sorted(map(float, temps))

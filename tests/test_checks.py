@@ -141,7 +141,8 @@ SITES = [
      ValueError, "pump", 532.0, "quantity", "> 0"),
 ]
 
-NOT_NUMBERS = [True, np.True_, "3", np.nan, np.inf, -np.inf]
+# "25" lies inside every site's window, so a site that converted text would accept it
+NOT_NUMBERS = [True, np.True_, "3", "25", np.nan, np.inf, -np.inf]
 
 
 def _refused(rule, bound) -> list:

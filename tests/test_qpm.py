@@ -32,6 +32,7 @@ from iuptools.qpm import (
     _first_root,
     _first_roots,
     _mismatch_terms,
+    _scan_rows,
     _signal_scan_bounds,
     _temperature_terms,
 )
@@ -707,6 +708,69 @@ class TestPolish:
             assert row.tolist() == _mismatch_terms(PUMP_NM, fine, by_temp[:, t], ds).tolist()
 
 
+def scan_grid(pump_nm, ds):
+    """The pre-scan's 0.5 nm signal grid."""
+    lo, hi = _signal_scan_bounds(pump_nm, ds)
+    return np.append(np.arange(lo, hi, 0.5), hi)
+
+
+def expression_rows(pump_nm, temps, ds):
+    """Every temperature's scan row from _mismatch_terms, which allocates as it goes."""
+    by_temp = _temperature_terms(pump_nm, np.asarray(temps), ds)
+    return _mismatch_terms(pump_nm, scan_grid(pump_nm, ds), by_temp[:, :, None], ds)
+
+
+class TestScanRowsInPlace:
+    """The pre-scan's rows, evaluated in place, are _mismatch_terms' rows bit for bit."""
+
+    @staticmethod
+    def in_place(pump_nm, temps, ds):
+        grid, by_temp = scan_grid(pump_nm, ds), _temperature_terms(pump_nm, np.asarray(temps), ds)
+        # stale values in every buffer: a step that left one unwritten would show
+        buffers = np.full((3, len(temps), grid.size), 7.0)
+        rows = _scan_rows(pump_nm, grid, by_temp, ds, *buffers)
+        assert np.shares_memory(rows, buffers[0])
+        return buffers[0]
+
+    @pytest.mark.parametrize("pump_nm", sorted(MATCHING_PERIODS_UM))
+    def test_rows_equal_the_expressions_on_the_bundled_table(self, pump_nm):
+        ds, temps = default_dispersion_set(), np.linspace(20.0, 200.0, 37)
+        want = expression_rows(pump_nm, temps, ds)
+        assert np.array_equal(self.in_place(pump_nm, temps, ds), want, equal_nan=True)
+
+    def test_rows_that_are_not_finite_equal_the_expressions(self, tmp_path):
+        # the pole table of test_rows_that_are_not_finite_match_reference_solve
+        ds = table_with(tmp_path, a1=4.55, a4=-5.821011, a5=2.0, b4=1e-4)
+        temps = np.arange(20.0, 200.5, 10.0)
+        want = expression_rows(PUMP_NM, temps, ds)
+        holds_nan = np.isnan(want).any(axis=1)
+        assert holds_nan.any() and not holds_nan.all()
+        assert np.array_equal(self.in_place(PUMP_NM, temps, ds), want, equal_nan=True)
+
+    @pytest.mark.parametrize("rows_per_pass", [1, 3])
+    def test_rows_of_every_pass_equal_the_expressions(self, monkeypatch, tmp_path, rows_per_pass):
+        seen, real = [], qpm._first_roots
+
+        def keeping(grid, scan_rows, levels):
+            seen.append(scan_rows.copy())
+            return real(grid, scan_rows, levels)
+
+        monkeypatch.setattr(qpm, "_first_roots", keeping)
+        monkeypatch.setattr(qpm, "_ROWS_PER_PASS", rows_per_pass)
+        temps = np.linspace(20.0, 200.0, 10)
+        pole = table_with(tmp_path, a1=4.55, a4=-5.821011, a5=2.0, b4=1e-4)
+        for ds in (default_dispersion_set(), pole):
+            seen.clear()
+            tuning_curve(PUMP_NM, [7.4, 8.0], temps, ds)
+            want = expression_rows(PUMP_NM, temps, ds)
+            # the last pass is the shorter one where rows_per_pass does not divide 10
+            assert [len(rows) for rows in seen] == [
+                min(rows_per_pass, 10 - i) for i in range(0, 10, rows_per_pass)
+            ]
+            assert np.array_equal(np.concatenate(seen), want, equal_nan=True)
+        assert np.isnan(want).any()  # the pole table's rows
+
+
 class TestResultObjects:
     def assert_same_object(self, got, want):
         assert type(got) is type(want)
@@ -819,6 +883,30 @@ class TestTuningCurve:
         shown = "wavelength_nm[1, 0] must be a real number, got True"
         with pytest.raises(ValueError, match=f"^{re.escape(shown)}$"):
             refractive_index(np.array([[1064.0, 900.0], [True, 1000.0]], dtype=object), 25.0)
+
+    @pytest.mark.parametrize(
+        "periods, temps, shown",
+        [
+            (7.4, [25.0], "poling_periods_um must be a 1-D sequence of numbers, got 7.4"),
+            (
+                np.full((2, 2), 7.4), [25.0],
+                "poling_periods_um must be a 1-D sequence of numbers, got an array of shape (2, 2)",
+            ),
+            ([7.4], 25.0, "temperatures_c must be a 1-D sequence of numbers, got 25.0"),
+            (
+                [7.4, [7.5, 7.6]], [25.0],
+                "poling_periods_um must be a 1-D sequence of numbers, got [7.4, [7.5, 7.6]]",
+            ),
+            (
+                [7.4], [[25.0], [30.0]],
+                "temperatures_c must be a 1-D sequence of numbers, got [[25.0], [30.0]]",
+            ),
+        ],
+        ids=["scalar-periods", "2d-periods", "scalar-temperatures", "nested-periods", "2d-temperatures"],
+    )
+    def test_a_grid_that_is_not_1d_is_refused_by_name(self, periods, temps, shown):
+        with pytest.raises(ValueError, match=f"^{re.escape(shown)}$"):
+            tuning_curve(PUMP_NM, periods, temps)
 
     @pytest.mark.parametrize("periods, temps", [([], [25.0]), ([7.4], []), ((), ())])
     def test_an_empty_grid_is_refused(self, periods, temps):
