@@ -19,9 +19,9 @@ it is; a row holding a non-finite value is scanned pair by pair instead. A cell
 left unmatched where the scan ends at degeneracy, where dk is tangent to zero,
 is solved there when |dk| <= 1e-6 1/um at that point. At most _ROWS_PER_PASS
 rows (of temperatures, or of periods in the pair-by-pair scan) are held at once,
-so memory does not grow with either side of the grid. A pass's rows are evaluated
-in place, in arrays made once per grid, in the operation order of _mismatch_terms,
-so they are its values bit for bit, NaN included. One run of Brent's method
+so memory does not grow with either side of the grid. One evaluator of the
+mismatch, _mismatch_terms, serves the pre-scan (writing a pass's rows into arrays
+made once per grid), Brent's method and qpm_mismatch. One run of Brent's method
 (scipy's brentq, step for step) polishes all bracketed roots together and hands
 back dk at each root as its residual; a bracket whose step meets NaN ends there
 with no root, and its cell with a note, instead of raising.
@@ -100,36 +100,28 @@ class DispersionSet:
         f = (temperature_c - self.t_offset_c) * (temperature_c + self.t_factor)
         return np.array([a1 + b1 * f, a2 + b2 * f, np.square(a3 + b3 * f), a4 + b4 * f])
 
-    def _index_squared(self, wavelength_um, thermal):
-        """n^2 at the given wavelength(s) from _thermal's terms, which broadcast against them."""
+    def _index_squared(self, wavelength_um, thermal, out=None, pole=None):
+        """n^2 at the given wavelength(s) from _thermal's terms, which broadcast against them,
+        written into out, with pole for the second pole term (each allocated where None)."""
         c1, c2, c3, c4 = thermal
         a5, a6 = self.a[4:]
         lam2 = np.square(wavelength_um)
-        return c1 + c2 / (lam2 - c3) + c4 / (lam2 - a5 * a5) - a6 * lam2
-
-    def _index_squared_into(self, wavelength_um, thermal, out, pole):
-        """_index_squared step for step, written into out, with pole (an array of out's
-        shape) for the second pole term; returns out."""
-        c1, c2, c3, c4 = thermal
-        a5, a6 = self.a[4:]
-        lam2 = np.square(wavelength_um)
-        np.subtract(lam2, c3, out=out)
-        np.divide(c2, out, out=out)
-        np.add(c1, out, out=out)
-        np.divide(c4, lam2 - a5 * a5, out=pole)
-        out += pole
-        out -= a6 * lam2
-        return out
+        # commuting steps are augmented operators: in place on arrays, quick on numpy scalars
+        n2 = np.divide(c2, np.subtract(lam2, c3, out=out), out=out)
+        n2 += c1
+        n2 += np.divide(c4, lam2 - a5 * a5, out=pole)
+        n2 -= a6 * lam2
+        return n2
 
 
 def load_dispersion_set(path: str | Path) -> DispersionSet:
     """Load a coefficient table from a key/value text file."""
-    return _set_from_text(Path(path).read_text(encoding="utf-8"), str(path))
+    return _set_from_text(Path(path).read_bytes(), str(path))
 
 
-def _set_from_text(text: str, source: str) -> DispersionSet:
+def _set_from_text(data: bytes, source: str) -> DispersionSet:
     source = f"dispersion table {source}"
-    values = _key_values(text, source)
+    values = _key_values(data, source)
     floats = [f.name for f in fields(DispersionSet) if f.type == "float"]
     return DispersionSet(
         name=_field(values, "name", source),
@@ -146,10 +138,8 @@ def default_dispersion_set() -> DispersionSet:
 
     The table is read once; every call returns the same frozen instance.
     """
-    text = (
-        resources.files("iuptools.data").joinpath(_DEFAULT_SET_RESOURCE).read_text(encoding="utf-8")
-    )
-    return _set_from_text(text, _DEFAULT_SET_RESOURCE)
+    data = resources.files("iuptools.data").joinpath(_DEFAULT_SET_RESOURCE).read_bytes()
+    return _set_from_text(data, _DEFAULT_SET_RESOURCE)
 
 
 @dataclass
@@ -245,33 +235,21 @@ def _temperature_terms(pump_nm: float, temperature_c, ds: DispersionSet) -> np.n
     return np.concatenate([[n_p * (1000.0 / pump_nm)], thermal])
 
 
-def _mismatch_terms(pump_nm: float, signal, terms: np.ndarray, ds: DispersionSet):
+def _mismatch_terms(pump_nm: float, signal, terms: np.ndarray, ds: DispersionSet, out=None,
+                    held=None, pole=None):
     # dk / 2 pi + 1/Lambda over signal broadcast against _temperature_terms, unchecked:
     # out-of-window wavelengths drive the Sellmeier form negative and give NaN, which the
-    # scan skips
+    # scan skips; written into out, held (the idler's term) and pole (_index_squared's),
+    # each allocated where None
     idler = 1.0 / (1.0 / pump_nm - 1.0 / signal)
     with np.errstate(invalid="ignore", divide="ignore"):
-        n_s = np.sqrt(ds._index_squared(signal / 1000.0, terms[1:]))
-        n_i = np.sqrt(ds._index_squared(idler / 1000.0, terms[1:]))
-        return terms[0] - n_s * (1000.0 / signal) - n_i * (1000.0 / idler)
-
-
-def _scan_rows(
-    pump_nm: float, grid: np.ndarray, terms: np.ndarray, ds: DispersionSet, rows, held, pole
-) -> np.ndarray:
-    """_mismatch_terms(pump_nm, grid, terms[:, :, None], ds) step for step, NaN included,
-    written into rows; held and pole (arrays of rows' shape) take the idler's index and
-    the second pole terms, so a pass of scan rows makes no array of its size."""
-    idler = 1.0 / (1.0 / pump_nm - 1.0 / grid)
-    thermal = terms[1:, :, None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        np.sqrt(ds._index_squared_into(grid / 1000.0, thermal, rows, pole), out=rows)
-        rows *= 1000.0 / grid
-        np.subtract(terms[0, :, None], rows, out=rows)
-        np.sqrt(ds._index_squared_into(idler / 1000.0, thermal, held, pole), out=held)
-        held *= 1000.0 / idler
-        rows -= held
-    return rows
+        n_s = np.sqrt(ds._index_squared(signal / 1000.0, terms[1:], out, pole), out=out)
+        n_s *= 1000.0 / signal
+        dk = np.subtract(terms[0], n_s, out=out)
+        n_i = np.sqrt(ds._index_squared(idler / 1000.0, terms[1:], held, pole), out=held)
+        n_i *= 1000.0 / idler
+        dk -= n_i
+    return dk
 
 
 def qpm_mismatch(pump_nm: float, signal_nm, crystal: CrystalState):
@@ -345,12 +323,11 @@ def _first_roots(
     for d, side in enumerate((above, ~above)):
         searched = np.flatnonzero(finite & side.any(axis=1))
         if searched.size:
-            # every row is searched in the usual case, and is then read where it is
-            signed = rows if searched.size == len(rows) else rows[searched]
-            signed, keys = (signed, levels) if d == 0 else (-signed, -levels)
+            signed, keys = (rows, levels) if d == 0 else (-rows, -levels)
             sorted_rows = (signed[:, 1:] >= signed[:, :-1]).all(axis=1).tolist()
-            for t, row, ok in zip(searched.tolist(), signed, sorted_rows):
-                j[d, t] = (row if ok else np.maximum.accumulate(row)).searchsorted(keys)
+            for t in searched.tolist():
+                row = signed[t] if sorted_rows[t] else np.maximum.accumulate(signed[t])
+                j[d, t] = row.searchsorted(keys)
     j = np.where(above, j[0], j[1])
     k = np.minimum(j, last)
     zero = np.take_along_axis(rows, k, axis=1) == levels
@@ -461,11 +438,12 @@ def _solve_grid(pump_nm: float, periods: list, temps: list, ds: DispersionSet) -
 
     shape = inv_period.size, temp.size
     found, a, b = np.empty(shape, dtype=bool), np.empty(shape), np.empty(shape)
-    low, high, last = np.empty(temp.size), np.empty(temp.size), np.empty(temp.size)
+    low, high, last = np.full((3, temp.size), np.inf)  # no note shows an unset extreme
     # one pass's scan rows and the two arrays they are evaluated with, made once
     buffers = np.empty((3, min(temp.size, _ROWS_PER_PASS), grid.size))
     for at in _passes(temp.size):
-        rows = _scan_rows(pump_nm, grid, by_temp[:, at], ds, *buffers[:, : temp[at].size])
+        scratch = buffers[:, : temp[at].size]
+        rows = _mismatch_terms(pump_nm, grid, by_temp[:, at, None], ds, *scratch)
         found[:, at], a[:, at], b[:, at] = _first_roots(grid, rows, inv_period)
         last[at] = rows[:, -1]
         # the notes of unmatched cells need their rows' finite extremes
@@ -502,17 +480,20 @@ def _solve_grid(pump_nm: float, periods: list, temps: list, ds: DispersionSet) -
     # each cell's pair, or None and a note saying why there is none; rounding is
     # monotone, so a row's finite extremes give each period's mismatch span
     pair_of, note_of = [None] * found.size, [""] * found.size
-    deque(map(setitem, repeat(pair_of), solved.tolist(), pairs), maxlen=0)
-    for c in np.flatnonzero(~found).tolist():
-        period, t = periods[c // temp.size], c % temp.size
+    for c, pair in zip(solved.tolist(), pairs):
+        pair_of[c] = pair
+    unmatched = np.flatnonzero(~found)
+    period_at, temp_at = np.divmod(unmatched, temp.size)
+    spans = 2.0 * np.pi * (np.array([low[temp_at], high[temp_at]]) - inv_period[period_at])
+    columns = unmatched, period_at, temp_at, gap[unmatched], a[unmatched], b[unmatched], *spans
+    for c, p, t, gapped, start, end, least, most in zip(*(x.tolist() for x in columns)):
         detail = "mismatch is not finite anywhere in the scanned range"
-        if gap[c]:
-            detail = f"mismatch is not finite between signal {a[c]:.6g} and {b[c]:.6g} nm"
-        elif low[t] < np.inf:
-            shown = 2.0 * np.pi * (np.array([low[t], high[t]]) - inv_period[c // temp.size])
-            detail = f"mismatch spans [{shown[0]:.6g}, {shown[1]:.6g}] 1/um "
+        if gapped:
+            detail = f"mismatch is not finite between signal {start:.6g} and {end:.6g} nm"
+        elif least < np.inf:
+            detail = f"mismatch spans [{least:.6g}, {most:.6g}] 1/um "
             detail += f"over signal {lo:.1f}..{hi:.1f} nm"
-        note = f"no phase matching for pump {pump_nm} nm at poling period {period} um"
+        note = f"no phase matching for pump {pump_nm} nm at poling period {periods[p]} um"
         note_of[c] = f"{note}, {temps[t]} C ({detail})"
     cell_periods, cell_temps = np.repeat(periods, len(temps)), np.tile(temps, len(periods))
     return _instances(TuningPoint, cell_periods.tolist(), cell_temps.tolist(), pair_of, note_of)

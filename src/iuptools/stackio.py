@@ -128,8 +128,15 @@ def parse_key_values(text: str) -> dict[str, str]:
     return values
 
 
-def _key_values(text: str, source: str) -> dict[str, str]:
-    """parse_key_values with source at the head of its errors."""
+def _key_values(text: str | bytes, source: str) -> dict[str, str]:
+    """parse_key_values, of bytes decoded as UTF-8, with source at the head of its errors."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise StackFormatError(
+                f"{source}: not UTF-8 text ({err.reason} at byte {err.start})"
+            ) from None
     try:
         return parse_key_values(text)
     except StackFormatError as err:
@@ -137,7 +144,7 @@ def _key_values(text: str, source: str) -> dict[str, str]:
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
-    return _key_values(Path(path).read_text(encoding="utf-8"), str(path))
+    return _key_values(Path(path).read_bytes(), str(path))
 
 
 def _pgm_file(height: int, width: int) -> tuple[memoryview, np.ndarray]:
@@ -318,7 +325,7 @@ def _read_manifest(
     if not path.is_file():
         raise StackFormatError(f"{filename} not found: {path}")
     source = str(path)
-    values = _key_values(path.read_text(encoding="utf-8"), source)
+    values = _key_values(path.read_bytes(), source)
     version = _field(values, "format_version", source, _positive_int)
     if version > supported:
         raise UnsupportedVersionError(
@@ -369,7 +376,7 @@ def read_stack(manifest_path: str | Path) -> FrameStack:
         name = names[i]
         if hashlib.sha256(payload).hexdigest() != digests[i]:
             raise StackIntegrityError(f"{source}: checksum mismatch for frame {name}")
-        frame = _parse_pgm(payload, name)
+        frame = _parse_pgm(payload, f"{source}: frame {name}")
         if frame.shape != (height, width):
             raise StackFormatError(
                 f"{source}: frame {name} is {frame.shape[1]}x{frame.shape[0]}, "

@@ -312,6 +312,14 @@ class TestAnalyze:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "manifest says 5000000x4000000" in err[0]
 
+    def test_a_manifest_that_is_not_utf8_fails_in_one_line(self, tmp_path, stack_dir, capsys):
+        mf = stack_dir / "stack.manifest"
+        mf.write_bytes(mf.read_bytes() + b"note = \xff\n")
+        code = run("analyze", "--stack", str(stack_dir), "--out", str(tmp_path / "m"))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {mf}: not UTF-8 text (")
+
     def test_nan_min_dc_fails(self, tmp_path, stack_dir, capsys):
         code = run("analyze", "--stack", str(stack_dir), "--min-dc", "nan",
                    "--out", str(tmp_path / "m"))

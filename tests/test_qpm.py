@@ -32,7 +32,6 @@ from iuptools.qpm import (
     _first_root,
     _first_roots,
     _mismatch_terms,
-    _scan_rows,
     _signal_scan_bounds,
     _temperature_terms,
 )
@@ -234,6 +233,14 @@ class TestDispersion:
         bad.write_text("name x\n")
         with pytest.raises(ValueError, match="key = value"):
             load_dispersion_set(bad)
+
+    def test_a_table_that_is_not_utf8_is_named(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"name = x\nreference = Gayer \xe9t al.\n")
+        with pytest.raises(StackFormatError) as caught:
+            load_dispersion_set(bad)
+        want = f"dispersion table {bad}: not UTF-8 text (invalid continuation byte at byte 27)"
+        assert str(caught.value) == want
 
 
 class TestEnergyConservation:
@@ -720,15 +727,16 @@ def expression_rows(pump_nm, temps, ds):
     return _mismatch_terms(pump_nm, scan_grid(pump_nm, ds), by_temp[:, :, None], ds)
 
 
-class TestScanRowsInPlace:
-    """The pre-scan's rows, evaluated in place, are _mismatch_terms' rows bit for bit."""
+class TestMismatchTermsIntoBuffers:
+    """The pre-scan's rows, written into given buffers, are _mismatch_terms' allocated
+    rows bit for bit."""
 
     @staticmethod
     def in_place(pump_nm, temps, ds):
         grid, by_temp = scan_grid(pump_nm, ds), _temperature_terms(pump_nm, np.asarray(temps), ds)
         # stale values in every buffer: a step that left one unwritten would show
         buffers = np.full((3, len(temps), grid.size), 7.0)
-        rows = _scan_rows(pump_nm, grid, by_temp, ds, *buffers)
+        rows = _mismatch_terms(pump_nm, grid, by_temp[:, :, None], ds, *buffers)
         assert np.shares_memory(rows, buffers[0])
         return buffers[0]
 
@@ -769,6 +777,30 @@ class TestScanRowsInPlace:
             ]
             assert np.array_equal(np.concatenate(seen), want, equal_nan=True)
         assert np.isnan(want).any()  # the pole table's rows
+
+    def test_public_mismatch_equals_the_rows_the_bracket_search_receives(
+        self, monkeypatch, tmp_path
+    ):
+        seen, real = [], qpm._first_roots
+
+        def keeping(grid, scan_rows, levels):
+            seen.append(scan_rows.copy())
+            return real(grid, scan_rows, levels)
+
+        monkeypatch.setattr(qpm, "_first_roots", keeping)
+        temps, periods = [20.0, 95.0, 170.0], [5.0, 7.4, 8.05]
+        pole = table_with(tmp_path, a1=4.55, a4=-5.821011, a5=2.0, b4=1e-4)
+        for ds in (default_dispersion_set(), pole):
+            seen.clear()
+            tuning_curve(PUMP_NM, periods, temps, ds)
+            (rows,) = seen
+            grid = scan_grid(PUMP_NM, ds)
+            for temp, row in zip(temps, rows):
+                for period in periods:
+                    got = qpm_mismatch(PUMP_NM, grid, CrystalState(period, temp, ds))
+                    want = 2.0 * np.pi * (row - 1.0 / period)
+                    assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(rows).any()  # the pole table's rows
 
 
 class TestResultObjects:

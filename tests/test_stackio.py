@@ -77,6 +77,23 @@ class TestKeyValueFormat:
         p.write_text("mean_counts = 500\nshot_noise = true\n")
         assert read_config_file(p) == {"mean_counts": "500", "shot_noise": "true"}
 
+    @pytest.mark.parametrize("reader", ["config", "stack manifest", "scene manifest"])
+    def test_a_file_that_is_not_utf8_is_named(self, tmp_path, reader):
+        if reader == "config":
+            path, read = tmp_path / "run.cfg", read_config_file
+            path.write_text("mean_counts = 500\n")
+        elif reader == "stack manifest":
+            path, read = write_stack(sample_stack(), tmp_path / "s"), read_stack
+        else:
+            path = write_scene(make_test_target("uniform", (4, 5)), tmp_path / "scene")
+            read = read_scene
+        data = path.read_bytes()
+        path.write_bytes(data + b"note = \xff\n")
+        with pytest.raises(StackFormatError) as caught:
+            read(path)
+        at = len(data) + len(b"note = ")
+        assert str(caught.value) == f"{path}: not UTF-8 text (invalid start byte at byte {at})"
+
     def test_repeated_key_names_line_and_key(self):
         with pytest.raises(StackFormatError, match=r"^line 3: key 'gain' repeats"):
             parse_key_values("gain = 1\n# again\ngain = 2\n")
@@ -633,7 +650,9 @@ class TestParallelRead:
                 StackFormatError,
                 f"{source}: frame frame_0002.pgm is 301x217, manifest says 300x217",
             ),
-            "not-pgm": (StackFormatError, "frame_0002.pgm: not a binary P5 PGM file"),
+            "not-pgm": (
+                StackFormatError, f"{source}: frame frame_0002.pgm: not a binary P5 PGM file"
+            ),
         }
         for i, width in ((2, 301), (5, 299)):
             path = directory / f"frame_{i:04d}.pgm"
