@@ -84,10 +84,10 @@ class FrameStack:
     the frame index grid covers the scan uniformly).
 
     The counts are held as one (samples, gain) pair, counts = samples / gain.
-    Frames, given (and checked) or assigned, become float64 samples at gain
-    1. stackio.read_stack keeps its files' 16-bit samples and the manifest
-    gain until the first read of frames divides them into float64 samples at
-    gain 1. A stack compares equal only to itself.
+    Frames, given (and checked) or assigned, become C-ordered float64 samples
+    at gain 1, copied once from any other layout or dtype. stackio.read_stack
+    keeps its files' 16-bit samples and the manifest gain until the first read
+    of frames divides them into such samples. A stack compares equal only to itself.
     """
 
     frames: np.ndarray
@@ -134,10 +134,10 @@ class FrameStack:
         return samples
 
     def __setattr__(self, name: str, value) -> None:
-        # frames become float64 samples at gain 1. The pair is replaced whole,
-        # so a thread scaling the samples meanwhile uses the old pair or the new.
+        # frames become C-ordered float64 samples at gain 1. The pair is replaced
+        # whole, so a thread scaling the samples meanwhile uses the old pair or the new.
         if name == "frames":
-            name, value = "_counts", (np.asarray(value, dtype=np.float64), 1.0)
+            name, value = "_counts", (np.ascontiguousarray(value, dtype=np.float64), 1.0)
         object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
@@ -155,6 +155,11 @@ class FrameStack:
         if _unscaled(samples, gain):
             return samples[index]
         return np.divide(samples[index], gain, out=out)
+
+    def _max_count(self) -> float:
+        """The largest count: rounded division by a gain > 0 keeps the samples' order."""
+        samples, gain = self._counts
+        return float(samples.max()) / gain
 
     @property
     def frame_count(self) -> int:
@@ -484,14 +489,11 @@ def _map_chunks(stack: FrameStack, body, threads: int, scratch=lambda pixels: No
 def _sums_by_frame(rows: slice, y: np.ndarray, work=None) -> np.ndarray:
     """Each frame's sum over the pixels of one row chunk, y[i].sum() for every i.
 
-    Where each frame's pixels are contiguous, as in a scratch band or a
-    C-ordered stack, one reduction over the rows of y.reshape(k, -1) adds them
-    in y[i].sum()'s order. Other layouts are summed frame by frame: the
-    reshape would copy them into another order of addition.
+    Each frame's pixels are contiguous, in a scratch band or a FrameStack's
+    C-ordered samples, so one reduction over the rows of y.reshape(k, -1) adds
+    them in y[i].sum()'s order.
     """
-    if y[0].flags.c_contiguous:
-        return y.reshape(y.shape[0], -1).sum(axis=1)
-    return np.array([frame.sum() for frame in y])
+    return y.reshape(y.shape[0], -1).sum(axis=1)
 
 
 def _frame_means(chunk_sums: list, stack: FrameStack) -> np.ndarray:
@@ -544,10 +546,10 @@ def analyze_stack(
     Visibility is |c|/A, contrast 2|c| and phase atan2(Im c, Re c). Pixels are
     processed in fixed row chunks, shared among `threads` workers (an integer
     >= 1); each pixel's sums run over the frames in index order, so results
-    are bit-identical for any worker count. A stack's samples are scaled by its
-    gain one chunk at a time, into a chunk-sized buffer per worker. Estimate
-    mode and the leakage flag fit the frame-mean series of
-    estimate_fringe_frequency; the flag's sums are taken in the projection pass.
+    are bit-identical for any worker count and any memory layout of the given
+    frames. A stack's samples are scaled by its gain one chunk at a time, into a
+    buffer per worker. Estimate mode and the leakage flag fit the frame-mean
+    series of estimate_fringe_frequency; the flag's sums come from the projection pass.
     """
     _check_counts(OptionsError, low=1, threads=threads)
     opts = options if options is not None else ExtractionOptions()

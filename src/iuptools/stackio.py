@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fringes import AnalysisResult, FrameStack, _ordered_map, _row_chunks, _usable_cpus
+from .fringes import AnalysisResult, FrameStack, _check_reals, _ordered_map, _row_chunks
+from .fringes import _usable_cpus
 from .optics import ObjectScene
 
 __all__ = [
@@ -203,19 +204,11 @@ def write_stack(stack: FrameStack, directory: str | Path, gain: float | None = N
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    # counts one row chunk at a time, so that no frame-sized float64 buffer is
-    # made and a stack of 16-bit samples is not expanded
-    chunks = _row_chunks(stack.height, stack.width)
-    band = np.empty((chunks[0][1] - chunks[0][0], stack.width))
-
-    def counts(i: int, r0: int, r1: int) -> np.ndarray:
-        return stack._scaled(np.s_[i, r0:r1], band[: r1 - r0])
-
-    max_count = max(
-        float(counts(i, r0, r1).max()) for i in range(stack.frame_count) for r0, r1 in chunks
-    )
+    max_count = stack._max_count()
     if gain is None:
         gain = 65535.0 / max_count if max_count > 0 else 1.0
+    else:
+        _check_reals(gain=gain)
     if not _usable_gain(gain):
         raise ValueError(f"gain must be finite and > 0, with 65535 / gain finite; got {gain!r}")
     # rint(x * gain) is monotone in x, so the largest count gives the largest sample
@@ -228,11 +221,13 @@ def write_stack(stack: FrameStack, directory: str | Path, gain: float | None = N
 
     names: list[str] = []
     digests: list[str] = []
-    # one file buffer, refilled for every frame
+    # one file buffer and one row band of counts, refilled for every frame, so that
+    # no frame-sized float64 buffer is made and 16-bit samples are not expanded
     payload, samples = _pgm_file(stack.height, stack.width)
+    band = np.empty((_row_chunks(stack.height, stack.width)[0][1], stack.width))
     for i in range(stack.frame_count):
         name = f"frame_{i:04d}.pgm"
-        _store_rounded(samples, band, lambda r0, r1, _: counts(i, r0, r1), gain)
+        _store_rounded(samples, band, lambda r0, r1, out: stack._scaled(np.s_[i, r0:r1], out), gain)
         _atomic_write_bytes(directory / name, payload)
         names.append(name)
         digests.append(hashlib.sha256(payload).hexdigest())

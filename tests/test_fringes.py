@@ -258,6 +258,22 @@ class TestFrameStack:
         with pytest.raises(ValueError):
             stack.truncated(5)
 
+    def test_counts_are_held_c_ordered_float64(self):
+        frames = np.random.default_rng(3).uniform(0.0, 100.0, (3, 4, 5))
+        assert np.shares_memory(FrameStack(frames, np.zeros(3))._counts[0], frames)
+        assigned = FrameStack(frames, np.zeros(3))
+        assigned.frames = np.asfortranarray(frames)
+        for stack in (
+            FrameStack(np.asfortranarray(frames), np.zeros(3)),
+            FrameStack(frames.astype(np.int64), np.zeros(3)),
+            FrameStack(frames[:, ::-1, ::2], np.zeros(3)),
+            assigned,
+        ):
+            samples = stack._counts[0]
+            assert samples.dtype == np.float64 and samples.flags.c_contiguous
+            assert not np.shares_memory(samples, frames)
+        assert np.array_equal(assigned.frames, frames)
+
 
 class TestAnalyzeStack:
     def test_pure_fringe_recovery(self):
@@ -564,22 +580,46 @@ class TestIntegerStorage:
     @pytest.mark.parametrize("layout", ["C", "F", "strided", "band"])
     def test_frame_sums_add_as_each_frame_sum_does(self, layout):
         rng = np.random.default_rng(17)
-        frames = rng.gamma(2.0, 800.0, (6, 70, 413)) * rng.uniform(0.5, 2.0, (6, 1, 1))
+        # 70 rows of 1000 pixels span three 32-row chunks, the last one short
+        frames = rng.gamma(2.0, 800.0, (6, 70, 1000)) * rng.uniform(0.5, 2.0, (6, 1, 1))
+        chunks = [(0, 32), (32, 64), (64, 70)]
+        want = [[frames[i, r0:r1].sum() for i in range(6)] for r0, r1 in chunks]
+        if layout == "band":
+            # a short last chunk in a worker's scratch band
+            band = np.empty((6, 32, 1000))
+            band[:, :6] = frames[:, 64:]
+            assert _sums_by_frame(slice(64, 70), band[:, :6]).tolist() == want[-1]
+            return
         if layout == "F":
             frames = np.asfortranarray(frames)
         elif layout == "strided":
-            padded = np.zeros((6, 140, 3 * 413))
+            padded = np.zeros((6, 140, 3000))
             padded[:, ::2, ::3] = frames
             frames = padded[:, ::2, ::3]
-        elif layout == "band":
-            # a short last chunk in a worker's scratch band
-            band = np.empty((6, 64, 413))
-            band[:, :23] = frames[:, :23]
-            frames = band[:, :23]
-        for rows in (slice(0, 32), slice(64, 70), slice(None)):
-            y = frames[:, rows]
-            want = [y[i].sum() for i in range(6)]
-            assert _sums_by_frame(rows, y).tolist() == want
+        # a stack holds every layout C-ordered, so its chunks sum as the C stack's do
+        stack = FrameStack(frames, np.zeros(6))
+        for threads in (1, 2, 3):
+            assert [s.tolist() for s in _map_chunks(stack, _sums_by_frame, threads)] == want
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ExtractionOptions(),
+            ExtractionOptions(frequency_mode="fixed", fixed_frequency=1.25),
+            ExtractionOptions(frequency_mode="estimate"),
+        ],
+        ids=lambda opt: opt.frequency_mode,
+    )
+    def test_any_layout_gives_the_same_result(self, options):
+        # F-ordered and row/column-strided counts are held as the C copy is
+        _, floats = sample_stacks(8, (70, 1000), seed=50)
+        padded = np.zeros((8, 140, 3000))
+        padded[:, ::2, ::3] = floats.frames
+        want = analyze_stack(floats, options)
+        for frames in (np.asfortranarray(floats.frames), padded[:, ::2, ::3]):
+            stack = FrameStack(frames, floats.scan_phases)
+            for threads in (1, 2, 3):
+                assert_same_result(analyze_stack(stack, options, threads=threads), want)
 
     def test_repr_keeps_the_samples(self):
         stored, floats = sample_stacks(4, (6, 7))

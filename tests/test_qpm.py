@@ -291,8 +291,12 @@ class TestMismatch:
             # the idler of a 540 nm signal lies near 35.9 um
             (PUMP_NM, 540.0, f"idler {idler_from_signal(PUMP_NM, 540.0)} nm"),
             (PUMP_NM, [800.0, 540.0], f"idler {idler_from_signal(PUMP_NM, 540.0)} nm (at index 1)"),
+            # a signal at the pump has an idler of inf, refused with no divide warning
+            (PUMP_NM, PUMP_NM, "idler inf nm"),
+            (PUMP_NM, [800.0, PUMP_NM], "idler inf nm (at index 1)"),
         ],
-        ids=["pump", "signal", "signal-in-array", "nan-in-signals", "idler", "idler-in-array"],
+        ids=["pump", "signal", "signal-in-array", "nan-in-signals", "idler", "idler-in-array",
+             "signal-at-pump", "signal-at-pump-in-array"],
     )
     def test_window_fault_names_the_wavelength(self, pump_nm, signal_nm, shown):
         with pytest.raises(ValueError, match=f"^{re.escape(shown)} outside the validity window"):

@@ -360,6 +360,33 @@ class TestStackRoundTrip:
             write_stack(stack, tmp_path / "s", gain=gain)
         assert not (tmp_path / "s" / "stack.manifest").exists()
 
+    @pytest.mark.parametrize("gain", [True, np.True_, "7"], ids=repr)
+    def test_gain_that_is_no_number_refused_by_write(self, tmp_path, gain):
+        stack = FrameStack(np.ones((3, 4, 5)), [0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="gain must be a real number"):
+            write_stack(stack, tmp_path / "s", gain=gain)
+        assert list((tmp_path / "s").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "stored, gain", [(False, None), (True, None), (True, 7.3)],
+        ids=["float", "read-autoscaled", "read-7.3"],
+    )
+    def test_max_count_is_the_largest_scaled_chunk_value(self, tmp_path, stored, gain):
+        # 3 row chunks per frame, the last one short
+        rng = np.random.default_rng(23)
+        stack = FrameStack(rng.uniform(0.0, 8000.0, (4, 100, 700)), np.arange(4.0))
+        if stored:
+            write_stack(stack, tmp_path / "s", gain=gain)
+            stack = read_stack(tmp_path / "s")
+        # the reference: every row chunk's counts as _scaled gives them, and their maximum
+        band = np.empty((100, 700))
+        want = max(
+            float(stack._scaled(np.s_[i, r0:r1], band[: r1 - r0]).max())
+            for i in range(4) for r0, r1 in stackio._row_chunks(100, 700)
+        )
+        assert stack._max_count() == want
+        assert stored == (stack._counts[0].dtype == np.uint16), "must not expand the samples"
+
 
 class TestStoredSamples:
     def test_read_stack_keeps_two_bytes_per_sample(self, tmp_path):
