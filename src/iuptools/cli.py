@@ -67,10 +67,11 @@ def _load_settings(
 
 
 def _option_value(option: str, parse, text: str):
-    """parse(text) for the value of option; a ValueError names the option."""
+    """parse(text) for the value of option; a ValueError, or a MemoryError from a
+    range too large to hold, names the option."""
     try:
         return parse(text)
-    except ValueError as err:
+    except (ValueError, MemoryError) as err:
         raise ValueError(f"{option}: {err}") from None
 
 

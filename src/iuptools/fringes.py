@@ -74,7 +74,7 @@ class FrequencyEstimationError(RuntimeError):
     """No fringe peak could be located in the stack."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FrameStack:
     """K camera frames plus the fringe drive phase at which each was taken.
 
@@ -84,10 +84,11 @@ class FrameStack:
     the frame index grid covers the scan uniformly).
 
     The counts are held as one (samples, gain) pair, counts = samples / gain.
-    Frames, given (and checked) or assigned, become C-ordered float64 samples
-    at gain 1, copied once from any other layout or dtype. stackio.read_stack
-    keeps its files' 16-bit samples and the manifest gain until the first read
-    of frames divides them into such samples. A stack compares equal only to itself.
+    Frames, given and checked, become C-ordered float64 samples at gain 1,
+    copied once from any other layout or dtype. stackio.read_stack keeps its
+    files' 16-bit samples and the manifest gain until the first read of frames
+    divides them into such samples and replaces the pair. A stack is frozen:
+    dataclasses.replace makes a new, checked one. It compares equal only to itself.
     """
 
     frames: np.ndarray
@@ -95,15 +96,18 @@ class FrameStack:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        samples = self._counts[0]
+        # frames leave the instance dict, so that every read of them goes to __getattr__
+        samples = np.ascontiguousarray(self.__dict__.pop("frames"), dtype=np.float64)
+        object.__setattr__(self, "_counts", (samples, 1.0))
         if samples.ndim != 3 or len(samples) < 1:
             raise ValueError("frames must be a (K, height, width) array with K >= 1")
         if samples.size == 0:
             raise ValueError("frames must have at least one pixel")
-        self.scan_phases = np.atleast_1d(np.asarray(self.scan_phases, dtype=np.float64))
-        if self.scan_phases.shape != (len(samples),):
+        phases = np.atleast_1d(np.asarray(self.scan_phases, dtype=np.float64))
+        object.__setattr__(self, "scan_phases", phases)
+        if phases.shape != (len(samples),):
             raise ValueError("scan_phases length must equal the frame count")
-        if not np.isfinite(self.scan_phases).all():
+        if not np.isfinite(phases).all():
             raise ValueError("scan phases must be finite")
         # NaN propagates through both reductions and +-inf shows in one of them
         lo, hi = float(samples.min()), float(samples.max())
@@ -120,8 +124,7 @@ class FrameStack:
         (K, height, width) shape with K >= 1 and a pixel, K finite float64 scan
         phases, and counts that are finite and non-negative."""
         stack = cls.__new__(cls)
-        stack._counts = samples, gain
-        stack.scan_phases, stack.meta = scan_phases, meta
+        stack.__dict__.update(_counts=(samples, gain), scan_phases=scan_phases, meta=meta)
         return stack
 
     def __getattr__(self, name: str):
@@ -130,15 +133,11 @@ class FrameStack:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         samples, gain = self._counts
         if not _unscaled(samples, gain):
-            self.frames = samples = np.divide(samples, gain, out=np.empty(samples.shape))
+            # the first read keeps the counts as float64 samples at gain 1. The pair is
+            # replaced whole, so a thread scaling the samples meanwhile uses the old or the new
+            samples = np.divide(samples, gain, out=np.empty(samples.shape))
+            object.__setattr__(self, "_counts", (samples, 1.0))
         return samples
-
-    def __setattr__(self, name: str, value) -> None:
-        # frames become C-ordered float64 samples at gain 1. The pair is replaced
-        # whole, so a thread scaling the samples meanwhile uses the old pair or the new.
-        if name == "frames":
-            name, value = "_counts", (np.ascontiguousarray(value, dtype=np.float64), 1.0)
-        object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
         # the generated repr would read frames and so expand a uint16 stack
@@ -188,7 +187,7 @@ def _unscaled(samples: np.ndarray, gain: float) -> bool:
     return samples.dtype == np.float64 and gain == 1.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtractionOptions:
     """Controls how the fundamental fringe component is located.
 

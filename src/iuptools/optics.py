@@ -101,7 +101,7 @@ class ConfigurationError(ValueError):
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObjectScene:
     """Complex object map: field amplitude in [0, 1] plus phase in radians."""
 
@@ -110,8 +110,8 @@ class ObjectScene:
     scene_pitch_um: float = 5.2
 
     def __post_init__(self) -> None:
-        self.amplitude_map = np.asarray(self.amplitude_map, dtype=np.float64)
-        self.phase_map = np.asarray(self.phase_map, dtype=np.float64)
+        for name in ("amplitude_map", "phase_map"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if self.amplitude_map.ndim != 2 or self.amplitude_map.size == 0:
             raise ValueError("amplitude_map must be a non-empty 2-D array")
         if self.amplitude_map.shape != self.phase_map.shape:
@@ -129,7 +129,7 @@ class ObjectScene:
         return self.amplitude_map * np.exp(1j * self.phase_map)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OpticalConfig:
     """Interferometer geometry, wavelengths and photon budget.
 
@@ -172,7 +172,7 @@ class OpticalConfig:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScanPlan:
     """Mirror displacements (nm) at which frames are recorded."""
 
@@ -180,9 +180,8 @@ class ScanPlan:
     exposure_ms: float = 200.0
 
     def __post_init__(self) -> None:
-        self.mirror_positions_nm = np.atleast_1d(
-            np.asarray(self.mirror_positions_nm, dtype=np.float64)
-        )
+        positions = np.atleast_1d(np.asarray(self.mirror_positions_nm, dtype=np.float64))
+        object.__setattr__(self, "mirror_positions_nm", positions)
         if self.mirror_positions_nm.size < 1:
             raise ValueError("a scan needs at least one mirror position")
         if not np.isfinite(self.mirror_positions_nm).all():
@@ -204,7 +203,7 @@ class ScanPlan:
         return cls(positions, exposure_ms)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseModel:
     """Detector noise switches; the default is fully deterministic."""
 
@@ -215,7 +214,7 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         _check_fields(self, ValueError, non_negative=("read_noise_sigma", "dark_offset"))
-        self.rng_seed = int(self.rng_seed) & (2**64 - 1)
+        object.__setattr__(self, "rng_seed", int(self.rng_seed) & (2**64 - 1))
 
 
 def fringe_phase_from_mirror(

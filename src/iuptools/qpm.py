@@ -142,7 +142,7 @@ def default_dispersion_set() -> DispersionSet:
     return _set_from_text(data, _DEFAULT_SET_RESOURCE)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CrystalState:
     """Poling period, oven temperature and the dispersion data in force."""
 

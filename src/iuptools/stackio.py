@@ -203,7 +203,6 @@ def write_stack(stack: FrameStack, directory: str | Path, gain: float | None = N
     OverflowError (counts are stored scaled, never clamped).
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     max_count = stack._max_count()
     if gain is None:
         gain = 65535.0 / max_count if max_count > 0 else 1.0
@@ -218,6 +217,8 @@ def write_stack(stack: FrameStack, directory: str | Path, gain: float | None = N
             f"counts scaled by gain {gain:g} exceed the 16-bit range "
             f"(max scaled sample {max_scaled:.0f})"
         )
+    # made once the gain is accepted, so that a refused write leaves no directory
+    directory.mkdir(parents=True, exist_ok=True)
 
     names: list[str] = []
     digests: list[str] = []

@@ -429,6 +429,15 @@ class TestTune:
         assert capsys.readouterr().err.splitlines() == [shown]
         assert not out.exists()
 
+    def test_range_too_large_to_hold_fails_in_one_line(self, tmp_path, capsys):
+        # 1.8e15 values, 12.8 PiB: past the address space, so the allocation is
+        # refused before any memory is touched
+        out = tmp_path / "grid.csv"
+        assert run("tune", "--periods", "7.4", "--temps", "20:200:1e-13", "--out", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --temps: Unable to allocate")
+        assert not out.exists()
+
 
 class TestBench:
     def test_table_output(self, capsys):

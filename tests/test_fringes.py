@@ -261,8 +261,9 @@ class TestFrameStack:
     def test_counts_are_held_c_ordered_float64(self):
         frames = np.random.default_rng(3).uniform(0.0, 100.0, (3, 4, 5))
         assert np.shares_memory(FrameStack(frames, np.zeros(3))._counts[0], frames)
-        assigned = FrameStack(frames, np.zeros(3))
-        assigned.frames = np.asfortranarray(frames)
+        assigned = dataclasses.replace(
+            FrameStack(frames, np.zeros(3)), frames=np.asfortranarray(frames)
+        )
         for stack in (
             FrameStack(np.asfortranarray(frames), np.zeros(3)),
             FrameStack(frames.astype(np.int64), np.zeros(3)),
@@ -658,12 +659,17 @@ class TestIntegerStorage:
         assert (stored._counts[0].dtype == np.float64) == first_read
         assert np.array_equal(stored.frames, floats.frames)
 
-    def test_assigned_frames_replace_the_samples(self):
+    def test_assigning_frames_is_refused_and_replace_makes_a_float_stack(self):
         stored, floats = sample_stacks(8, (6, 7))
-        stored.frames = floats.frames * 2.0
-        assert stored._counts[0].dtype == np.float64 and stored._counts[1] == 1.0
+        samples, gain = stored._counts
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stored.frames = floats.frames * 2.0
+        assert stored._counts[0] is samples and stored._counts[1] == gain
+        assert samples.dtype == np.uint16
+        other = dataclasses.replace(stored, frames=floats.frames * 2.0)
+        assert other._counts[0].dtype == np.float64 and other._counts[1] == 1.0
         doubled = analyze_stack(FrameStack(floats.frames * 2.0, floats.scan_phases))
-        assert_same_result(analyze_stack(stored), doubled)
+        assert_same_result(analyze_stack(other), doubled)
 
     def test_truncated_keeps_the_samples(self):
         stored, floats = sample_stacks(8, (6, 7))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -61,3 +62,20 @@ def test_no_scipy_module_is_loaded(code):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def test_checked_dataclasses_are_frozen():
+    # a class that checks its fields in __post_init__ must be frozen, or an
+    # assignment would skip the checks
+    checked = {
+        name: getattr(module, name)
+        for module in MODULES
+        for name in module.__all__
+        if dataclasses.is_dataclass(getattr(module, name))
+        and hasattr(getattr(module, name), "__post_init__")
+    }
+    assert {
+        "FrameStack", "ExtractionOptions", "ObjectScene", "OpticalConfig", "ScanPlan",
+        "NoiseModel", "CrystalState",
+    } <= set(checked)
+    assert [name for name, cls in checked.items() if not cls.__dataclass_params__.frozen] == []
