@@ -83,12 +83,14 @@ class FrameStack:
     metadata and do not change how the stack is analyzed (extraction assumes
     the frame index grid covers the scan uniformly).
 
-    The counts are held as one (samples, gain) pair, counts = samples / gain.
-    Frames, given and checked, become C-ordered float64 samples at gain 1,
-    copied once from any other layout or dtype. stackio.read_stack keeps its
-    files' 16-bit samples and the manifest gain until the first read of frames
-    divides them into such samples and replaces the pair. A stack is frozen:
-    dataclasses.replace makes a new, checked one. It compares equal only to itself.
+    The counts are held, for the stack's life, as the (samples, gain) pair it
+    was made with, counts = samples / gain. Frames, given and checked, become
+    C-ordered float64 samples at gain 1, copied once from any other layout or
+    dtype, and reading frames returns those samples. stackio.read_stack keeps
+    its files' 16-bit samples and the manifest gain; frames of such a stack are
+    computed on each read, a new samples / gain array, and never stored. A
+    stack is frozen: dataclasses.replace makes a new, checked one, of float64
+    samples, and leaves the original untouched. It compares equal only to itself.
     """
 
     frames: np.ndarray
@@ -131,29 +133,26 @@ class FrameStack:
         # normal lookup never finds frames: the counts live in _counts
         if name != "frames":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        samples, gain = self._counts
-        if not _unscaled(samples, gain):
-            # the first read keeps the counts as float64 samples at gain 1. The pair is
-            # replaced whole, so a thread scaling the samples meanwhile uses the old or the new
-            samples = np.divide(samples, gain, out=np.empty(samples.shape))
-            object.__setattr__(self, "_counts", (samples, 1.0))
-        return samples
+        return self._scaled()
 
     def __repr__(self) -> str:
-        # the generated repr would read frames and so expand a uint16 stack
+        # the generated repr would read frames, which scales a uint16 stack into a new array
         samples, gain = self._counts
         return (
             f"FrameStack(shape={samples.shape}, samples={samples.dtype}, gain={gain!r}, "
             f"scan_phases={self.scan_phases!r}, meta={self.meta!r})"
         )
 
-    def _scaled(self, index, out: np.ndarray) -> np.ndarray:
-        """frames[index] as float64: a view of samples that are the counts,
-        else the samples over the gain in out, of the selection's shape."""
+    def _scaled(self, index=None, out: np.ndarray | None = None) -> np.ndarray:
+        """frames[index] (all frames where index is None) as float64: float64
+        samples at gain 1 are the counts, returned as they are or as a view;
+        other samples are divided by the gain into out, of the selection's
+        shape, or into a new array where out is None."""
         samples, gain = self._counts
-        if _unscaled(samples, gain):
-            return samples[index]
-        return np.divide(samples[index], gain, out=out)
+        selected = samples if index is None else samples[index]
+        if samples.dtype == np.float64 and gain == 1.0:
+            return selected
+        return np.divide(selected, gain, out=out)
 
     def _max_count(self) -> float:
         """The largest count: rounded division by a gain > 0 keeps the samples' order."""
@@ -180,11 +179,6 @@ class FrameStack:
         samples, gain = self._counts
         phases, meta = self.scan_phases[:n].copy(), dict(self.meta)
         return FrameStack._from_samples(samples[:n].copy(), gain, phases, meta)
-
-
-def _unscaled(samples: np.ndarray, gain: float) -> bool:
-    """True where the samples are the counts themselves: float64 at gain 1."""
-    return samples.dtype == np.float64 and gain == 1.0
 
 
 @dataclass(frozen=True)

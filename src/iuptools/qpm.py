@@ -260,11 +260,11 @@ def qpm_mismatch(pump_nm: float, signal_nm, crystal: CrystalState):
     """
     _check_reals(pump_nm=pump_nm, signal_nm=signal_nm)
     ds, signal = crystal.dispersion_set, np.asarray(signal_nm, dtype=np.float64)
-    _check_window(ds, crystal.temperature_c, pump=pump_nm, signal=signal)
-    # a signal at the pump gives an idler of inf, which the window check refuses
-    with np.errstate(divide="ignore"):
-        idler = 1.0 / (1.0 / pump_nm - 1.0 / signal)
-    _check_window(ds, crystal.temperature_c, idler=idler)
+    # in numpy, so that a pump or signal of 0, or a signal at the pump, gives an idler
+    # that the window check refuses after the pump and the signal, not a ZeroDivisionError
+    with np.errstate(divide="ignore", invalid="ignore"):
+        idler = 1.0 / (1.0 / np.float64(pump_nm) - 1.0 / signal)
+    _check_window(ds, crystal.temperature_c, pump=pump_nm, signal=signal, idler=idler)
     terms = _temperature_terms(pump_nm, crystal.temperature_c, ds)
     dk = 2.0 * np.pi * (_mismatch_terms(pump_nm, signal, terms, ds) - 1.0 / crystal.poling_period_um)
     return float(dk) if np.isscalar(signal_nm) else dk

@@ -333,8 +333,8 @@ def _read_manifest(
 def read_stack(manifest_path: str | Path) -> FrameStack:
     """Load a stack written by write_stack, validating geometry and checksums.
 
-    The stack keeps the frames' 16-bit samples and meta["gain"]; its frames
-    (samples / gain, float64) are computed on first use (see FrameStack).
+    The stack keeps the frames' 16-bit samples and meta["gain"]; its frames,
+    float64 samples / gain, are computed on each read and never stored.
     Frame 0 is read and checked first; the other frames are checked on every
     usable CPU (in the calling thread alone where there is one). A frame that
     is missing, fails its checksum or is not a PGM of the manifest's geometry

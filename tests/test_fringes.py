@@ -6,6 +6,7 @@ import dataclasses
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -633,7 +634,7 @@ class TestIntegerStorage:
         assert estimate_fringe_frequency(stored) == estimate_fringe_frequency(floats)
         assert stored._counts[0].dtype == np.uint16
 
-    def test_first_read_of_frames_replaces_the_samples(self):
+    def test_each_read_of_frames_scales_the_samples_anew(self):
         stored, floats = sample_stacks(4, (6, 7))
         samples, gain = stored._counts
         assert samples.dtype == np.uint16 and gain == stored.meta["gain"]
@@ -641,13 +642,34 @@ class TestIntegerStorage:
         assert frames.dtype == np.float64
         assert np.array_equal(frames, samples / stored.meta["gain"])
         assert np.array_equal(frames, floats.frames)
-        assert stored._counts[0] is frames and stored._counts[1] == 1.0
-        assert stored.frames is frames
+        assert stored._counts[0] is samples and stored._counts[1] == gain
+        again = stored.frames
+        assert again is not frames and not np.shares_memory(again, frames)
+        assert np.array_equal(again, frames)
+        assert stored._counts[0] is samples and stored._counts[1] == gain
         assert (stored.frame_count, stored.height, stored.width) == (4, 6, 7)
+        # float64 samples at gain 1 are the frames themselves
+        assert floats.frames is floats._counts[0]
+
+    def test_a_read_of_frames_leaves_no_memory_behind(self):
+        stored, _ = sample_stacks(4, (64, 64))
+        nbytes = stored.frame_count * stored.height * stored.width * 8
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            x = stored.frames
+            assert tracemalloc.get_traced_memory()[0] >= baseline + nbytes
+            del x
+            left = tracemalloc.get_traced_memory()[0] - baseline
+        finally:
+            tracemalloc.stop()
+        assert abs(left) < nbytes // 32, left
+        assert stored._counts[0].dtype == np.uint16
 
     @pytest.mark.parametrize("first_read", [False, True], ids=["before", "after"])
     def test_replace_gives_a_float_stack(self, first_read):
         stored, floats = sample_stacks(4, (6, 7))
+        samples, gain = stored._counts
         if first_read:
             stored.frames
         x = floats.frames + 1.0
@@ -656,8 +678,10 @@ class TestIntegerStorage:
         assert other.frames.dtype == np.float64
         assert np.array_equal(other.frames, x)
         assert np.array_equal(other.scan_phases, stored.scan_phases)
-        assert (stored._counts[0].dtype == np.float64) == first_read
-        assert np.array_equal(stored.frames, floats.frames)
+        assert stored._counts[0] is samples and stored._counts[1] == gain
+        one, two = stored.frames, stored.frames
+        assert one is not two and np.array_equal(one, two)
+        assert np.array_equal(one, floats.frames)
 
     def test_assigning_frames_is_refused_and_replace_makes_a_float_stack(self):
         stored, floats = sample_stacks(8, (6, 7))
@@ -679,10 +703,9 @@ class TestIntegerStorage:
         assert np.array_equal(head.frames, floats.frames[:5])
         assert np.array_equal(head.scan_phases, floats.scan_phases[:5])
 
-    def test_scaling_while_frames_are_first_read(self):
-        # the first read of frames replaces samples and gain; a thread that
-        # scales the samples meanwhile must see the old pair or the new one,
-        # since new samples over the old gain (or the reverse) are wrong counts
+    def test_scaling_while_frames_are_read(self):
+        # reads of frames leave samples and gain as they are, so a thread that
+        # scales the samples meanwhile always gets the counts
         stored, floats = sample_stacks(4, (3, 5))
         samples, gain = stored._counts
         current, wrong = [stored], []
@@ -710,6 +733,7 @@ class TestIntegerStorage:
             sys.setswitchinterval(interval)
         assert not scaler.is_alive()
         assert not wrong
+        assert current[0]._counts[0] is samples and current[0]._counts[1] == gain
 
     def test_only_fringes_touches_the_storage(self):
         # other modules go through FrameStack._from_samples and _scaled

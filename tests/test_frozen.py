@@ -91,19 +91,23 @@ def test_replace_masks_a_negative_seed_to_64_bits():
     assert stack.frame_count == 3 and stack._max_count() > 0.0
 
 
-@pytest.mark.parametrize("stored", [False, True], ids=["float", "uint16"])
+@pytest.mark.parametrize("stored", ["float", "uint16", "uint16-read"])
 @pytest.mark.parametrize(
     "duplicate", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
     ids=["copy", "deepcopy", "pickle"],
 )
 def test_copies_keep_the_samples_and_gain(stored, duplicate):
-    if stored:
+    if stored == "float":
+        stack = STACK
+    else:
         samples = np.rint(STACK.frames * 700.0).astype(np.uint16)
         stack = FrameStack._from_samples(samples, 700.0, PHASES.copy(), {"gain": 700.0})
-    else:
-        stack = STACK
+        if stored == "uint16-read":
+            stack.frames
     got = duplicate(stack)
+    # a read of frames stores nothing, so the copies still hold the uint16 samples
     assert got._counts[0].dtype == stack._counts[0].dtype
+    assert stack._counts[0].dtype == (np.float64 if stored == "float" else np.uint16)
     assert np.array_equal(got._counts[0], stack._counts[0])
     assert got._counts[1] == stack._counts[1]
     assert np.array_equal(got.scan_phases, stack.scan_phases) and got.meta == stack.meta

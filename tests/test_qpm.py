@@ -294,9 +294,14 @@ class TestMismatch:
             # a signal at the pump has an idler of inf, refused with no divide warning
             (PUMP_NM, PUMP_NM, "idler inf nm"),
             (PUMP_NM, [800.0, PUMP_NM], "idler inf nm (at index 1)"),
+            # zeros divide in numpy, with no ZeroDivisionError and no warning
+            (0.0, 800.0, "pump 0.0 nm"),
+            (PUMP_NM, 0.0, "signal 0.0 nm"),
+            (0.0, 0.0, "pump 0.0 nm"),
         ],
         ids=["pump", "signal", "signal-in-array", "nan-in-signals", "idler", "idler-in-array",
-             "signal-at-pump", "signal-at-pump-in-array"],
+             "signal-at-pump", "signal-at-pump-in-array", "zero-pump", "zero-signal",
+             "zero-pump-and-signal"],
     )
     def test_window_fault_names_the_wavelength(self, pump_nm, signal_nm, shown):
         with pytest.raises(ValueError, match=f"^{re.escape(shown)} outside the validity window"):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import os
 import sys
@@ -408,8 +409,29 @@ class TestStoredSamples:
             for i in range(stack.frame_count)
         ]).reshape(stack.frames.shape)
         back = read_stack(tmp_path / "s")
-        assert np.array_equal(back.frames, raw / 9.1)
-        assert back._counts[0].dtype == np.float64 and back._counts[1] == 1.0
+        samples, gain = back._counts
+        frames = back.frames
+        assert np.array_equal(frames, raw / 9.1)
+        assert back._counts[0] is samples and back._counts[1] == gain == 9.1
+        assert samples.dtype == np.uint16
+        again = back.frames
+        assert again is not frames and np.array_equal(again, frames)
+
+    @pytest.mark.parametrize("change", [
+        {"meta": {"note": "edited"}},
+        {"scan_phases": np.linspace(0.0, 3.0, 4)},
+    ], ids=["meta", "scan_phases"])
+    def test_replace_leaves_the_samples_of_the_original(self, tmp_path, change):
+        write_stack(sample_stack(), tmp_path / "s", gain=9.1)
+        back = read_stack(tmp_path / "s")
+        samples, gain = back._counts
+        other = dataclasses.replace(back, **change)
+        assert back._counts[0] is samples and back._counts[1] == gain
+        assert samples.dtype == np.uint16
+        assert other._counts[0].dtype == np.float64 and other._counts[1] == 1.0
+        assert np.array_equal(other.frames, back.frames)
+        for name, value in change.items():
+            assert np.array_equal(getattr(other, name), value)
 
     def test_equality_is_identity_and_keeps_the_samples(self, tmp_path):
         write_stack(sample_stack(), tmp_path / "s")
