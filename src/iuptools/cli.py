@@ -11,7 +11,7 @@ import numpy as np
 
 from . import __version__
 from .bench import run_bench
-from .fringes import FREQUENCY_MODES, ExtractionOptions, analyze_stack
+from .fringes import FREQUENCY_MODES, ExtractionOptions, _check_quantities, analyze_stack
 from .optics import (
     TARGET_KINDS,
     NoiseModel,
@@ -94,10 +94,9 @@ def _parse_value_list(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"range must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
-        if not np.isfinite([start, stop, step]).all():
-            raise ValueError(f"range start, stop and step must be finite, got {text!r}")
-        if step <= 0:
-            raise ValueError("range step must be > 0")
+        message = f"range start, stop and step must be finite, got {text!r}"
+        _check_quantities(message=message, start=start, stop=stop, step=step)
+        _check_quantities(positive=True, message="range step must be > 0", step=step)
         # start + n step can round past a stop on the grid
         return [float(v) for v in np.minimum(np.arange(start, stop + step / 2.0, step), stop)]
     return [float(p) for p in text.split(",") if p != ""]

@@ -26,9 +26,11 @@ The package's count and quantity arguments are checked by two rules defined
 here, each raising the caller's error class and naming the argument: a count
 (_check_counts) is an int or numpy integer, never a bool, within given bounds;
 a quantity (_check_quantities) is a finite real number, never a bool, > 0 or
->= 0 where asked. _check_fields applies them to a settings dataclass by field
+>= 0 where asked, and an array of quantities is judged by its least and
+greatest value. _check_fields applies them to a settings dataclass by field
 type, and _check_reals applies the quantity rule's type half to numbers and
-array-likes before they are converted to float.
+array-likes before they are converted to float. Manifest and table numbers
+(stackio's converters) and CLI ranges go through the same two rules.
 """
 
 from __future__ import annotations
@@ -109,14 +111,9 @@ class FrameStack:
         object.__setattr__(self, "scan_phases", phases)
         if phases.shape != (len(samples),):
             raise ValueError("scan_phases length must equal the frame count")
-        if not np.isfinite(phases).all():
-            raise ValueError("scan phases must be finite")
-        # NaN propagates through both reductions and +-inf shows in one of them
-        lo, hi = float(samples.min()), float(samples.max())
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("frame counts must be finite")
-        if lo < 0.0:
-            raise ValueError("frame counts must be non-negative")
+        _check_quantities(message="scan phases must be finite", scan_phases=phases)
+        message = "frame counts must be finite and non-negative"
+        _check_quantities(non_negative=True, message=message, frames=samples)
 
     @classmethod
     def _from_samples(
@@ -375,15 +372,20 @@ def _check_quantities(
 ) -> None:
     """The quantity rule: each of quantities is a finite real number, never a bool,
     > 0 where positive and >= 0 where non_negative; else error names the first
-    that is not, in keyword order, or says message."""
-    for name, value in quantities.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise error(message or f"{name} must be a real number, got {value!r}")
-        # written so that NaN fails too
-        if not -math.inf < value < math.inf:
-            raise error(message or f"{name} must be finite, got {value!r}")
-        if (positive and not value > 0) or (non_negative and not value >= 0):
-            raise error(message or f"{name} must be {'> 0' if positive else '>= 0'}, got {value!r}")
+    that is not, in keyword order, or says message. An ndarray (an empty one passes)
+    is judged by its least and greatest value: NaN shows in both and +-inf in one."""
+    for name, quantity in quantities.items():
+        extremes = (quantity,)
+        if isinstance(quantity, np.ndarray):
+            extremes = (quantity.min().item(), quantity.max().item()) if quantity.size else ()
+        for value in extremes:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise error(message or f"{name} must be a real number, got {value!r}")
+            # written so that NaN fails too
+            if not -math.inf < value < math.inf:
+                raise error(message or f"{name} must be finite, got {value!r}")
+            if (positive and not value > 0) or (non_negative and not value >= 0):
+                raise error(message or f"{name} must be {'>' if positive else '>='} 0, got {value!r}")
 
 
 def _check_reals(**values) -> None:

@@ -99,6 +99,8 @@ class ConfigurationError(ValueError):
 
 # numpy's Poisson sampler refuses a larger lam
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+# a bound on |z| from numpy's normal sampler (see _fringe_basis)
+_NORMAL_Z_MAX = 13.0
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ class ObjectScene:
             raise ValueError("amplitude_map must be a non-empty 2-D array")
         if self.amplitude_map.shape != self.phase_map.shape:
             raise ValueError("amplitude_map and phase_map must have the same shape")
-        # NaN propagates through both reductions and +-inf shows in one of them
+        # one pass of extremes serves the finite check and the [0, 1] range (the rule: two more)
         amin, amax = float(self.amplitude_map.min()), float(self.amplitude_map.max())
         pmin, pmax = float(self.phase_map.min()), float(self.phase_map.max())
         if not all(map(math.isfinite, (amin, amax, pmin, pmax))):
@@ -184,8 +186,7 @@ class ScanPlan:
         object.__setattr__(self, "mirror_positions_nm", positions)
         if self.mirror_positions_nm.size < 1:
             raise ValueError("a scan needs at least one mirror position")
-        if not np.isfinite(self.mirror_positions_nm).all():
-            raise ValueError("mirror positions must be finite")
+        _check_quantities(mirror_positions_nm=positions)
         _check_fields(self, ValueError, positive=("exposure_ms",))
 
     @property
@@ -470,14 +471,24 @@ def _fringe_basis(
     P and Q are the real and imaginary parts of one complex map, which is
     kept, read-only, for the next call with the same key. A peak count
     mean_counts * (1 + V_sys) + dark past the float64 range, or under shot
-    noise past numpy's Poisson limit, is refused.
+    noise past numpy's Poisson limit, is refused, and so is a read noise sigma
+    with peak + 13 sigma past the float64 range. 13 bounds |z| from numpy's
+    ziggurat normal sampler: its tail draw r + x (r = 3.6542) is taken only
+    when x^2 < 2 y, where y = -log1p(-u) <= 53 ln 2 for a 53-bit u < 1, so
+    |z| < 3.6542 + 8.5717 = 12.226.
     """
     global _basis_entry
     peak = config.mean_counts * (1.0 + config.system_visibility) + noise.dark_offset
-    limit = _POISSON_LAM_MAX if noise.shot_noise else np.finfo(np.float64).max
+    float_max = np.finfo(np.float64).max
+    limit = _POISSON_LAM_MAX if noise.shot_noise else float_max
     if not peak <= limit:
         raise ConfigurationError(
             f"mean_counts {config.mean_counts!r} gives a peak count of {peak:g}, past {limit:g}"
+        )
+    if not peak + _NORMAL_Z_MAX * noise.read_noise_sigma <= float_max:
+        raise ConfigurationError(
+            f"read_noise_sigma {noise.read_noise_sigma!r} can take a peak count of {peak:g} "
+            f"past {float_max:g}"
         )
     key = _basis_key(scene, config)
     with _basis_lock:
@@ -582,8 +593,8 @@ def simulate_stack(
     noise = noise if noise is not None else NoiseModel()
     with np.errstate(over="ignore"):
         phases = fringe_phase_from_mirror(plan.mirror_positions_nm, config.undetected_wavelength_nm)
-    if not np.isfinite(phases).all():
-        raise ValueError("mirror_positions_nm give fringe phases past the float64 range")
+    message = "mirror_positions_nm give fringe phases past the float64 range"
+    _check_quantities(message=message, phases=phases)
     # the stack is allocated before the basis maps, so that releasing them
     # frees one block instead of leaving holes in the heap under the stack
     # (the reverse order raised the peak RSS of a full-frame acquire, write,

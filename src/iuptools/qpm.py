@@ -42,8 +42,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fringes import _check_quantities, _check_reals
-from .stackio import _field, _key_values
+from .fringes import _check_fields, _check_quantities, _check_reals
+from .stackio import StackFormatError, _field, _key_values, _quantity
 
 __all__ = [
     "DispersionSet",
@@ -89,6 +89,20 @@ class DispersionSet:
     temp_min_c: float
     temp_max_c: float
 
+    def __post_init__(self) -> None:
+        _check_fields(self, ValueError)
+        _check_quantities(**{f"a{i}": v for i, v in enumerate(self.a, 1)})
+        _check_quantities(**{f"b{i}": v for i, v in enumerate(self.b, 1)})
+        if not self.lambda_min_um < self.lambda_max_um:
+            raise ValueError(
+                f"lambda_min_um must be < lambda_max_um, got {self.lambda_min_um!r} "
+                f"and {self.lambda_max_um!r}"
+            )
+        if not self.temp_min_c <= self.temp_max_c:
+            raise ValueError(
+                f"temp_min_c must be <= temp_max_c, got {self.temp_min_c!r} and {self.temp_max_c!r}"
+            )
+
     def index_squared(self, wavelength_um, temperature_c: float):
         return self._index_squared(wavelength_um, self._thermal(temperature_c))
 
@@ -123,13 +137,17 @@ def _set_from_text(data: bytes, source: str) -> DispersionSet:
     source = f"dispersion table {source}"
     values = _key_values(data, source)
     floats = [f.name for f in fields(DispersionSet) if f.type == "float"]
-    return DispersionSet(
+    settings = dict(
         name=_field(values, "name", source),
         reference=values.get("reference", ""),
-        a=tuple(_field(values, f"a{i}", source, float) for i in range(1, 7)),
-        b=tuple(_field(values, f"b{i}", source, float) for i in range(1, 5)),
-        **{key: _field(values, key, source, float) for key in floats},
+        a=tuple(_field(values, f"a{i}", source, _quantity) for i in range(1, 7)),
+        b=tuple(_field(values, f"b{i}", source, _quantity) for i in range(1, 5)),
+        **{key: _field(values, key, source, _quantity) for key in floats},
     )
+    try:
+        return DispersionSet(**settings)
+    except ValueError as err:  # every value passed _quantity: a window is out of order
+        raise StackFormatError(f"{source}: {err}") from None
 
 
 @functools.cache
@@ -545,7 +563,8 @@ def tuning_curve(
     if not periods or not temps:
         raise ValueError("poling period and temperature grids must be non-empty")
     # CrystalState raises for the first bad value in (period, T) cell order:
-    # every value first shows in a cell (periods[0], T) or (period, temps[0])
+    # every value first shows in a cell (periods[0], T) or (period, temps[0]).
+    # The quantity rule judges an array by its extremes and cannot find that first value
     bad_periods = ~(np.isfinite(periods) & (np.array(periods) > 0))
     t = np.array(temps)
     bad_temps = ~((t >= ds.temp_min_c) & (t <= ds.temp_max_c))

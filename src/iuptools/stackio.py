@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fringes import AnalysisResult, FrameStack, _check_reals, _ordered_map, _row_chunks
-from .fringes import _usable_cpus
+from .fringes import AnalysisResult, FrameStack, _check_counts, _check_quantities, _check_reals
+from .fringes import _ordered_map, _row_chunks, _usable_cpus
 from .optics import ObjectScene
 
 __all__ = [
@@ -191,7 +191,8 @@ def _parse_pgm(payload: bytes, source: str) -> np.ndarray:
 
 
 def _usable_gain(gain: float) -> bool:
-    """True where every sample 0..65535 scales to a finite count sample / gain."""
+    """True where every sample 0..65535 scales to a finite count sample / gain.
+    65535 / gain must be finite too, which the quantity rule does not ask."""
     return gain > 0 and math.isfinite(gain) and math.isfinite(65535.0 / float(gain))
 
 
@@ -200,9 +201,13 @@ def write_stack(stack: FrameStack, directory: str | Path, gain: float | None = N
 
     With gain=None the gain is picked so the largest count maps to 65535.
     An explicit gain that would push any sample past 65535 raises
-    OverflowError (counts are stored scaled, never clamped).
+    OverflowError (counts are stored scaled, never clamped). The manifest's
+    meta values (pump_nm, exposure_ms, ...) must be finite and > 0. A refused
+    write makes no directory.
     """
     directory = Path(directory)
+    meta = {key: stack.meta[key] for key in _STACK_META_KEYS if key in stack.meta}
+    _check_quantities(positive=True, **meta)
     max_count = stack._max_count()
     if gain is None:
         gain = 65535.0 / max_count if max_count > 0 else 1.0
@@ -243,7 +248,7 @@ def write_stack(stack: FrameStack, directory: str | Path, gain: float | None = N
         "frame_files": names,
         "frame_sha256": digests,
     }
-    entries.update((key, float(stack.meta[key])) for key in _STACK_META_KEYS if key in stack.meta)
+    entries.update((key, float(value)) for key, value in meta.items())
     manifest = directory / STACK_MANIFEST
     _write_key_values(manifest, entries)
     return manifest
@@ -274,8 +279,14 @@ def _field(values: dict[str, str], key: str, source: str, convert=str):
 
 def _positive_int(text: str) -> int:
     value = int(text)
-    if value <= 0:
-        raise ValueError(f"{value} is not positive")
+    _check_counts(low=1, value=value)
+    return value
+
+
+def _quantity(text: str, positive: bool = False) -> float:
+    """text as a float that the quantity rule accepts, > 0 where positive."""
+    value = float(text)
+    _check_quantities(positive=positive, value=value)
     return value
 
 
@@ -284,10 +295,7 @@ def _items(text: str) -> list[str]:
 
 
 def _finite_floats(text: str) -> list[float]:
-    values = [float(v) for v in _items(text)]
-    if not all(map(math.isfinite, values)):
-        raise ValueError("values must be finite")
-    return values
+    return [_quantity(v) for v in _items(text)]
 
 
 def _payload(path: Path, source: str, what: str, buffer: memoryview | None = None):
@@ -339,6 +347,8 @@ def read_stack(manifest_path: str | Path) -> FrameStack:
     usable CPU (in the calling thread alone where there is one). A frame that
     is missing, fails its checksum or is not a PGM of the manifest's geometry
     raises for the first such frame in frame order, whatever the worker count.
+    A meta value (pump_nm, exposure_ms, ...) that is not finite and > 0 is
+    refused by key, before any frame is read.
     """
     manifest_path, values, source = _read_manifest(
         manifest_path, STACK_MANIFEST, STACK_FORMAT_VERSION
@@ -361,6 +371,10 @@ def read_stack(manifest_path: str | Path) -> FrameStack:
             raise StackFormatError(
                 f"{source}: frame_count is {frame_count} but {len(listed)} {what} listed"
             )
+    meta = {"gain": gain}
+    for key in _STACK_META_KEYS:
+        if key in values:
+            meta[key] = _field(values, key, source, lambda text: _quantity(text, positive=True))
     for name in names:
         if name in (".", "..") or "/" in name or "\\" in name:
             raise StackFormatError(
@@ -404,10 +418,6 @@ def read_stack(manifest_path: str | Path) -> FrameStack:
     frames = range(1, frame_count)
     _ordered_map(load, frames, _usable_cpus(), lambda: memoryview(bytearray(size))[pad:])
 
-    meta = {"gain": gain}
-    for key in _STACK_META_KEYS:
-        if key in values:
-            meta[key] = _field(values, key, source, float)
     return FrameStack._from_samples(samples, gain, np.array(phases), meta)
 
 

@@ -232,11 +232,22 @@ class TestFrameStack:
         ],
         ids=["nan", "+inf", "-inf", "negative"],
     )
-    def test_one_bad_pixel_is_refused(self, value, message):
+    @pytest.mark.parametrize(
+        "at", [(0, 0, 0), (1, 2, 2), (2, 3, 1), (2, 3, 4)], ids=["first", "middle", "late", "last"]
+    )
+    def test_one_bad_pixel_is_refused(self, value, message, at):
         frames = np.ones((3, 4, 5))
-        frames[2, 3, 1] = value
+        frames[at] = value
         with pytest.raises(ValueError, match=message):
             FrameStack(frames, [0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("at", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_a_scan_phase_that_is_not_finite_is_refused_anywhere(self, value, at):
+        phases = [0.0, 1.0, 2.0]
+        phases[at] = value
+        with pytest.raises(ValueError, match="^scan phases must be finite$"):
+            FrameStack(np.ones((3, 4, 5)), phases)
 
     def test_finite_check_comes_first(self):
         frames = np.ones((3, 4, 5))

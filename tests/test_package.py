@@ -76,6 +76,6 @@ def test_checked_dataclasses_are_frozen():
     }
     assert {
         "FrameStack", "ExtractionOptions", "ObjectScene", "OpticalConfig", "ScanPlan",
-        "NoiseModel", "CrystalState",
+        "NoiseModel", "CrystalState", "DispersionSet",
     } <= set(checked)
     assert [name for name, cls in checked.items() if not cls.__dataclass_params__.frozen] == []

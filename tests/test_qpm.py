@@ -228,6 +228,38 @@ class TestDispersion:
         with pytest.raises(ValueError, match="bad.txt: key 'a1' has invalid value 'abc'"):
             load_dispersion_set(bad)
 
+    @pytest.mark.parametrize(
+        "coefficients, shown",
+        [
+            ({"lambda_max_um": "nan"}, "key 'lambda_max_um' has invalid value 'nan'"),
+            ({"a3": "inf"}, "key 'a3' has invalid value 'inf'"),
+            ({"b2": "-inf"}, "key 'b2' has invalid value '-inf'"),
+            ({"temp_min_c": "nan"}, "key 'temp_min_c' has invalid value 'nan'"),
+            ({"lambda_min_um": "4.0"}, "lambda_min_um must be < lambda_max_um, got 4.0 and 4.0"),
+            ({"temp_min_c": "250"}, "temp_min_c must be <= temp_max_c, got 250.0 and 200.0"),
+        ],
+        ids=["nan-window", "inf-a", "-inf-b", "nan-temperature", "empty-window", "reversed-temps"],
+    )
+    def test_bad_table_value_is_refused_at_load_by_file_and_key(self, tmp_path, coefficients,
+                                                                shown):
+        with pytest.raises(StackFormatError) as caught:
+            table_with(tmp_path, **coefficients)
+        assert str(caught.value) == f"dispersion table {tmp_path / 'table.txt'}: {shown}"
+
+    @pytest.mark.parametrize(
+        "change, shown",
+        [
+            ({"a": (1.0, 2.0, 3.0, 4.0, 5.0, np.nan)}, "a6 must be finite, got nan"),
+            ({"b": (0.0, True, 0.0, 0.0)}, "b2 must be a real number, got True"),
+            ({"t_factor": np.inf}, "t_factor must be finite, got inf"),
+            ({"lambda_max_um": 0.5}, "lambda_min_um must be < lambda_max_um, got 0.5 and 0.5"),
+        ],
+        ids=["nan-a", "bool-b", "inf-field", "empty-window"],
+    )
+    def test_dispersion_set_is_checked_when_made(self, change, shown):
+        with pytest.raises(ValueError, match=f"^{re.escape(shown)}$"):
+            dataclasses.replace(default_dispersion_set(), **change)
+
     def test_malformed_line_is_reported(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("name x\n")

@@ -243,10 +243,18 @@ class TestSceneAndConfig:
     def test_scan_plan_validation(self):
         with pytest.raises(ValueError):
             ScanPlan([])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^mirror_positions_nm must be finite, got inf$"):
             ScanPlan([0.0, np.inf])
         with pytest.raises(ValueError):
             ScanPlan.equal_steps(0, 1558.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("at", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_a_mirror_position_that_is_not_finite_is_refused_anywhere(self, value, at):
+        positions = [0.0, 100.0, 200.0]
+        positions[at] = value
+        with pytest.raises(ValueError, match=f"^mirror_positions_nm must be finite, got {value}$"):
+            ScanPlan(positions)
 
 
 class TestTargets:
@@ -405,6 +413,25 @@ class TestPhotonBudget:
             simulate_stack(scene, config, ScanPlan.equal_steps(4, 1558.0), noise)
         with pytest.raises(ConfigurationError, match="mean_counts"):
             render_frame(scene, config, 0.0, noise)
+
+    @pytest.mark.parametrize("shot_noise", [False, True], ids=["read", "read+shot"])
+    def test_read_noise_that_could_overflow_refused_by_name(self, builds, shot_noise):
+        # refused before the basis is built, without an overflow warning
+        # (pytest turns RuntimeWarning into an error)
+        scene = make_test_target("uniform", (32, 40))
+        noise = NoiseModel(shot_noise=shot_noise, read_noise_sigma=1e308)
+        with pytest.raises(ConfigurationError, match="^read_noise_sigma 1e\\+308 can take"):
+            simulate_stack(scene, small_config(), ScanPlan.equal_steps(4, 1558.0), noise)
+        with pytest.raises(ConfigurationError, match="^read_noise_sigma 1e\\+308 can take"):
+            render_frame(scene, small_config(), 0.0, noise)
+        assert builds == []
+
+    def test_large_read_noise_below_the_bound_renders(self):
+        # |z| < 13 keeps 13 sigma + peak <= the float64 maximum from overflowing
+        scene = make_test_target("uniform", (32, 40))
+        noise = NoiseModel(read_noise_sigma=np.finfo(np.float64).max / 14, rng_seed=5)
+        stack = simulate_stack(scene, small_config(), ScanPlan.equal_steps(3, 1558.0), noise)
+        assert np.isfinite(stack.frames).all() and stack.frames.max() > 1e307
 
     def test_budget_past_the_poisson_limit_renders_without_shot_noise(self):
         scene = make_test_target("uniform", (32, 40))

@@ -362,6 +362,24 @@ class TestStackRoundTrip:
             write_stack(stack, tmp_path / "s", gain=gain)
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("pump_nm", "green", "^pump_nm must be a real number, got 'green'$"),
+            ("exposure_ms", True, "^exposure_ms must be a real number, got True$"),
+            ("pump_nm", np.nan, "^pump_nm must be finite, got nan$"),
+            ("exposure_ms", np.inf, "^exposure_ms must be finite, got inf$"),
+            ("pixel_pitch_um", 0.0, "^pixel_pitch_um must be > 0, got 0.0$"),
+        ],
+        ids=["str", "bool", "nan", "inf", "zero"],
+    )
+    def test_bad_meta_value_refused_by_write_before_the_directory(self, tmp_path, key, value,
+                                                                   message):
+        stack = FrameStack(np.ones((3, 4, 5)), np.arange(3.0), {"undetected_nm": 1558.0, key: value})
+        with pytest.raises(ValueError, match=message):
+            write_stack(stack, tmp_path / "s")
+        assert not (tmp_path / "s").exists()
+
     @pytest.mark.parametrize("gain", [True, np.True_, "7"], ids=repr)
     def test_gain_that_is_no_number_refused_by_write(self, tmp_path, gain):
         stack = FrameStack(np.ones((3, 4, 5)), [0.0, 1.0, 2.0])
@@ -528,6 +546,8 @@ class TestStackValidation:
             ("height", "0"),
             ("frame_count", "0"),
             ("scan_phases", "nan,1,2,3"),
+            ("pump_nm", "nan"),
+            ("exposure_ms", "inf"),
         ],
     )
     def test_unparsable_value_names_file_and_key(self, tmp_path, key, bad):
@@ -540,6 +560,20 @@ class TestStackValidation:
         for frame in (tmp_path / "s").glob("*.pgm"):
             frame.unlink()
         pattern = f"stack.manifest: key '{key}' has invalid value '{bad}'"
+        with pytest.raises(StackFormatError, match=pattern):
+            read_stack(tmp_path / "s")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("at", [0, 2, 3], ids=["first", "middle", "last"])
+    def test_a_scan_phase_that_is_not_finite_is_refused_anywhere(self, tmp_path, value, at):
+        write_stack(sample_stack(), tmp_path / "s")
+        mf = tmp_path / "s" / "stack.manifest"
+        values = parse_key_values(mf.read_text())
+        phases = values["scan_phases"].split(",")
+        phases[at] = value
+        values["scan_phases"] = ",".join(phases)
+        mf.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        pattern = f"stack.manifest: key 'scan_phases' has invalid value '{values['scan_phases']}'"
         with pytest.raises(StackFormatError, match=pattern):
             read_stack(tmp_path / "s")
 
