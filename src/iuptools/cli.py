@@ -1,4 +1,4 @@
-"""Command line front end: target, simulate, analyze, tune and bench."""
+"""Command line front end: target, simulate, analyze and tune."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import run_bench
 from .fringes import FREQUENCY_MODES, ExtractionOptions, _check_quantities, analyze_stack
 from .optics import (
     TARGET_KINDS,
@@ -79,10 +78,6 @@ def _parse_size(text: str) -> tuple[int, int]:
     """N or HxW pixels."""
     h, sep, w = text.partition("x")
     return int(h), int(w if sep else h)
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p != ""]
 
 
 def _parse_value_list(text: str) -> list[float]:
@@ -166,13 +161,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    frame_counts = _option_value("--frames", _parse_int_list, args.frames)
-    report = run_bench(args.width, args.height, frame_counts, args.runs, threads=args.threads)
-    print(report.table())
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iup",
@@ -226,14 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    "a range includes stop when stop lies on its step grid")
     p.add_argument("--out", default=None, help="write the grid as CSV here")
     p.set_defaults(func=_cmd_tune)
-
-    p = sub.add_parser("bench", help="time the analysis path against frame count")
-    p.add_argument("--width", type=int, default=1280)
-    p.add_argument("--height", type=int, default=1024)
-    p.add_argument("--frames", default="3,4,8,15", help="comma list of frame counts")
-    p.add_argument("--runs", type=int, default=100, help="timed repetitions per K")
-    p.add_argument("--threads", type=int, default=1)
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 

@@ -199,8 +199,9 @@ def _usable_gain(gain: float) -> bool:
 def write_stack(stack: FrameStack, directory: str | Path, gain: float | None = None) -> Path:
     """Write K PGM frames plus a manifest; returns the manifest path.
 
-    With gain=None the gain is picked so the largest count maps to 65535.
-    An explicit gain that would push any sample past 65535 raises
+    With gain=None the gain is picked so the largest count maps to 65535; a
+    largest count below about 3.6e-304, whose 65535 / count overflows, is
+    refused. An explicit gain that would push any sample past 65535 raises
     OverflowError (counts are stored scaled, never clamped). The manifest's
     meta values (pump_nm, exposure_ms, ...) must be finite and > 0. A refused
     write makes no directory.
@@ -211,6 +212,11 @@ def write_stack(stack: FrameStack, directory: str | Path, gain: float | None = N
     max_count = stack._max_count()
     if gain is None:
         gain = 65535.0 / max_count if max_count > 0 else 1.0
+        if not math.isfinite(gain):
+            raise ValueError(
+                f"largest count {max_count!r} is too small to autoscale: "
+                "65535 / count overflows"
+            )
     else:
         _check_reals(gain=gain)
     if not _usable_gain(gain):

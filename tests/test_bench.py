@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from iuptools import BenchReport, run_bench
+from iuptools import BenchReport, bench, run_bench
 
 
 def quick_report():
@@ -44,6 +44,16 @@ class TestRunBench:
         rep = run_bench(width=16, height=12, frame_counts=[np.int64(3)], runs=2)
         assert [r.frame_count for r in rep.rows] == [3]
         assert type(rep.rows[0].frame_count) is int
+
+    def test_timed_runs_alternate_across_frame_counts(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            bench, "analyze_stack", lambda stack, threads: seen.append(stack.frame_count)
+        )
+        run_bench(width=16, height=12, frame_counts=(3, 8, 4), runs=4)
+        w = bench._WARMUP_RUNS
+        assert seen[: 3 * w] == [3] * w + [8] * w + [4] * w
+        assert seen[3 * w :] == [3, 8, 4] * 4
 
     def test_table_mentions_geometry(self):
         rep = quick_report()

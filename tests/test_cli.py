@@ -68,11 +68,10 @@ class TestTarget:
     [
         (("target", "--kind", "uniform", "--size", "12x"), "--size"),
         (("target", "--kind", "uniform", "--size", "ax9"), "--size"),
-        (("bench", "--frames", "3,x"), "--frames"),
         (("tune", "--periods", "7.4,x", "--temps", "25"), "--periods"),
         (("tune", "--periods", "7.4", "--temps", "20:a:5"), "--temps"),
     ],
-    ids=["size-12x", "size-ax9", "frames", "periods", "temps"],
+    ids=["size-12x", "size-ax9", "periods", "temps"],
 )
 def test_unparsable_list_or_size_names_option(tmp_path, capsys, argv, option):
     out = ("--out", str(tmp_path / "x")) if argv[0] == "target" else ()
@@ -439,17 +438,6 @@ class TestTune:
         assert not out.exists()
 
 
-class TestBench:
-    def test_table_output(self, capsys):
-        assert run("bench", "--width", "64", "--height", "48",
-                   "--frames", "3,4", "--runs", "2") == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert "geometry: 64x48, threads: 1" in lines
-        rows = [line.split() for line in lines[3:]]
-        assert [int(row[0]) for row in rows] == [3, 4]
-        assert all(int(row[3]) == 2 for row in rows)
-
-
 class TestTopLevel:
     def test_no_command_shows_usage(self, capsys):
         assert run() == 2
@@ -457,3 +445,10 @@ class TestTopLevel:
     def test_version_flag(self, capsys):
         assert cli_main(["--version"]) == 0
         assert "0.1.0" in capsys.readouterr().out
+
+    def test_subcommands_are_the_four_workflow_steps(self, capsys):
+        # timing is iuptools.run_bench(...).table(), not a subcommand
+        assert run("bench") == 2
+        assert run("--help") == 0
+        usage = capsys.readouterr().out
+        assert "{target,simulate,analyze,tune}" in usage

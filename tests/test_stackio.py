@@ -290,6 +290,22 @@ class TestStackRoundTrip:
             write_stack(stack, tmp_path / "over", gain=32767.75)
         assert not (tmp_path / "over").exists()
 
+    def test_count_too_small_to_autoscale_refused_by_count(self, tmp_path):
+        # 65535 / 1e-305 overflows to inf: the error names the count, not a gain
+        stack = FrameStack(np.full((3, 4, 5), 1e-305), np.arange(3.0))
+        with pytest.raises(ValueError, match=r"^largest count 1e-305 is too small to autoscale"):
+            write_stack(stack, tmp_path / "s")
+        assert not (tmp_path / "s").exists()
+
+    def test_tiny_counts_that_autoscale_round_trip(self, tmp_path):
+        frames = np.full((3, 4, 5), 1e-300)
+        frames[1, 2, 3] = 0.25e-300
+        write_stack(FrameStack(frames, np.arange(3.0)), tmp_path / "s")
+        back = read_stack(tmp_path / "s")
+        gain = back.meta["gain"]
+        assert gain == 65535.0 / 1e-300
+        assert np.abs(back.frames - frames).max() <= 0.5 / gain
+
     def test_samples_are_rounded_scaled_counts(self, tmp_path):
         stack = sample_stack(noise=NoiseModel(shot_noise=True, read_noise_sigma=2.0, rng_seed=9))
         write_stack(stack, tmp_path / "s", gain=7.3)
