@@ -126,7 +126,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         fixed_frequency=args.frequency,
         min_dc_threshold=args.min_dc,
     )
-    result = analyze_stack(stack, options, threads=args.threads)
+    result = analyze_stack(stack, options)
     export_maps(result, args.out, preview=args.preview)
     print(
         f"{args.out}: {stack.frame_count} frames analyzed, fringe frequency "
@@ -199,7 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="cycles per scan for --frequency-mode fixed")
     p.add_argument("--min-dc", type=float, default=ExtractionOptions.min_dc_threshold,
                    help="mask pixels whose DC falls below this many counts")
-    p.add_argument("--threads", type=int, default=1, help="row-parallel workers")
     p.add_argument("--preview", action="store_true", help="also write 16-bit PGM previews")
     p.add_argument("--out", required=True, help="output map directory")
     p.set_defaults(func=_cmd_analyze)
@@ -227,8 +226,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, ArithmeticError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (ValueError, RuntimeError, ArithmeticError, OSError, MemoryError) as err:
+        # a bare MemoryError has no message
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 1
 
 

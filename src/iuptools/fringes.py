@@ -11,14 +11,15 @@ estimate takes f from the minimum of the fit residual of the frame-mean
 series, which keeps the fringe energy of off-bin scans out of neighbouring
 bins.
 
-Pixels are read in fixed row chunks shared among worker threads. Samples
-that need scaling by the gain are scaled one chunk at a time into a scratch
-band per worker, and each chunk's projection sums and complex amplitude go to
-scratch of the worker's too; the calling thread makes all of it and hands it
-out, so none stays resident in a worker thread's heap arena after the
-analysis. The frame-mean series adds each chunk's frame sums in chunk order,
-so it is the same for any thread count; estimate mode and the leakage flag
-both fit it.
+Pixels are read in fixed row chunks shared among worker threads, by default
+one per CPU the calling thread may run on (_usable_cpus, the rule simulation
+and reading use too), at most one per chunk. Samples that need scaling by the
+gain are scaled one chunk at a time into a scratch band per worker, and each
+chunk's projection sums and complex amplitude go to scratch of the worker's
+too; the calling thread makes all of it and hands it out, so none stays
+resident in a worker thread's heap arena after the analysis. The frame-mean
+series adds each chunk's frame sums in chunk order, so it is the same for any
+thread count; estimate mode and the leakage flag both fit it.
 The estimator's search grid and its projectors depend on K alone and are kept
 for the last few K.
 
@@ -516,21 +517,23 @@ def estimate_fringe_frequency(stack: FrameStack) -> float:
 
     The fit runs on the frame-mean series, each frame's sums per row chunk
     added in chunk order over the pixel count, as analyze_stack builds it at
-    any thread count. Its single-frequency fit residual is scanned on an even
-    grid over [1/8, K/2 - 1/8]. From the grid minimum, parabolic vertex steps
-    through the residuals at +-h, for h of one grid step, 1e-3, 1e-5 and 1e-8
-    cycles, each move the estimate by at most h, stay inside that interval
-    and are kept only where the residual does not rise. An estimate on an
-    edge of the interval, where the residual still falls, is refused with
-    FrequencyEstimationError.
+    any thread count; the frame sums are shared among one worker per CPU the
+    calling thread may run on, at most one per chunk, so the series is the
+    same for any number of CPUs. Its single-frequency fit residual is scanned
+    on an even grid over [1/8, K/2 - 1/8]. From the grid minimum, parabolic
+    vertex steps through the residuals at +-h, for h of one grid step, 1e-3,
+    1e-5 and 1e-8 cycles, each move the estimate by at most h, stay inside
+    that interval and are kept only where the residual does not rise. An
+    estimate on an edge of the interval, where the residual still falls, is
+    refused with FrequencyEstimationError.
     """
-    return _estimate(stack, threads=1)
+    return _estimate(stack, _usable_cpus())
 
 
 def analyze_stack(
     stack: FrameStack,
     options: ExtractionOptions | None = None,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> AnalysisResult:
     """Extract visibility, contrast, phase and DC maps from a frame stack.
 
@@ -540,12 +543,15 @@ def analyze_stack(
     equals the DFT-bin formulas A = X0/K and c = 2 X1/K to rounding error).
     Visibility is |c|/A, contrast 2|c| and phase atan2(Im c, Re c). Pixels are
     processed in fixed row chunks, shared among `threads` workers (an integer
-    >= 1); each pixel's sums run over the frames in index order, so results
-    are bit-identical for any worker count and any memory layout of the given
-    frames. A stack's samples are scaled by its gain one chunk at a time, into a
-    buffer per worker. Estimate mode and the leakage flag fit the frame-mean
-    series of estimate_fringe_frequency; the flag's sums come from the projection pass.
+    >= 1; None, the default, is one per CPU the calling thread may run on), at
+    most one per chunk; each pixel's sums run over the frames in index order,
+    so results are bit-identical for any worker count and any memory layout of
+    the given frames. A stack's samples are scaled by its gain one chunk at a
+    time, into a buffer per worker. Estimate mode and the leakage flag fit the
+    frame-mean series of estimate_fringe_frequency; the flag's sums come from
+    the projection pass.
     """
+    threads = _usable_cpus() if threads is None else threads
     _check_counts(OptionsError, low=1, threads=threads)
     opts = options if options is not None else ExtractionOptions()
     k = stack.frame_count

@@ -798,6 +798,48 @@ class TestIntegerStorage:
             sys.setswitchinterval(interval)
 
 
+class TestDefaultWorkers:
+    """Without threads, the analysis and the frequency estimate take one worker
+    per CPU the calling thread may run on, and give one worker's bits."""
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ExtractionOptions(),
+            ExtractionOptions(frequency_mode="fixed", fixed_frequency=1.25),
+            ExtractionOptions(frequency_mode="estimate"),
+        ],
+        ids=lambda opt: opt.frequency_mode,
+    )
+    def test_any_cpu_count_gives_one_workers_result(self, tmp_path, monkeypatch, options):
+        # 250 rows of 300 pixels span three row chunks, the last one short
+        rng = np.random.default_rng(50)
+        stack = fringe_stack(8, 200.0, 80.0, 0.3, shape=(250, 300), cycles=1.25)
+        stack = FrameStack(rng.poisson(stack.frames).astype(float), stack.scan_phases)
+        read = read_stack(write_stack(stack, tmp_path / "stack"))
+        workers, ordered_map = [], fringes._ordered_map
+
+        def recording_map(fn, items, count, *args):
+            workers.append(count)
+            return ordered_map(fn, items, count, *args)
+
+        monkeypatch.setattr(fringes, "_ordered_map", recording_map)
+        for each in (stack, read):
+            want = analyze_stack(each, options, threads=1)
+            want_frequency = fringes._estimate(each, 1)
+            for cpus in (1, 2, 3, 7):
+                monkeypatch.setattr(fringes, "_usable_cpus", lambda: cpus)
+                workers.clear()
+                assert_same_result(analyze_stack(each, options), want)
+                assert estimate_fringe_frequency(each) == want_frequency
+                assert workers and set(workers) == {cpus}
+        assert read._counts[0].dtype == np.uint16
+
+    def test_threads_none_is_the_default(self):
+        stack = fringe_stack(8, 200.0, 80.0, 0.3, shape=(250, 300), cycles=1.25)
+        assert_same_result(analyze_stack(stack, threads=None), analyze_stack(stack))
+
+
 class TestOptions:
     def test_defaults(self):
         opt = ExtractionOptions()
@@ -825,7 +867,7 @@ class TestOptions:
         with pytest.raises(OptionsError):
             ExtractionOptions(min_dc_threshold=threshold)
 
-    @pytest.mark.parametrize("threads", [0, -2, 2.7, "3", None])
+    @pytest.mark.parametrize("threads", [0, -2, 2.7, "3"])
     def test_threads_must_be_a_positive_integer(self, threads):
         with pytest.raises(OptionsError, match="threads must be an integer >= 1"):
             analyze_stack(fringe_stack(4, 2.0, 1.0, 0.0), threads=threads)
