@@ -119,8 +119,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     stack = read_stack(args.stack)
-    if args.frames_used is not None:
-        stack = stack.truncated(args.frames_used)
     options = ExtractionOptions(
         frequency_mode=args.frequency_mode,
         fixed_frequency=args.frequency,
@@ -137,8 +135,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    if args.periods is None or args.temps is None:
-        raise ValueError("provide --periods (or --period) and --temps (or --temp)")
     periods = _option_value("--periods", _parse_value_list, args.periods)
     temps = _option_value("--temps", _parse_value_list, args.temps)
     points = tuning_curve(args.pump, periods, temps)
@@ -191,8 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="extract visibility/contrast/phase/dc maps")
     p.add_argument("--stack", required=True, help="stack directory or manifest path")
-    p.add_argument("--frames-used", type=int, default=None,
-                   help="truncate the stack to its first N frames")
     p.add_argument("--frequency-mode", default=ExtractionOptions.frequency_mode,
                    choices=FREQUENCY_MODES)
     p.add_argument("--frequency", type=float, default=None,
@@ -205,10 +199,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="solve phase-matched signal/idler pairs")
     p.add_argument("--pump", type=float, default=532.0, help="pump wavelength, nm")
-    p.add_argument("--periods", "--period", dest="periods", default=None,
+    p.add_argument("--periods", "--period", dest="periods", required=True,
                    help="poling period(s): value, comma list or start:stop:step (um); "
                    "a range includes stop when stop lies on its step grid")
-    p.add_argument("--temps", "--temp", dest="temps", default=None,
+    p.add_argument("--temps", "--temp", dest="temps", required=True,
                    help="crystal temperature(s): value, comma list or start:stop:step (C); "
                    "a range includes stop when stop lies on its step grid")
     p.add_argument("--out", default=None, help="write the grid as CSV here")

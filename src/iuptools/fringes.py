@@ -94,6 +94,9 @@ class FrameStack:
     computed on each read, a new samples / gain array, and never stored. A
     stack is frozen: dataclasses.replace makes a new, checked one, of float64
     samples, and leaves the original untouched. It compares equal only to itself.
+    Part of a scan is a new stack from the constructor, of frames that still
+    span the fringe cycle: every other frame of a one-cycle scan is one cycle,
+    FrameStack(stack.frames[::2], stack.scan_phases[::2], stack.meta).
     """
 
     frames: np.ndarray
@@ -120,9 +123,9 @@ class FrameStack:
     def _from_samples(
         cls, samples: np.ndarray, gain: float, scan_phases: np.ndarray, meta: dict
     ) -> "FrameStack":
-        """A stack of the counts samples / gain, unchecked: the caller ensures a
-        (K, height, width) shape with K >= 1 and a pixel, K finite float64 scan
-        phases, and counts that are finite and non-negative."""
+        """A stack of the counts samples / gain, unchecked, for stackio.read_stack,
+        which ensures a (K, height, width) shape with K >= 1 and a pixel, K finite
+        float64 scan phases, and counts that are finite and non-negative."""
         stack = cls.__new__(cls)
         stack.__dict__.update(_counts=(samples, gain), scan_phases=scan_phases, meta=meta)
         return stack
@@ -168,15 +171,6 @@ class FrameStack:
     @property
     def width(self) -> int:
         return self._counts[0].shape[2]
-
-    def truncated(self, n: int) -> "FrameStack":
-        """Return a stack holding only the first n frames, in the same storage."""
-        k = self.frame_count
-        message = f"cannot keep n={n!r} frame(s) of a {k}-frame stack"
-        _check_counts(low=1, high=k, message=message, n=n)
-        samples, gain = self._counts
-        phases, meta = self.scan_phases[:n].copy(), dict(self.meta)
-        return FrameStack._from_samples(samples[:n].copy(), gain, phases, meta)
 
 
 @dataclass(frozen=True)

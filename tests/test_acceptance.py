@@ -265,14 +265,16 @@ def test_criterion_09_benchmark_harness():
 @criterion(10, "seeded CLI runs are byte-identical and thread-invariant", budget_s=60.0)
 def test_criterion_10_determinism(tmp_path, monkeypatch):
     scene = tmp_path / "scene"
-    assert cli_main(["target", "--kind", "ring-electrode", "--size", "96x120",
+    # 4 row chunks, so that 4 and 7 CPUs start several workers
+    assert len(iu.fringes._row_chunks(300, 400)) >= 4
+    assert cli_main(["target", "--kind", "ring-electrode", "--size", "300x400",
                      "--out", str(scene)]) == 0
 
     def simulate(dest, seed):
         assert cli_main([
             "simulate", "--scene", str(scene), "--frames", "8",
             "--seed", str(seed),
-            "--set", "sensor_width=120", "--set", "sensor_height=96",
+            "--set", "sensor_width=400", "--set", "sensor_height=300",
             "--set", "shot_noise=true", "--set", "read_noise_sigma=2.0",
             "--out", str(dest),
         ]) == 0
@@ -283,10 +285,11 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
     simulate(tmp_path / "s3", 34)
     assert dir_bytes(tmp_path / "s1") != dir_bytes(tmp_path / "s3")
 
-    def analyze(src, dest, threads):
+    def analyze(src, dest, threads, mode="assume-one-cycle"):
         # `iup analyze` runs one worker per CPU it may use
         monkeypatch.setattr(iu.fringes, "_usable_cpus", lambda: threads)
-        assert cli_main(["analyze", "--stack", str(src), "--out", str(dest)]) == 0
+        assert cli_main(["analyze", "--stack", str(src), "--frequency-mode", mode,
+                         "--out", str(dest)]) == 0
 
     analyze(tmp_path / "s1", tmp_path / "m1", 1)
     analyze(tmp_path / "s2", tmp_path / "m2", 1)
@@ -295,3 +298,8 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
     analyze(tmp_path / "s1", tmp_path / "m7", 7)
     assert dir_bytes(tmp_path / "m1") == dir_bytes(tmp_path / "m4")
     assert dir_bytes(tmp_path / "m1") == dir_bytes(tmp_path / "m7")
+    # estimate mode fits the frame-mean series that the chunks add up in order
+    for threads in (1, 4, 7):
+        analyze(tmp_path / "s1", tmp_path / f"e{threads}", threads, "estimate")
+    assert dir_bytes(tmp_path / "e1") == dir_bytes(tmp_path / "e4")
+    assert dir_bytes(tmp_path / "e1") == dir_bytes(tmp_path / "e7")

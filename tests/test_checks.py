@@ -54,12 +54,16 @@ STACK = FrameStack(100.0 * (1.0 + 0.5 * np.cos(PHASES[:, None, None] + RAMP)), P
 CRYSTAL = CrystalState(7.4, 25.0)
 
 # (site, call with the value, error class, the name the error gives, good value, rule, bound):
-# a count's bound is its least value; a quantity's is "> 0", ">= 0" or None
+# a count's bound is its least value or None; a quantity's is "> 0", ">= 0" or None
 SITES = [
     ("ScanPlan.equal_steps:frame_count", lambda v: ScanPlan.equal_steps(v, 1558.0),
      ValueError, "frame_count", 4, "count", 1),
     ("ScanPlan.equal_steps:idler_wavelength_nm", lambda v: ScanPlan.equal_steps(4, v),
      ValueError, "idler_wavelength_nm", 1558.0, "quantity", "> 0"),
+    ("ScanPlan:exposure_ms", lambda v: ScanPlan([0.0, 1.0, 2.0], exposure_ms=v),
+     ValueError, "exposure_ms", 200.0, "quantity", "> 0"),
+    ("NoiseModel:rng_seed", lambda v: NoiseModel(rng_seed=v),
+     ValueError, "rng_seed", 5, "count", None),
     ("render_frame:scan_phase", lambda v: render_frame(SCENE, CONFIG, v, SHOT, 1),
      ValueError, "scan_phase", 0.3, "quantity", None),
     ("render_frame:frame_index", lambda v: render_frame(SCENE, CONFIG, 0.3, SHOT, frame_index=v),
@@ -98,8 +102,6 @@ SITES = [
      ConfigurationError, "sensor_height", 32, "count", 1),
     ("analyze_stack:threads", lambda v: analyze_stack(STACK, threads=v),
      OptionsError, "threads", 2, "count", 1),
-    ("FrameStack.truncated:n", lambda v: STACK.truncated(v),
-     ValueError, "n=", 3, "count", 1),
     ("ExtractionOptions:fixed_frequency",
      lambda v: ExtractionOptions(frequency_mode="fixed", fixed_frequency=v),
      OptionsError, "fixed_frequency", 1.25, "quantity", "> 0"),
@@ -150,7 +152,7 @@ def _refused(rule, bound) -> list:
     finite; a count never a float; 0 and -1 where below the bound."""
     values = NOT_NUMBERS + ([2.0] if rule == "count" else [])
     if rule == "count":
-        return values + [v for v in (0, -1) if v < bound]
+        return values + [v for v in (0, -1) if bound is not None and v < bound]
     return values + {"> 0": [0, -1], ">= 0": [-1], None: []}[bound]
 
 

@@ -234,15 +234,27 @@ class TestAnalyze:
                          "mask.f32", "maps.manifest"}
         assert parse_key_values((out / "maps.manifest").read_text())["format_version"] == "2"
 
-    def test_cpu_count_does_not_change_output(self, tmp_path, stack_dir, monkeypatch):
-        outs = []
-        for cpus in (1, 4):
-            # the analysis sizes its workers from the CPUs it may run on
-            monkeypatch.setattr(fringes, "_usable_cpus", lambda: cpus)
-            out = tmp_path / f"maps{cpus}"
-            assert run("analyze", "--stack", str(stack_dir), "--out", str(out)) == 0
-            outs.append(dir_bytes(out))
-        assert outs[0] == outs[1]
+    def test_cpu_count_does_not_change_output(self, tmp_path, monkeypatch):
+        # enough rows for 4 row chunks, so that 4 and 7 CPUs start several workers
+        assert len(fringes._row_chunks(300, 400)) >= 4
+        scene, stack = tmp_path / "scene", tmp_path / "stack"
+        assert run("target", "--kind", "ring-electrode", "--size", "300x400",
+                   "--out", str(scene)) == 0
+        assert run("simulate", "--scene", str(scene), "--frames", "8", "--seed", "33",
+                   "--set", "sensor_width=400", "--set", "sensor_height=300",
+                   "--set", "shot_noise=true", "--set", "read_noise_sigma=2.0",
+                   "--out", str(stack)) == 0
+        # estimate mode fits the frame-mean series that the chunks add up in order
+        for mode in ("assume-one-cycle", "estimate"):
+            outs = []
+            for cpus in (1, 4, 7):
+                # the analysis sizes its workers from the CPUs it may run on
+                monkeypatch.setattr(fringes, "_usable_cpus", lambda: cpus)
+                out = tmp_path / f"{mode}{cpus}"
+                assert run("analyze", "--stack", str(stack), "--frequency-mode", mode,
+                           "--out", str(out)) == 0
+                outs.append(dir_bytes(out))
+            assert outs[0] == outs[1] == outs[2]
 
     def test_threads_is_not_an_option(self, tmp_path, stack_dir, capsys):
         assert run("analyze", "--stack", str(stack_dir), "--threads", "2",
@@ -250,11 +262,11 @@ class TestAnalyze:
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
-    def test_frames_used_truncates(self, tmp_path, stack_dir, capsys):
-        out = tmp_path / "maps4"
+    def test_frames_used_is_not_an_option(self, tmp_path, stack_dir, capsys):
         assert run("analyze", "--stack", str(stack_dir), "--frames-used", "4",
-                   "--out", str(out)) == 0
-        assert "4 frames" in capsys.readouterr().out
+                   "--out", str(tmp_path / "m")) == 2
+        assert "--frames-used" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
     def test_fixed_frequency_mode(self, tmp_path, stack_dir):
         out = tmp_path / "fixed"
@@ -397,8 +409,11 @@ class TestTune:
         assert not out.exists()
 
     def test_missing_arguments(self, capsys):
-        assert run("tune", "--period", "7.4") == 1
-        assert run("tune", "--temp", "25") == 1
+        # a usage error, as for a missing --kind or --stack
+        assert run("tune", "--period", "7.4") == 2
+        assert "required: --temps/--temp" in capsys.readouterr().err
+        assert run("tune", "--temp", "25") == 2
+        assert "required: --periods/--period" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "option, text",

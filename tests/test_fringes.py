@@ -256,20 +256,6 @@ class TestFrameStack:
         with pytest.raises(ValueError, match="finite"):
             FrameStack(frames, [0.0, 1.0, 2.0])
 
-    def test_truncated_keeps_leading_frames(self):
-        stack = fringe_stack(8, 2.0, 1.0, 0.4)
-        head = stack.truncated(5)
-        assert head.frames.shape[0] == 5
-        assert np.array_equal(head.frames, stack.frames[:5])
-        assert np.array_equal(head.scan_phases, stack.scan_phases[:5])
-
-    def test_truncated_bounds(self):
-        stack = fringe_stack(4, 2.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            stack.truncated(0)
-        with pytest.raises(ValueError):
-            stack.truncated(5)
-
     def test_counts_are_held_c_ordered_float64(self):
         frames = np.random.default_rng(3).uniform(0.0, 100.0, (3, 4, 5))
         assert np.shares_memory(FrameStack(frames, np.zeros(3))._counts[0], frames)
@@ -705,14 +691,6 @@ class TestIntegerStorage:
         assert other._counts[0].dtype == np.float64 and other._counts[1] == 1.0
         doubled = analyze_stack(FrameStack(floats.frames * 2.0, floats.scan_phases))
         assert_same_result(analyze_stack(other), doubled)
-
-    def test_truncated_keeps_the_samples(self):
-        stored, floats = sample_stacks(8, (6, 7))
-        head = stored.truncated(5)
-        assert head._counts[0].dtype == np.uint16 and head._counts[1] == stored._counts[1]
-        assert head.meta["gain"] == stored.meta["gain"]
-        assert np.array_equal(head.frames, floats.frames[:5])
-        assert np.array_equal(head.scan_phases, floats.scan_phases[:5])
 
     def test_scaling_while_frames_are_read(self):
         # reads of frames leave samples and gain as they are, so a thread that

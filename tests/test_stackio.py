@@ -474,13 +474,6 @@ class TestStoredSamples:
         assert a._counts[0].dtype == b._counts[0].dtype == np.uint16
         assert FrameStack(a.frames, a.scan_phases) != FrameStack(b.frames, b.scan_phases)
 
-    def test_frames_used_keeps_the_samples(self, tmp_path):
-        write_stack(sample_stack(k=8), tmp_path / "s")
-        back = read_stack(tmp_path / "s")
-        head = back.truncated(4)
-        assert head._counts[0].dtype == np.uint16 and head.frame_count == 4
-        assert np.array_equal(head.frames, read_stack(tmp_path / "s").frames[:4])
-
 
 class TestPgmDetails:
     def test_header_and_endianness(self, tmp_path):
